@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
@@ -29,6 +30,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_FORMAT = 4
+
+# BLAS and OpenMP read these when numpy loads
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _env_seed() -> int:
@@ -166,9 +171,36 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _running_threads() -> int | None:
+    """Threads of this process, or None where /proc is not available."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def _bench_env() -> dict:
+    """Versions, BLAS build and thread settings that a latency depends on."""
+    a = np.ones((64, 64))
+    a @ a       # OpenBLAS starts its pool, if any, on first use
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas")
+    except TypeError:   # numpy < 1.26 only prints its configuration
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "threads_running": _running_threads(),
+    }
+
+
 def cmd_bench(args) -> int:
     if args.threads != 1:
         raise ValueError("only --threads 1 is supported")
+    env = _bench_env()
     net = build_model(args.variant, seed=_seed(args))
     x = np.random.default_rng(_seed(args)).standard_normal(
         (1, 3, args.resolution, args.resolution)).astype(net.dtype)
@@ -192,10 +224,15 @@ def cmd_bench(args) -> int:
         "p95_ms": float(np.percentile(times, 95)),
         "min_ms": float(times.min()),
         "max_ms": float(times.max()),
+        "env": env,
     }
     text = (f"{args.variant} @ {args.resolution}: mean {payload['mean_ms']:.2f} ms, "
             f"median {payload['median_ms']:.2f} ms, p95 {payload['p95_ms']:.2f} ms "
             f"({args.repeats} runs, {args.warmup} warmup excluded)")
+    running = env["threads_running"]
+    if running is not None and running > 1:
+        text += (f"\nunpinned: {running} threads run after a BLAS call; "
+                 f"set {THREAD_VARS[0]}=1 to time one thread")
     _emit(args, payload, text)
     return EXIT_OK
 
@@ -221,8 +258,32 @@ def cmd_dataset(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exits with EXIT_USAGE."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="micronet",
         description="Cost analysis, verification, training and inference "
                     "for micro-factorized networks.")
@@ -250,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="classify a dataset with saved weights")
     p.add_argument("--weights", required=True)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--batch-size", type=_positive, default=64)
+    p.add_argument("--limit", type=_positive, default=10,
                    help="number of predictions to print")
     common(p)
     p.set_defaults(func=cmd_infer)
@@ -260,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, default="tiny")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--data", help="dataset directory")
-    group.add_argument("--synthetic", type=int, default=128, metavar="N",
+    group.add_argument("--synthetic", type=_positive, default=128, metavar="N",
                        help="train on N generated images")
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive, default=30)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=_positive, default=16)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=3e-5)
     p.add_argument("--target-accuracy", type=float, default=None)
@@ -276,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="single-image latency")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--resolution", type=int, default=224)
-    p.add_argument("--repeats", type=int, default=200)
-    p.add_argument("--warmup", type=int, default=50)
+    p.add_argument("--repeats", type=_positive, default=200)
+    p.add_argument("--warmup", type=_non_negative, default=50)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     common(p)
@@ -292,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dataset", help="generate a synthetic dataset")
-    p.add_argument("--count", type=int, default=128)
+    p.add_argument("--count", type=_positive, default=128)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True, help="target directory")

@@ -94,8 +94,11 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a C-ordered copy: the same g may be handed to several parents (see
+        # add), and g may be a transposed view
+        t.grad = g.astype(t.data.dtype, order="C", copy=True)
+    else:
+        t.grad += g
 
 
 def as_tensor(x) -> Tensor:
@@ -168,51 +171,150 @@ def _pair(v):
     return (int(v), int(v))
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
-    # windows laid out as (N, C, OH, OW, kh, kw)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+# Each kernel below maps (x, w, spec) arrays to (out, vjp), where
+# vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
+
+def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
+    """1x1 kernel, stride 1, no padding: a matmul per (image, group) on
+    reshaped views of x and w."""
+    n, c, h, wdt = xd.shape
+    g = spec.groups
+    xv = xd.reshape(n, g, c // g, h * wdt)                 # (N, g, cg, HW)
+    wm = wd.reshape(g, spec.out_channels // g, c // g)     # (g, og, cg)
+    out = np.matmul(wm, xv).reshape(n, spec.out_channels, h, wdt)
+
+    def vjp(gout, need_x, need_w):
+        gv = gout.reshape(n, g, -1, h * wdt)               # (N, g, og, HW)
+        gx = np.matmul(wm.transpose(0, 2, 1), gv).reshape(xd.shape) if need_x else None
+        gw = (np.matmul(gv, xv.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wd.shape)
+              if need_w else None)
+        return gx, gw
+
+    return out, vjp
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped 2-d convolution (cross-correlation) of x with w.
+def _phase_axis(a: int, s: int, p: int, size: int, grid: int):
+    """Input indices y of one axis whose padded index y + p is a + s * r with
+    r < grid, as (slice of r, slice of y)."""
+    y0 = (a - p) % s
+    r0 = (y0 + p - a) // s
+    count = max(0, min(grid - r0, len(range(y0, size, s))))
+    return slice(r0, r0 + count), slice(y0, y0 + s * count, s)
 
-    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or None.
+
+def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
+    """One input channel per group, each feeding og = C_out / C outputs.
+
+    The padded input is split by stride phase (rows a::sh, columns b::sw)
+    and each phase is stored flat on an (hq, wq) grid. Tap (i, j) then
+    reads one contiguous run of phase (i % sh, j % sw), and the taps of a
+    phase are the windows of one strided view, contracted by one einsum.
+    Grid columns past OW are computed and dropped.
     """
-    n, c, h, wd = x.shape
-    if c != spec.in_channels:
-        raise ValueError(f"expected {spec.in_channels} input channels, got {c}")
-    if w.shape != spec.weight_shape:
-        raise ValueError(f"weight shape {w.shape} != {spec.weight_shape}")
+    kh, kw = spec.kernel
+    if kh == 1 < kw:
+        # a row filter is the column filter of the transposed map: einsum is
+        # fast when taps lie whole grid rows apart, slow when one element apart
+        t = ConvSpec(spec.in_channels, spec.out_channels, (kw, kh),
+                     spec.stride[::-1], spec.padding[::-1], spec.groups)
+        out, vjp_t = _conv_depthwise(xd.swapaxes(2, 3), wd.swapaxes(2, 3), t)
+
+        def vjp(gout, need_x, need_w):
+            grads = vjp_t(gout.swapaxes(2, 3), need_x, need_w)
+            return tuple(None if g is None else g.swapaxes(2, 3) for g in grads)
+
+        return np.ascontiguousarray(out.swapaxes(2, 3)), vjp
+    n, c, h, wdt = xd.shape
+    sh, sw = spec.stride
+    ph, pw = spec.padding
+    og = spec.out_channels // c
+    oh, ow = spec.out_size(h, wdt)
+    hq, wq = (kh - 1) // sh + oh, (kw - 1) // sw + ow
+    size = hq * wq + (kw - 1) // sw                        # end of the last run
+    run = oh * wq
+    w4 = wd.reshape(c, og, kh, kw)
+    # phase -> ((grid rows, input rows), (grid columns, input columns))
+    phases = {(a, b): (_phase_axis(a, sh, ph, h, hq), _phase_axis(b, sw, pw, wdt, wq))
+              for a in range(min(sh, kh)) for b in range(min(sw, kw))}
+
+    def grid(flat):
+        return flat[..., :hq * wq].reshape(flat.shape[:-1] + (hq, wq))
+
+    xq = {}
+    for key, ((gr, xr), (gc, xc)) in phases.items():
+        xq[key] = np.zeros((n, c, size), dtype=xd.dtype)
+        grid(xq[key])[:, :, gr, gc] = xd[:, :, xr, xc]
+
+    def windows(a, b):
+        """Phase (a, b) as (N, C, taps down, taps across, OH * wq) windows."""
+        buf = xq[a, b]
+        s0, s1, s2 = buf.strides
+        return np.ndarray((n, c, len(range(a, kh, sh)), len(range(b, kw, sw)), run),
+                          buf.dtype, buf, strides=(s0, s1, wq * s2, s2, s2))
+
+    parts = (np.einsum("nctul,cotu->ncol", windows(a, b), w4[:, :, a::sh, b::sw])
+             for a, b in phases)
+    out = next(parts)
+    for part in parts:
+        out += part
+    out = np.ascontiguousarray(out.reshape(n, c, og, oh, wq)[..., :ow])
+    out = out.reshape(n, spec.out_channels, oh, ow)
+
+    def vjp(gout, need_x, need_w):
+        gq = gout.reshape(n, c, og, oh, ow)
+        if wq != ow:
+            gq = np.zeros((n, c, og, oh, wq), dtype=gout.dtype)
+            gq[..., :ow] = gout.reshape(n, c, og, oh, ow)
+        gq = gq.reshape(n, c, og, run)
+        dtype = np.result_type(gout, xd, wd)
+        gw = np.empty(w4.shape, dtype) if need_w else None
+        gxq = {key: np.zeros((n, c, size), dtype) for key in phases} if need_x else None
+        for i in range(kh):
+            for j in range(kw):
+                key, off = (i % sh, j % sw), (i // sh) * wq + j // sw
+                if need_w:
+                    gw[:, :, i, j] = np.einsum("ncol,ncl->co", gq, xq[key][..., off:off + run])
+                if need_x:
+                    gxq[key][..., off:off + run] += np.einsum("ncol,co->ncl", gq, w4[:, :, i, j])
+        gx = None
+        if need_x:
+            gx = np.zeros(xd.shape, dtype)
+            for key, ((gr, xr), (gc, xc)) in phases.items():
+                gx[:, :, xr, xc] = grid(gxq[key])[:, :, gr, gc]
+        return gx, None if gw is None else gw.reshape(wd.shape)
+
+    return out, vjp
+
+
+def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
+    """Any geometry: unfold kh x kw windows and run one matmul per group."""
+    n, c, h, wdt = xd.shape
     kh, kw = spec.kernel
     sh, sw = spec.stride
     ph, pw = spec.padding
     g = spec.groups
     cg = spec.in_channels // g
     og = spec.out_channels // g
-    oh, ow = spec.out_size(h, wd)
+    oh, ow = spec.out_size(h, wdt)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = _im2col(xp, kh, kw, sh, sw)                      # (N,C,OH,OW,kh,kw)
-    cols = win.reshape(n, g, cg, oh, ow, kh, kw)
+    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # windows laid out as (N, C, OH, OW, kh, kw)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = win[:, :, ::sh, ::sw].reshape(n, g, cg, oh, ow, kh, kw)
     cols = cols.transpose(1, 0, 3, 4, 2, 5, 6).reshape(g, n * oh * ow, cg * kh * kw)
-    wmat = w.data.reshape(g, og, cg * kh * kw)
+    wmat = wd.reshape(g, og, cg * kh * kw)
     out = np.matmul(cols, wmat.transpose(0, 2, 1))         # (g, N*OH*OW, og)
     out = out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3)
     out = np.ascontiguousarray(out.reshape(n, spec.out_channels, oh, ow))
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
 
-    parents = [x, w] if bias is None else [x, w, bias]
-
-    def backward(gout):
+    def vjp(gout, need_x, need_w):
         gmat = gout.reshape(n, g, og, oh, ow)
         gmat = gmat.transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
-        if w.requires_grad:
+        gx = gw = None
+        if need_w:
             gw = np.matmul(cols.transpose(0, 2, 1), gmat)  # (g, cg*kh*kw, og)
-            gw = gw.transpose(0, 2, 1).reshape(spec.weight_shape)
-            _accumulate(w, gw)
-        if x.requires_grad:
+            gw = gw.transpose(0, 2, 1).reshape(wd.shape)
+        if need_x:
             gcols = np.matmul(gmat, wmat)                  # (g, N*OH*OW, cg*kh*kw)
             gcols = gcols.reshape(g, n, oh, ow, cg, kh, kw)
             gcols = gcols.transpose(1, 0, 4, 2, 3, 5, 6).reshape(n, c, oh, ow, kh, kw)
@@ -220,7 +322,41 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, :, :, i, j]
-            gx = gxp[:, :, ph:ph + h, pw:pw + wd]
+            gx = gxp[:, :, ph:ph + h, pw:pw + wdt]
+        return gx, gw
+
+    return out, vjp
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
+    """Grouped 2-d convolution (cross-correlation) of x with w.
+
+    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or None.
+    Unpadded stride-1 1x1 kernels and depthwise kernels (one input channel
+    per group) take specialized paths; everything else unfolds windows.
+    """
+    _, c, _, _ = x.shape
+    if c != spec.in_channels:
+        raise ValueError(f"expected {spec.in_channels} input channels, got {c}")
+    if w.shape != spec.weight_shape:
+        raise ValueError(f"weight shape {w.shape} != {spec.weight_shape}")
+    if spec.kernel == (1, 1) and spec.stride == (1, 1) and spec.padding == (0, 0):
+        kernel = _conv_pointwise
+    elif spec.groups == spec.in_channels:
+        kernel = _conv_depthwise
+    else:
+        kernel = _conv_im2col
+    out, vjp = kernel(x.data, w.data, spec)
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
+
+    parents = [x, w] if bias is None else [x, w, bias]
+
+    def backward(gout):
+        gx, gw = vjp(gout, x.requires_grad, w.requires_grad)
+        if gw is not None:
+            _accumulate(w, gw)
+        if gx is not None:
             _accumulate(x, gx)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, gout.sum(axis=(0, 2, 3)))
@@ -374,14 +510,20 @@ def stack_max(parts: list[Tensor]) -> Tensor:
     Ties route the gradient to the earliest winner, which keeps the
     backward pass deterministic.
     """
-    stacked = np.stack([p.data for p in parts], axis=0)
-    idx = np.argmax(stacked, axis=0)
-    out = np.take_along_axis(stacked, idx[None], axis=0)[0]
+    first, *rest = [p.data for p in parts]
+    # on equal inputs np.maximum returns its second operand, so the earlier
+    # value (and its sign, for -0.0 against 0.0) is kept
+    out = np.maximum(rest[0], first) if rest else first.copy()
+    for d in rest[1:]:
+        np.maximum(d, out, out=out)
 
     def backward(g):
-        for k, p in enumerate(parts):
+        free = np.ones(out.shape, dtype=bool)
+        for p in parts:
+            win = free & (p.data == out)
+            free &= ~win
             if p.requires_grad:
-                _accumulate(p, g * (idx == k))
+                _accumulate(p, g * win)
 
     return _result(out, list(parts), backward)
 

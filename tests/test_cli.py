@@ -2,6 +2,7 @@
 variable."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -156,3 +157,58 @@ def test_seed_env_variable(monkeypatch, capsys):
                        "24", "--epochs", "1")
     assert code == EXIT_USAGE
     assert "MICRONET_SEED" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--epochs", "0"], "--epochs"),
+    (["train", "--batch-size", "0"], "--batch-size"),
+    (["train", "--synthetic", "-3"], "--synthetic"),
+    (["infer", "--weights", "w", "--data", "d", "--batch-size", "0"], "--batch-size"),
+    (["infer", "--weights", "w", "--data", "d", "--limit", "0"], "--limit"),
+    (["bench", "--variant", "tiny", "--repeats", "0"], "--repeats"),
+    (["bench", "--variant", "tiny", "--warmup", "-1"], "--warmup"),
+    (["bench", "--variant", "tiny", "--repeats", "two"], "--repeats"),
+    (["dataset", "--output", "d", "--count", "0"], "--count"),
+])
+def test_counts_are_validated(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert flag in err
+
+
+def test_bench_without_warmup(capsys):
+    code, _, _ = run(capsys, "bench", "--variant", "tiny", "--resolution",
+                     "16", "--repeats", "1", "--warmup", "0")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("threads", [1, 2, None])
+def test_bench_reports_environment(threads, monkeypatch, capsys):
+    import micronet.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "_running_threads", lambda: threads)
+    argv = ["bench", "--variant", "tiny", "--resolution", "16", "--repeats",
+            "2", "--warmup", "0"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    env = json.loads(out)["env"]
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] >= 1
+    assert env["threads_running"] == threads
+    assert set(env["threads"]) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert "blas" in env and "python" in env
+
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert ("unpinned" in out) == (threads == 2)
+
+
+def test_running_threads_counts_this_process():
+    from micronet.cli import _running_threads
+    n = _running_threads()
+    if os.path.isdir("/proc/self/task"):
+        assert n >= 1
+    else:
+        assert n is None

@@ -4,11 +4,13 @@ checks for every differentiable operation."""
 import numpy as np
 import pytest
 from helpers import assert_grads, away_from_zero
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, add, add_scalar, batch_norm,
-                             batch_norm_inference, channel_scale, conv2d,
+from micronet.tensor import (ConvSpec, Tensor, _conv_im2col, add, add_scalar,
+                             batch_norm, batch_norm_inference, channel_scale, conv2d,
                              dropout, global_avg_pool, linear, mul, no_grad,
                              permute_channels, relu, reshape, roll_channels,
                              scale, sigmoid, softmax, softmax_cross_entropy,
@@ -66,6 +68,50 @@ def test_conv2d_matches_naive_loops(seed):
     assert counter.count == 2 * spec.madds(6, 7)
 
 
+@st.composite
+def pointwise_specs(draw):
+    """1x1, stride 1, unpadded convolutions, grouped or not."""
+    g = draw(st.integers(1, 3))
+    return ConvSpec(g * draw(st.integers(1, 3)), g * draw(st.integers(1, 3)), 1,
+                    groups=g)
+
+
+@st.composite
+def depthwise_specs(draw):
+    """One input channel per group, og = C_out / C_in in {1, 2, 3}, with
+    k x 1, 1 x k and k x k kernels."""
+    c = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
+    kernel = draw(st.sampled_from([(k, 1), (1, k), (k, k)]))
+    return ConvSpec(c, c * draw(st.integers(1, 3)), kernel,
+                    stride=(draw(st.integers(1, 2)), draw(st.integers(1, 2))),
+                    padding=(draw(st.integers(0, 2)), draw(st.integers(0, 2))),
+                    groups=c)
+
+
+@given(st.one_of(pointwise_specs(), depthwise_specs()), st.integers(1, 2),
+       st.integers(5, 8), st.integers(5, 8), st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_conv2d_specialized_branches_match_im2col(spec, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rnd(rng, n, spec.in_channels, h, w), requires_grad=True)
+    wt = Tensor(rnd(rng, *spec.weight_shape), requires_grad=True)
+    b = Tensor(rnd(rng, spec.out_channels), requires_grad=True)
+    out = conv2d(x, wt, b, spec)
+    np.testing.assert_allclose(out.data, conv2d_naive(x.data, wt.data, b.data, spec),
+                               atol=1e-12, rtol=0)
+
+    ref, vjp = _conv_im2col(x.data, wt.data, spec)
+    np.testing.assert_allclose(out.data, ref + b.data[None, :, None, None],
+                               atol=1e-12, rtol=0)
+    gout = rnd(rng, *out.shape)
+    out._backward(gout)
+    gx, gw = vjp(gout, True, True)
+    np.testing.assert_allclose(x.grad, gx, atol=1e-12, rtol=1e-12)
+    np.testing.assert_allclose(wt.grad, gw, atol=1e-12, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, gout.sum(axis=(0, 2, 3)), atol=1e-12, rtol=1e-12)
+
+
 def test_linear_and_pool_match_naive():
     rng = np.random.default_rng(3)
     x = rnd(rng, 4, 6)
@@ -110,6 +156,53 @@ def test_stack_max_first_wins_on_tie():
     s.backward()
     np.testing.assert_array_equal(a.grad, [[1.0, 0.0]])
     np.testing.assert_array_equal(b.grad, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stack_max_ties_match_argmax_bitwise(dtype):
+    z = -0.0
+    # columns: a=b tie, b=c tie, three-way tie, -0 vs 0, three-way signed
+    # zeros, -0 vs 0 behind a loser, strict winner last
+    a = np.array([1.0, 0.0, 3.0, z, 0.0, -1.0, 1.0], dtype)
+    b = np.array([1.0, 2.0, 3.0, 0.0, z, z, 2.0], dtype)
+    c = np.array([0.0, 2.0, 3.0, -1.0, 0.0, 0.0, 3.0], dtype)
+    parts = [Tensor(v, requires_grad=True) for v in (a, b, c)]
+    out = stack_max(parts)
+
+    stacked = np.stack([a, b, c])
+    idx = np.argmax(stacked, axis=0)
+    want = np.take_along_axis(stacked, idx[None], axis=0)[0]
+    assert out.data.dtype == want.dtype
+    assert out.data.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(idx, [0, 1, 0, 0, 0, 1, 2])
+
+    g = np.arange(1.0, 8.0, dtype=dtype)
+    out._backward(g)
+    for k, p in enumerate(parts):
+        np.testing.assert_array_equal(p.grad, g * (idx == k))
+
+
+def test_stack_max_single_part_is_a_copy():
+    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    out = stack_max([a])
+    np.testing.assert_array_equal(out.data, a.data)
+    assert not np.shares_memory(out.data, a.data)
+
+
+def test_first_gradient_is_not_shared_between_parents():
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    out = add(a, b)
+    g = np.array([1.0, 2.0, 3.0])
+    out._backward(g)
+    a.grad += 10.0
+    np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+
+    x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    add(x, x)._backward(np.ones(2))
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 def test_take_index_duplicate_scatter():
