@@ -17,19 +17,13 @@ import numpy as np
 
 from .module import Context, Module, he_normal, zeros_param
 from .reference import MAddCounter, global_avg_pool_naive, linear_naive
-from .tensor import (Tensor, add, add_scalar, channel_scale, global_avg_pool,
-                     linear, relu, reshape, roll_channels, scale, sigmoid,
-                     stack_max, take_index)
+from .tensor import (Tensor, add_scalar, global_avg_pool, linear, relu, reshape,
+                     scale, shift_max, sigmoid)
 
 
-def circular_shift(x, j: int, groups: int):
+def circular_shift(x: np.ndarray, j: int, groups: int) -> np.ndarray:
     """Shift channels by j * C/groups positions: output i reads input
-    (i + j*C/G) mod C. Accepts a Tensor or an ndarray."""
-    if isinstance(x, Tensor):
-        c = x.shape[1]
-        if c % groups:
-            raise ValueError(f"groups {groups} does not divide {c} channels")
-        return roll_channels(x, j * (c // groups))
+    (i + j*C/G) mod C."""
     c = x.shape[1]
     if c % groups:
         raise ValueError(f"groups {groups} does not divide {c} channels")
@@ -87,17 +81,7 @@ class DyShiftMax(Module):
         return lo, hi
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        a = self.coefficients(x)
-        shifted = [circular_shift(x, j, self.groups) for j in range(self.num_shifts)]
-        fusions = []
-        for k in range(self.num_fusions):
-            s = None
-            for j in range(self.num_shifts):
-                term = channel_scale(shifted[j],
-                                     take_index(a, (slice(None), slice(None), j, k)))
-                s = term if s is None else add(s, term)
-            fusions.append(s)
-        return stack_max(fusions)
+        return shift_max(x, self.coefficients(x), self.groups)
 
     def madds(self, h: int, w: int) -> int:
         c, jk = self.channels, self.num_shifts * self.num_fusions

@@ -13,7 +13,8 @@ from .tensor import Tensor
 class Context:
     """Per-call state threaded through forward passes."""
     training: bool = False
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    # seeded so that a training forward without an explicit rng is reproducible
+    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
 
 class Module:

@@ -409,8 +409,11 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    # e is in [0, 1], so nothing overflows; flushing a tiny e (or e / (1 + e))
+    # to zero is the correctly rounded sigmoid, not an error
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(d))
+        out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         if x.requires_grad:
@@ -465,33 +468,6 @@ def add_scalar(x: Tensor, k) -> Tensor:
     return _result(out, [x], backward)
 
 
-def channel_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply feature map x (N,C,H,W) by per-sample channel weights s (N,C)."""
-    if x.shape[:2] != s.shape:
-        raise ValueError(f"channel weights {s.shape} do not match {x.shape}")
-    out = x.data * s.data[:, :, None, None]
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * s.data[:, :, None, None])
-        if s.requires_grad:
-            _accumulate(s, (g * x.data).sum(axis=(2, 3)))
-
-    return _result(out, [x, s], backward)
-
-
-def roll_channels(x: Tensor, shift: int) -> Tensor:
-    """Circularly shift the channel axis so output channel i reads input i+shift."""
-    c = x.shape[1]
-    out = np.roll(x.data, -shift % c, axis=1)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.roll(g, shift % c, axis=1))
-
-    return _result(out, [x], backward)
-
-
 def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
     """Reorder channels: output channel i is input channel perm[i]."""
     out = x.data[:, perm]
@@ -504,41 +480,68 @@ def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
     return _result(out, [x], backward)
 
 
-def stack_max(parts: list[Tensor]) -> Tensor:
-    """Elementwise max over a list of same-shape tensors.
+def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
+    """Dynamic Shift-Max: y = max_k sum_j a[:, :, j, k] * roll(x, j*C/G).
 
-    Ties route the gradient to the earliest winner, which keeps the
-    backward pass deterministic.
+    x: (N, C, H, W); a: (N, C, J, K) per-sample coefficients, and groups
+    must divide C. Term j of output channel i reads input channel
+    (i + j*C/G) mod C. The J shifted copies are one strided view of x
+    extended by its wrapped channels, so the K fusions are one batched
+    matmul. Ties route the gradient to the earliest winning fusion, and
+    an output that is NaN routes it to the first NaN fusion.
     """
-    first, *rest = [p.data for p in parts]
+    n, c, h, w = x.shape
+    if c % groups:
+        raise ValueError(f"groups {groups} does not divide {c} channels")
+    if a.data.ndim != 4 or a.shape[:2] != (n, c):
+        raise ValueError(f"coefficients {a.shape} do not match input {x.shape}")
+    _, _, jn, kn = a.shape
+    s = c // groups
+    xv = x.data.reshape(n, c, h * w)
+    if jn == 1:
+        view = xv[:, :, None]
+    else:
+        # x extended by its first (J-1)*s channels, wrapping as often as needed;
+        # view[:, i, j] is channel i + j*s of it, which is input channel (i + j*s) mod C
+        xx = np.take(xv, np.arange(c + (jn - 1) * s), axis=1, mode="wrap")
+        b0, b1, b2 = xx.strides
+        view = np.ndarray((n, c, jn, h * w), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
+    view.flags.writeable = False
+    fus = np.matmul(a.data.transpose(0, 1, 3, 2), view)    # (N, C, K, HW)
     # on equal inputs np.maximum returns its second operand, so the earlier
-    # value (and its sign, for -0.0 against 0.0) is kept
-    out = np.maximum(rest[0], first) if rest else first.copy()
-    for d in rest[1:]:
-        np.maximum(d, out, out=out)
+    # fusion (and its sign, for -0.0 against 0.0) is kept
+    out = np.maximum(fus[:, :, 1], fus[:, :, 0]) if kn > 1 else fus[:, :, 0]
+    for k in range(2, kn):
+        np.maximum(fus[:, :, k], out, out=out)
 
     def backward(g):
-        free = np.ones(out.shape, dtype=bool)
-        for p in parts:
-            win = free & (p.data == out)
-            free &= ~win
-            if p.requires_grad:
-                _accumulate(p, g * win)
-
-    return _result(out, list(parts), backward)
-
-
-def take_index(x: Tensor, index) -> Tensor:
-    """Static fancy-index read; gradient scatters back into the source."""
-    out = x.data[index]
-
-    def backward(g):
+        g = g.reshape(out.shape)
+        gf = g[:, :, None]                                  # gradient per fusion
+        if kn > 1:
+            gf = np.empty(fus.shape, np.result_type(g, fus))
+            free = np.ones(out.shape, dtype=bool)
+            for k in range(kn - 1):
+                part = fus[:, :, k]
+                # NaN never equals the maximum; np.maximum makes every output
+                # with a NaN fusion NaN, so a NaN part marks exactly those
+                win = (part == out) | np.isnan(part)
+                win &= free
+                free &= ~win
+                np.multiply(g, win, out=gf[:, :, k])
+            # every output equals one of the fusions, so the last wins the rest
+            np.multiply(g, free, out=gf[:, :, -1])
+        if a.requires_grad:
+            _accumulate(a, np.matmul(view, gf.transpose(0, 1, 3, 2)))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, index, g)
-            _accumulate(x, gx)
+            gs = np.matmul(a.data, gf)                      # (N, C, J, HW)
+            gx = gs[:, :, 0].copy()
+            for j in range(1, jn):
+                r = j * s % c
+                gx[:, r:] += gs[:, :c - r, j]
+                gx[:, :r] += gs[:, c - r:, j]
+            _accumulate(x, gx.reshape(x.shape))
 
-    return _result(out, [x], backward)
+    return _result(out.reshape(x.shape), [x, a], backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

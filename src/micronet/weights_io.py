@@ -15,6 +15,7 @@ into a model with exactly the same name set, shapes and dtypes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -117,11 +118,17 @@ def load_archive(path) -> tuple[dict, dict]:
         config = json.loads(cur.take(config_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArchiveError(f"bad config blob: {e}") from None
+    if not isinstance(config, dict):
+        raise ArchiveError(f"bad config blob: expected a JSON object, got "
+                           f"{type(config).__name__}")
     count = cur.u32()
 
     state = {}
     for _ in range(count):
-        name = cur.take(cur.u32()).decode("utf-8")
+        try:
+            name = cur.take(cur.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ArchiveError(f"tensor name is not UTF-8: {e}") from None
         tag = cur.u32()
         dtype = TAG_DTYPES.get(tag)
         if dtype is None:
@@ -130,10 +137,16 @@ def load_archive(path) -> tuple[dict, dict]:
         if rank > 8:
             raise ArchiveError(f"implausible rank {rank} for tensor {name!r}")
         shape = cur.u64s(rank)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = cur.take(n * dtype.itemsize)
-        arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
-        state[name] = arr.astype(dtype).reshape(shape)
+        # a Python int: an int64 product of untrusted dims can overflow
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > len(body) - cur.pos:
+            raise ArchiveError(f"tensor {name!r} of shape {shape} needs {nbytes} "
+                               f"bytes, {len(body) - cur.pos} remain")
+        arr = np.frombuffer(cur.take(nbytes), dtype=dtype.newbyteorder("<"))
+        try:
+            state[name] = arr.astype(dtype).reshape(shape)
+        except ValueError as e:                        # empty, but dims too large
+            raise ArchiveError(f"bad shape {shape} for tensor {name!r}: {e}") from None
     if cur.pos != len(body):
         raise ArchiveError("trailing bytes after last tensor")
     return config, state

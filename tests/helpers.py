@@ -1,5 +1,8 @@
 """Shared test utilities."""
 
+import struct
+import zlib
+
 import numpy as np
 
 from micronet.train import finite_difference_check
@@ -52,3 +55,21 @@ def _single_fusion(layer, x, k):
         shifted = np.roll(x, -(j * stride) % c, axis=1)
         acc += a[:, :, j, k][:, :, None, None] * shifted
     return acc
+
+
+def reseal(body: bytes) -> bytes:
+    """An archive body followed by its correct checksum."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def seal_archive(config: bytes, records=()) -> bytes:
+    """A version-1 weight archive with the given raw config blob and raw
+    tensor records, and a correct checksum."""
+    body = b"MNWT" + struct.pack("<II", 1, len(config)) + config
+    return reseal(body + struct.pack("<I", len(records)) + b"".join(records))
+
+
+def tensor_record(name: bytes, tag: int, dims, payload=b"") -> bytes:
+    """One raw archive record: name, dtype tag, rank, dims, payload."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<II", tag, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from helpers import seal_archive
 
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, main)
@@ -123,6 +124,18 @@ def test_exit_code_corrupt_archive(tmp_path, capsys):
                        "--data", str(ds))
     assert code == EXIT_FORMAT
     assert "checksum" in err
+
+
+def test_exit_code_config_not_an_object(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    bad = tmp_path / "list.mnwt"
+    bad.write_bytes(seal_archive(b"[1]"))
+    code, _, err = run(capsys, "infer", "--weights", str(bad), "--data", str(ds))
+    assert code == EXIT_FORMAT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "JSON object" in err
 
 
 def test_exit_code_verify_failure(monkeypatch, capsys):

@@ -122,6 +122,17 @@ def test_dropout_only_in_training():
     assert not np.array_equal(t1, t2)
 
 
+def test_default_training_context_is_deterministic():
+    spec = model_spec("tiny")
+    spec = ModelSpec(**{**{f: getattr(spec, f) for f in spec.__dataclass_fields__},
+                        "dropout": 0.5})
+    net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
+    x = np.random.default_rng(3).standard_normal((2, 3, 32, 32))
+    a = net(x, Context(training=True)).data
+    b = net(x, Context(training=True)).data
+    assert a.tobytes() == b.tobytes()
+
+
 def test_norm_none_variant_runs():
     spec = model_spec("tiny")
     spec = ModelSpec(**{**{f: getattr(spec, f) for f in spec.__dataclass_fields__},

@@ -7,14 +7,14 @@ from helpers import assert_grads, away_from_zero
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micronet.dyshiftmax import circular_shift
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
 from micronet.tensor import (ConvSpec, Tensor, _conv_im2col, add, add_scalar,
-                             batch_norm, batch_norm_inference, channel_scale, conv2d,
-                             dropout, global_avg_pool, linear, mul, no_grad,
-                             permute_channels, relu, reshape, roll_channels,
-                             scale, sigmoid, softmax, softmax_cross_entropy,
-                             stack_max, take_index)
+                             batch_norm, batch_norm_inference, conv2d, dropout,
+                             global_avg_pool, linear, mul, no_grad,
+                             permute_channels, relu, reshape, scale, shift_max,
+                             sigmoid, softmax, softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
@@ -130,13 +130,146 @@ def test_linear_and_pool_match_naive():
 
 
 # ---------------------------------------------------------------------------
+# shift_max against a loop over shifted copies
+
+def shift_max_oracle(x, a, groups):
+    """Dynamic Shift-Max one shifted copy at a time. Returns the output, the
+    stacked fusions (K, N, C, H, W) and the winner of each element, which
+    np.argmax picks as the earliest maximum or the first NaN."""
+    jn, kn = a.shape[2:]
+    fus = np.stack([sum(a[:, :, j, k, None, None] * circular_shift(x, j, groups)
+                        for j in range(jn)) for k in range(kn)])
+    win = np.argmax(fus, axis=0)
+    return np.take_along_axis(fus, win[None], axis=0)[0], fus, win
+
+
+def shift_max_oracle_grads(x, a, groups, g, win):
+    """(dx, da) of the oracle for upstream gradient g routed by win."""
+    jn, kn = a.shape[2:]
+    gx, ga = np.zeros_like(x), np.zeros_like(a)
+    for k in range(kn):
+        gk = g * (win == k)
+        for j in range(jn):
+            ga[:, :, j, k] = (gk * circular_shift(x, j, groups)).sum(axis=(2, 3))
+            gx += circular_shift(a[:, :, j, k, None, None] * gk, -j, groups)
+    return gx, ga
+
+
+@given(st.sampled_from([1, 3]), st.sampled_from([1, 2, 4]), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_shift_max_matches_oracle(n, groups, m, jn, kn, h, w, dtype, seed):
+    # J > G wraps the shift past C at least once
+    rng = np.random.default_rng(seed)
+    c = groups * m
+    x = Tensor(rnd(rng, n, c, h, w).astype(dtype), requires_grad=True)
+    a = Tensor(rng.uniform(-1.0, 2.0, (n, c, jn, kn)).astype(dtype), requires_grad=True)
+    out = shift_max(x, a, groups)
+    assert out.dtype == dtype
+    x64, a64 = x.data.astype(np.float64), a.data.astype(np.float64)
+    want, fus, win = shift_max_oracle(x64, a64, groups)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(out.data, want, atol=tol, rtol=0)
+
+    # no upstream gradient where two fusions are within rounding of each
+    # other, so the winner is the same in both dtypes
+    gout = rnd(rng, n, c, h, w)
+    if kn > 1:
+        top = np.sort(fus, axis=0)
+        gout[top[-1] - top[-2] < 1e-4] = 0.0
+    out._backward(gout.astype(dtype))
+    gx, ga = shift_max_oracle_grads(x64, a64, groups, gout, win)
+    np.testing.assert_allclose(x.grad, gx, atol=10 * tol, rtol=0)
+    np.testing.assert_allclose(a.grad, ga, atol=10 * tol, rtol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shift_max_ties_route_to_earliest_fusion(dtype):
+    # J = 1, K = 3: each fusion is one product, exact in both computations.
+    # Columns of x: positive, negative, zero, negative zero. Coefficients of
+    # channel 0 are equal (three-way tie everywhere); channel 1 ties fusions
+    # 0 and 1 for x > 0; channel 2 ties 1 and 2 behind a loser; channel 3
+    # ties 0 and 2 around fusion 1.
+    x = np.tile(np.array([2.0, -1.0, 0.0, -0.0], dtype), (1, 4, 1, 1))
+    a = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5],
+                  [0.5, 1.0, 1.0], [2.0, 1.0, 2.0]], dtype).reshape(1, 4, 1, 3)
+    want, _, win = shift_max_oracle(x, a, 1)
+    np.testing.assert_array_equal(win[0, :, 0], [[0, 0, 0, 0], [0, 2, 0, 0],
+                                                 [1, 0, 0, 0], [0, 1, 0, 0]])
+    xt, at = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
+    out = shift_max(xt, at, 1)
+    np.testing.assert_array_equal(out.data, want)
+
+    g = np.arange(1.0, 17.0, dtype=dtype).reshape(x.shape)
+    out._backward(g)
+    gx, ga = shift_max_oracle_grads(x, a, 1, g, win)
+    np.testing.assert_array_equal(xt.grad, gx)
+    np.testing.assert_array_equal(at.grad, ga)
+
+
+def test_shift_max_first_wins_on_tie():
+    # J = 1, K = 2: channel 0 ties at 2 and goes to fusion 0; channel 1 is
+    # won by fusion 1 (7.5 > 5)
+    x = Tensor(np.array([2.0, 5.0]).reshape(1, 2, 1, 1), requires_grad=True)
+    a = Tensor(np.array([[1.0, 1.0], [1.0, 1.5]]).reshape(1, 2, 1, 2), requires_grad=True)
+    out = shift_max(x, a, 1)
+    np.testing.assert_array_equal(out.data.ravel(), [2.0, 7.5])
+    out._backward(np.ones((1, 2, 1, 1)))
+    np.testing.assert_array_equal(x.grad.ravel(), [1.0, 1.5])
+    np.testing.assert_array_equal(a.grad.reshape(2, 2), [[2.0, 0.0], [0.0, 5.0]])
+
+
+def test_shift_max_nan_routes_to_first_nan_fusion():
+    # C = 4, G = 2: output i reads x[i] (j = 0) and x[(i + 2) % 4] (j = 1).
+    x = Tensor(np.array([np.nan, 1.0, 2.0, 3.0]).reshape(1, 4, 1, 1), requires_grad=True)
+    a = np.ones((1, 4, 2, 2))
+    a[:, :, :, 1] = 0.5
+    a[0, 3, :, 1] = 2.0
+    at = Tensor(a, requires_grad=True)
+    out = shift_max(x, at, 2)
+    # outputs 0 and 2 read the NaN in both fusions: fusion 0 gets their
+    # gradient; output 1 is won by fusion 0 (4 > 2), output 3 by fusion 1 (8 > 4)
+    np.testing.assert_array_equal(out.data.ravel(), [np.nan, 4.0, np.nan, 8.0])
+    out._backward(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1))
+    # da[i, j, k] = g[i] * [k wins i] * x[(i + 2j) % 4]; 0 * NaN is NaN
+    nan = np.nan
+    np.testing.assert_array_equal(at.grad[0], [[[nan, nan], [2.0, 0.0]],
+                                               [[2.0, 0.0], [6.0, 0.0]],
+                                               [[6.0, 0.0], [nan, nan]],
+                                               [[0.0, 12.0], [0.0, 4.0]]])
+    # dx[c] sums a[i, j, win] * g[i] over the (i, j) that read channel c
+    np.testing.assert_array_equal(x.grad.ravel(), [1.0 + 3.0, 2.0 + 8.0,
+                                                   3.0 + 1.0, 8.0 + 2.0])
+
+    # a NaN coefficient makes only fusion 1 of output 1 NaN: it wins there
+    a[0, 1, 0, 1] = nan
+    x = Tensor(np.arange(1.0, 5.0).reshape(1, 4, 1, 1), requires_grad=True)
+    at = Tensor(a, requires_grad=True)
+    out = shift_max(x, at, 2)
+    assert np.isnan(out.data[0, 1, 0, 0])
+    out._backward(np.full((1, 4, 1, 1), 2.0))
+    np.testing.assert_array_equal(at.grad[0, 1], [[0.0, 2.0 * 2.0], [0.0, 2.0 * 4.0]])
+
+
+def test_shift_max_single_fusion_is_a_copy():
+    x = Tensor(np.array([1.0, -2.0]).reshape(1, 2, 1, 1))
+    out = shift_max(x, Tensor(np.ones((1, 2, 1, 1))), 1)
+    np.testing.assert_array_equal(out.data, x.data)
+    assert not np.shares_memory(out.data, x.data)
+
+
+def test_shift_max_validation():
+    x = Tensor(np.zeros((1, 4, 2, 2)))
+    with pytest.raises(ValueError, match="groups"):
+        shift_max(x, Tensor(np.zeros((1, 4, 1, 1))), 3)
+    for shape in [(1, 3, 1, 1), (2, 4, 1, 1), (1, 4, 1)]:
+        with pytest.raises(ValueError, match="coefficients"):
+            shift_max(x, Tensor(np.zeros(shape)), 2)
+
+
+# ---------------------------------------------------------------------------
 # elementwise and structural op semantics
-
-def test_roll_channels_reads_forward():
-    x = np.arange(8, dtype=float).reshape(1, 8, 1, 1)
-    out = roll_channels(Tensor(x), 3).data[0, :, 0, 0]
-    np.testing.assert_array_equal(out, [(i + 3) % 8 for i in range(8)])
-
 
 def test_permute_channels_semantics():
     rng = np.random.default_rng(0)
@@ -144,49 +277,6 @@ def test_permute_channels_semantics():
     perm = rng.permutation(6)
     out = permute_channels(Tensor(x), perm).data
     np.testing.assert_array_equal(out, x[:, perm])
-
-
-def test_stack_max_first_wins_on_tie():
-    a = Tensor(np.array([[1.0, 5.0]]), requires_grad=True)
-    b = Tensor(np.array([[1.0, 7.0]]), requires_grad=True)
-    out = stack_max([a, b])
-    np.testing.assert_array_equal(out.data, [[1.0, 7.0]])
-    scale(out, 1.0)  # keep graph alive
-    s = add(take_index(out, (0, 0)), take_index(out, (0, 1)))
-    s.backward()
-    np.testing.assert_array_equal(a.grad, [[1.0, 0.0]])
-    np.testing.assert_array_equal(b.grad, [[0.0, 1.0]])
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_stack_max_ties_match_argmax_bitwise(dtype):
-    z = -0.0
-    # columns: a=b tie, b=c tie, three-way tie, -0 vs 0, three-way signed
-    # zeros, -0 vs 0 behind a loser, strict winner last
-    a = np.array([1.0, 0.0, 3.0, z, 0.0, -1.0, 1.0], dtype)
-    b = np.array([1.0, 2.0, 3.0, 0.0, z, z, 2.0], dtype)
-    c = np.array([0.0, 2.0, 3.0, -1.0, 0.0, 0.0, 3.0], dtype)
-    parts = [Tensor(v, requires_grad=True) for v in (a, b, c)]
-    out = stack_max(parts)
-
-    stacked = np.stack([a, b, c])
-    idx = np.argmax(stacked, axis=0)
-    want = np.take_along_axis(stacked, idx[None], axis=0)[0]
-    assert out.data.dtype == want.dtype
-    assert out.data.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(idx, [0, 1, 0, 0, 0, 1, 2])
-
-    g = np.arange(1.0, 8.0, dtype=dtype)
-    out._backward(g)
-    for k, p in enumerate(parts):
-        np.testing.assert_array_equal(p.grad, g * (idx == k))
-
-
-def test_stack_max_single_part_is_a_copy():
-    a = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-    out = stack_max([a])
-    np.testing.assert_array_equal(out.data, a.data)
-    assert not np.shares_memory(out.data, a.data)
 
 
 def test_first_gradient_is_not_shared_between_parents():
@@ -205,22 +295,16 @@ def test_first_gradient_is_not_shared_between_parents():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
-def test_take_index_duplicate_scatter():
-    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    idx = (np.array([0, 0, 2]),)
-    out = take_index(x, idx)
-    np.testing.assert_array_equal(out.data, [1.0, 1.0, 3.0])
-    total = add(add(take_index(out, (0,)), take_index(out, (1,))),
-                take_index(out, (2,)))
-    total.backward()
-    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
-
-
 def test_sigmoid_stable_extremes():
-    x = Tensor(np.array([-800.0, 0.0, 800.0]))
-    out = sigmoid(x).data
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
+    with np.errstate(all="raise"):
+        for dtype in (np.float32, np.float64):
+            out = sigmoid(Tensor(np.array([-1000.0, 1000.0], dtype))).data
+            np.testing.assert_array_equal(out, [0.0, 1.0])
+            assert out.dtype == dtype
+        d = np.linspace(-30.0, 30.0, 601)
+        out = sigmoid(Tensor(d)).data
+    np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-d)), atol=1e-15, rtol=0)
+    assert out[300] == 0.5
 
 
 def test_softmax_rows_normalize():
@@ -324,31 +408,18 @@ def test_elementwise_gradients():
     assert_grads(loss, [("a", a), ("b", b)])
 
 
-def test_channel_scale_and_shift_gradients():
+def test_shift_max_gradients():
     rng = np.random.default_rng(8)
     x = Tensor(rnd(rng, 2, 4, 3, 3), requires_grad=True)
-    s = Tensor(rnd(rng, 2, 4), requires_grad=True)
+    a = Tensor(rng.uniform(-1.0, 2.0, (2, 4, 2, 2)), requires_grad=True)
+    fus = shift_max_oracle(x.data, a.data, 2)[1]
+    assert np.abs(fus[0] - fus[1]).min() > 1e-4
 
     def loss():
-        z = channel_scale(roll_channels(x, 1), s)
-        z = permute_channels(z, np.array([2, 0, 3, 1]))
+        z = permute_channels(shift_max(x, a, 2), np.array([2, 0, 3, 1]))
         return softmax_cross_entropy(global_avg_pool(z), np.array([0, 3]))
 
-    assert_grads(loss, [("x", x), ("s", s)])
-
-
-def test_stack_max_gradients_tie_free():
-    rng = np.random.default_rng(9)
-    a = Tensor(rnd(rng, 2, 5), requires_grad=True)
-    b = Tensor(away_from_zero(rnd(rng, 2, 5), 0.5), requires_grad=True)
-
-    def loss():
-        return softmax_cross_entropy(stack_max([a, add_scalar(b, 0.01)]),
-                                     np.array([1, 2]))
-
-    gap = np.abs(a.data - (b.data + 0.01))
-    assert gap.min() > 1e-4
-    assert_grads(loss, [("a", a), ("b", b)])
+    assert_grads(loss, [("x", x), ("a", a)])
 
 
 def test_batch_norm_gradients():

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import reseal, seal_archive, tensor_record
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micronet.models import build_model
 from micronet.weights_io import (ArchiveError, collect_state, load_archive,
@@ -107,23 +110,68 @@ def test_bad_magic_and_version(tmp_path):
     raw = bytearray(path.read_bytes())
 
     import struct
-    import zlib
-
-    def reseal(buf):
-        body = bytes(buf[:-4])
-        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
     bad = bytearray(raw)
     bad[:4] = b"XXXX"
-    (tmp_path / "m.mnwt").write_bytes(reseal(bad))
+    (tmp_path / "m.mnwt").write_bytes(reseal(bytes(bad[:-4])))
     with pytest.raises(ArchiveError, match="magic"):
         load_archive(tmp_path / "m.mnwt")
 
     bad = bytearray(raw)
     bad[4:8] = struct.pack("<I", 99)
-    (tmp_path / "v.mnwt").write_bytes(reseal(bad))
+    (tmp_path / "v.mnwt").write_bytes(reseal(bytes(bad[:-4])))
     with pytest.raises(ArchiveError, match="version"):
         load_archive(tmp_path / "v.mnwt")
+
+
+@pytest.mark.parametrize("config, record, match", [
+    (b"[1]", None, "JSON object"),
+    (b'"M0"', None, "JSON object"),
+    (b"{}", tensor_record(b"\xff\xfe", 1, (1,), bytes(4)), "UTF-8"),
+    (b"{}", tensor_record(b"w", 1, (2**63, 2)), "needs"),
+    (b"{}", tensor_record(b"w", 2, (2**32, 2**32)), "needs"),
+    (b"{}", tensor_record(b"w", 1, (3,), bytes(8)), "needs"),
+    (b"{}", tensor_record(b"w", 1, (0, 2**63)), "bad shape"),
+    (b"{}", tensor_record(b"w", 3, (0, 2**62, 2**62)), "bad shape"),
+], ids=["list-config", "string-config", "name-not-utf8", "dims-2^63x2",
+        "dims-2^32x2^32", "short-payload", "empty-dim-2^63", "empty-2^124-elements"])
+def test_sealed_but_malformed_contents_rejected(tmp_path, config, record, match):
+    path = tmp_path / "w.mnwt"
+    path.write_bytes(seal_archive(config, [record] if record else []))
+    with pytest.raises(ArchiveError, match=match):
+        load_archive(path)
+
+
+def test_sealed_records_load(tmp_path):
+    # the hand-built records above are well formed when sizes agree
+    path = tmp_path / "w.mnwt"
+    path.write_bytes(seal_archive(b"{}", [
+        tensor_record(b"w", 1, (2, 1), np.float32([1.5, -2.0]).tobytes()),
+        tensor_record(b"e", 2, (0, 3))]))
+    config, state = load_archive(path)
+    assert config == {}
+    np.testing.assert_array_equal(state["w"], [[1.5], [-2.0]])
+    assert state["e"].shape == (0, 3) and state["e"].dtype == np.float64
+
+
+records = st.builds(
+    tensor_record, st.binary(max_size=4), st.integers(0, 5),
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=3),
+    st.binary(max_size=48))
+
+
+@given(st.sampled_from([b'{"name": "x"}', b"[1]", b"null", b"\xff", b"{"]),
+       st.lists(records, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_sealed_random_records_raise_only_archive_errors(tmp_path_factory, config, recs):
+    # every field of a correctly checksummed archive may hold any value: the
+    # parser either loads it or raises ArchiveError
+    path = tmp_path_factory.mktemp("fuzz") / "w.mnwt"
+    path.write_bytes(seal_archive(config, recs))
+    try:
+        load_archive(path)
+    except ArchiveError:
+        pass
 
 
 def test_trained_weights_round_trip_predictions(tmp_path):
