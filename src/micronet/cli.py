@@ -57,6 +57,15 @@ def _emit(args, payload: dict, text: str) -> None:
         print(out)
 
 
+def _load_nonempty(directory):
+    """load_dataset, refusing a dataset without images: accuracy and the
+    training loss are means over the images."""
+    images, labels = load_dataset(directory)
+    if not len(labels):
+        raise DatasetError(f"{directory}: the dataset holds no images")
+    return images, labels
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -105,7 +114,7 @@ def cmd_verify(args) -> int:
 
 def cmd_infer(args) -> int:
     net = load_model(args.weights)
-    images, labels = load_dataset(args.data)
+    images, labels = _load_nonempty(args.data)
     if images.shape[1] != 3:
         raise DatasetError(f"expected 3-channel images, got {images.shape[1]}")
     preds = []
@@ -134,10 +143,10 @@ def cmd_infer(args) -> int:
 def cmd_train(args) -> int:
     seed = _seed(args)
     if args.data:
-        images, labels = load_dataset(args.data)
+        images, labels = _load_nonempty(args.data)
     else:
         images, labels = make_synthetic(args.synthetic, seed=seed)
-    classes = int(labels.max()) + 1 if len(labels) else 2
+    classes = int(labels.max()) + 1
     net = build_model(args.variant, num_classes=max(classes, 2),
                       seed=seed, dtype=np.float64)
     history = train_model(
@@ -147,7 +156,7 @@ def cmd_train(args) -> int:
         target_accuracy=args.target_accuracy,
         log=None if args.json else lambda s: print(
             f"epoch {s.epoch:3d}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
-            f"acc {s.accuracy:.4f}"))
+            f"acc {s.accuracy:.4f}  {s.seconds:.2f}s"))
     eval_loss, eval_acc = evaluate(net, images, labels)
     if args.output:
         save_weights(args.output, net)
@@ -161,7 +170,7 @@ def cmd_train(args) -> int:
         "weights": args.output,
         "history": [
             {"epoch": s.epoch, "lr": s.lr, "loss": s.loss,
-             "accuracy": s.accuracy} for s in history
+             "accuracy": s.accuracy, "seconds": s.seconds} for s in history
         ],
     }
     text = (f"trained {args.variant} for {len(history)} epochs: "
@@ -201,6 +210,10 @@ def cmd_bench(args) -> int:
     if args.threads != 1:
         raise ValueError("only --threads 1 is supported")
     env = _bench_env()
+    running = env["threads_running"]
+    if running is not None and running > 1:
+        raise ValueError(f"unpinned: {running} threads run after a BLAS call; "
+                         f"set {THREAD_VARS[0]}=1 to time one thread")
     net = build_model(args.variant, seed=_seed(args))
     x = np.random.default_rng(_seed(args)).standard_normal(
         (1, 3, args.resolution, args.resolution)).astype(net.dtype)
@@ -229,10 +242,6 @@ def cmd_bench(args) -> int:
     text = (f"{args.variant} @ {args.resolution}: mean {payload['mean_ms']:.2f} ms, "
             f"median {payload['median_ms']:.2f} ms, p95 {payload['p95_ms']:.2f} ms "
             f"({args.repeats} runs, {args.warmup} warmup excluded)")
-    running = env["threads_running"]
-    if running is not None and running > 1:
-        text += (f"\nunpinned: {running} threads run after a BLAS call; "
-                 f"set {THREAD_VARS[0]}=1 to time one thread")
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -83,13 +83,17 @@ def load_dataset(directory) -> tuple[np.ndarray, np.ndarray]:
     dtype = TAG_DTYPES.get(tag)
     if dtype is None:
         raise DatasetError(f"images.bin: unknown dtype tag {tag}")
+    # Python ints: an int64 product of untrusted dims can overflow
     expect = n * c * h * w * dtype.itemsize
     payload = body[20:]
     if len(payload) != expect:
         raise DatasetError(f"images.bin: payload is {len(payload)} bytes, "
                            f"expected {expect}")
     images = np.frombuffer(payload, dtype=dtype.newbyteorder("<"))
-    images = images.astype(dtype).reshape(n, c, h, w)
+    try:
+        images = images.astype(dtype).reshape(n, c, h, w)
+    except ValueError as e:                            # empty, but dims too large
+        raise DatasetError(f"images.bin: bad shape {(n, c, h, w)}: {e}") from None
 
     body = _checked_read(directory / LABELS_NAME, LABELS_MAGIC)
     count = struct.unpack("<I", body[:4])[0]

@@ -8,7 +8,8 @@ predicted per sample from globally pooled features:
 
 The coefficient head is a squeeze of the pooled vector through two fully
 connected layers and a sigmoid, affinely remapped so the operator starts
-at an identity-biased point.
+at an identity-biased point; it runs as one op, `tensor.coefficient_head`,
+which computes the remapped sigmoid as a scaled tanh.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .module import Context, Module, he_normal, zeros_param
 from .reference import MAddCounter, global_avg_pool_naive, linear_naive
-from .tensor import (Tensor, add_scalar, global_avg_pool, linear, relu, reshape,
-                     scale, shift_max, sigmoid)
+from .tensor import Tensor, coefficient_head, shift_max
 
 
 def circular_shift(x: np.ndarray, j: int, groups: int) -> np.ndarray:
@@ -66,13 +66,8 @@ class DyShiftMax(Module):
 
     def coefficients(self, x: Tensor) -> Tensor:
         """Per-sample coefficients, shape (N, C, J, K)."""
-        n = x.shape[0]
-        z = global_avg_pool(x)
-        h = relu(linear(z, self.fc1_w, self.fc1_b))
-        raw = linear(h, self.fc2_w, self.fc2_b)
-        a = add_scalar(scale(sigmoid(raw), 2.0 * self.coeff_scale), -self.coeff_scale)
-        a = reshape(a, (n, self.channels, self.num_shifts, self.num_fusions))
-        return add_scalar(a, self.init_bias[None, None])
+        return coefficient_head(x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b,
+                                self.coeff_scale, self.init_bias)
 
     def coeff_bounds(self) -> tuple[float, float]:
         """Closed interval containing every coefficient for any input."""

@@ -10,7 +10,8 @@ Block kinds:
      connection whenever input and output shapes agree (three slots).
 
 Batch normalization follows every convolution stage and precedes its
-activation. Stage-leading blocks carry stride 2 in the depthwise stage.
+activation; at eval time it is folded into that convolution (one
+`conv2d_bn` op). Stage-leading blocks carry stride 2 in the depthwise stage.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups)
-from .module import Context, Module, he_normal, ones_param, zeros_param
-from .tensor import (ConvSpec, Tensor, add, batch_norm, batch_norm_inference,
-                     conv2d, dropout, global_avg_pool, linear, relu)
+from .module import Context, Module, conv_norm, he_normal, ones_param, zeros_param
+from .tensor import (ConvSpec, Tensor, add, batch_norm, conv2d, conv2d_bn, dropout,
+                     global_avg_pool, linear, relu)
 
 VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
 
@@ -227,15 +228,16 @@ class ModuleList(Module):
 
 
 class Conv2dLayer(Module):
-    def __init__(self, spec: ConvSpec, rng, dtype, bias: bool = False):
+    """Convolution without bias; norm, if given, follows it."""
+
+    def __init__(self, spec: ConvSpec, rng, dtype):
         super().__init__()
         self.spec = spec
-        fan_in = spec.fan_in()
-        self.weight = he_normal(spec.weight_shape, fan_in, rng, dtype)
-        self.bias = zeros_param((spec.out_channels,), dtype) if bias else None
+        self.weight = he_normal(spec.weight_shape, spec.fan_in(), rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.spec)
+    def forward(self, x: Tensor, ctx: Context | None = None,
+                norm: Module | None = None) -> Tensor:
+        return conv_norm(x, self.weight, self.spec, norm, ctx)
 
 
 class BatchNorm2d(Module):
@@ -251,8 +253,7 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        training = ctx.training if ctx is not None else False
-        if training:
+        if ctx is not None and ctx.training:
             mean = x.data.mean(axis=(0, 2, 3))
             var = x.data.var(axis=(0, 2, 3))
             m = self.momentum
@@ -261,8 +262,19 @@ class BatchNorm2d(Module):
             self.running_var *= (1.0 - m)
             self.running_var += m * var
             return batch_norm(x, self.gamma, self.beta, self.eps)
-        return batch_norm_inference(x, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, self.eps)
+        # on its own, the folded op on a unit per-channel 1x1 convolution
+        c = self.channels
+        unit = Tensor(np.ones((c, 1, 1, 1), dtype=x.dtype))
+        return self.after_conv(x, unit, ConvSpec(c, c, 1, groups=c), ctx)
+
+    def after_conv(self, x: Tensor, w: Tensor, spec: ConvSpec,
+                   ctx: Context | None = None) -> Tensor:
+        """Training normalizes conv2d(x, w) with batch statistics; eval
+        folds the running statistics into the convolution."""
+        if ctx is not None and ctx.training:
+            return self(conv2d(x, w, None, spec), ctx)
+        return conv2d_bn(x, w, self.gamma, self.beta, self.running_mean,
+                         self.running_var, spec, self.eps)
 
 
 class Identity(Module):
@@ -315,7 +327,7 @@ class Stem(Module):
         self.out_channels = c
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return relu(self.norm(self.conv2(self.conv1(x, ctx), ctx), ctx))
+        return relu(self.conv2(self.conv1(x, ctx), ctx, norm=self.norm))
 
     def cost_items(self, h: int, w: int):
         s1, s2 = self.conv1.spec, self.conv2.spec
@@ -353,9 +365,8 @@ class MicroBlockA(Module):
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g, spec, rng, dtype)
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        t = self.act1(self.norm1(self.depthwise(x, ctx), ctx), ctx)
-        t = self.squeeze(t, ctx)
-        return self.act2(self.norm2(t, ctx), ctx)
+        t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
+        return self.act2(self.squeeze(t, ctx, norm=self.norm2), ctx)
 
     def cost_items(self, h: int, w: int):
         dw = self.depthwise
@@ -401,12 +412,10 @@ class MicroBlockBC(Module):
         self.skip = bs.kind == "C" and bs.stride == 1 and c_in == bs.width
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        t = self.act1(self.norm1(self.depthwise(x, ctx), ctx), ctx)
-        t = self.pointwise.compress(t)
-        t = self.act2(self.norm2(t, ctx), ctx)
+        t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
+        t = self.act2(self.pointwise.compress(t, self.norm2, ctx), ctx)
         t = self.pointwise.shuffle(t)
-        t = self.pointwise.expand(t)
-        t = self.act3(self.norm3(t, ctx), ctx)
+        t = self.act3(self.pointwise.expand(t, self.norm3, ctx), ctx)
         if self.skip:
             t = add(t, x)
         return t

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import ConvSpec, Tensor, conv2d
 
 
 @dataclass
@@ -60,10 +60,24 @@ class Module:
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         raise NotImplementedError
 
-    def __call__(self, x, ctx: Context | None = None) -> Tensor:
+    def after_conv(self, x: Tensor, w: Tensor, spec: ConvSpec,
+                   ctx: Context | None = None) -> Tensor:
+        """This module applied to conv2d(x, w) without bias. A module that
+        folds into the convolution before it overrides this."""
+        return self(conv2d(x, w, None, spec), ctx)
+
+    def __call__(self, x, ctx: Context | None = None, **kwargs) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
-        return self.forward(x, ctx or Context())
+        return self.forward(x, ctx or Context(), **kwargs)
+
+
+def conv_norm(x: Tensor, w: Tensor, spec: ConvSpec, norm: Module | None = None,
+              ctx: Context | None = None) -> Tensor:
+    """conv2d(x, w) without bias, followed by norm when one is given."""
+    if norm is None:
+        return conv2d(x, w, None, spec)
+    return norm.after_conv(x, w, spec, ctx)
 
 
 def he_normal(shape, fan_in: int, rng: np.random.Generator, dtype) -> Tensor:

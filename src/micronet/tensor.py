@@ -287,45 +287,54 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
 
 
 def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
-    """Any geometry: unfold kh x kw windows and run one matmul per group."""
+    """Any geometry: copy the windows tap by tap into (N, C, kh, kw, OH, OW)
+    columns, then one matmul per (image, group) gives NCHW directly."""
     n, c, h, wdt = xd.shape
     kh, kw = spec.kernel
     sh, sw = spec.stride
     ph, pw = spec.padding
     g = spec.groups
-    cg = spec.in_channels // g
-    og = spec.out_channels // g
     oh, ow = spec.out_size(h, wdt)
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # windows laid out as (N, C, OH, OW, kh, kw)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = win[:, :, ::sh, ::sw].reshape(n, g, cg, oh, ow, kh, kw)
-    cols = cols.transpose(1, 0, 3, 4, 2, 5, 6).reshape(g, n * oh * ow, cg * kh * kw)
-    wmat = wd.reshape(g, og, cg * kh * kw)
-    out = np.matmul(cols, wmat.transpose(0, 2, 1))         # (g, N*OH*OW, og)
-    out = out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out.reshape(n, spec.out_channels, oh, ow))
+    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
+    taps = [(i, j, (slice(None), slice(None), slice(i, i + sh * oh, sh),
+                    slice(j, j + sw * ow, sw)))
+            for i in range(kh) for j in range(kw)]
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+    for i, j, win in taps:
+        cols[:, :, i, j] = xp[win]
+    cols = cols.reshape(n, g, -1, oh * ow)                 # (N, g, cg*kh*kw, OH*OW)
+    wmat = wd.reshape(g, spec.out_channels // g, -1)       # (g, og, cg*kh*kw)
+    out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
 
     def vjp(gout, need_x, need_w):
-        gmat = gout.reshape(n, g, og, oh, ow)
-        gmat = gmat.transpose(1, 0, 3, 4, 2).reshape(g, n * oh * ow, og)
+        gv = gout.reshape(n, g, -1, oh * ow)               # (N, g, og, OH*OW)
         gx = gw = None
         if need_w:
-            gw = np.matmul(cols.transpose(0, 2, 1), gmat)  # (g, cg*kh*kw, og)
-            gw = gw.transpose(0, 2, 1).reshape(wd.shape)
+            gw = np.matmul(gv, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wd.shape)
         if need_x:
-            gcols = np.matmul(gmat, wmat)                  # (g, N*OH*OW, cg*kh*kw)
-            gcols = gcols.reshape(g, n, oh, ow, cg, kh, kw)
-            gcols = gcols.transpose(1, 0, 4, 2, 3, 5, 6).reshape(n, c, oh, ow, kh, kw)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, :, :, i, j]
+            gcols = np.matmul(wmat.transpose(0, 2, 1), gv).reshape(n, c, kh, kw, oh, ow)
+            gxp = np.zeros(xp.shape, gcols.dtype)
+            for i, j, win in taps:
+                gxp[win] += gcols[:, :, i, j]
             gx = gxp[:, :, ph:ph + h, pw:pw + wdt]
         return gx, gw
 
     return out, vjp
+
+
+def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
+    """Check the operands against spec and pick the kernel that runs it."""
+    _, c, _, _ = x.shape
+    if c != spec.in_channels:
+        raise ValueError(f"expected {spec.in_channels} input channels, got {c}")
+    if w.shape != spec.weight_shape:
+        raise ValueError(f"weight shape {w.shape} != {spec.weight_shape}")
+    if spec.kernel == (1, 1) and spec.stride == (1, 1) and spec.padding == (0, 0):
+        return _conv_pointwise
+    if spec.groups == spec.in_channels:
+        return _conv_depthwise
+    return _conv_im2col
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -335,18 +344,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
     Unpadded stride-1 1x1 kernels and depthwise kernels (one input channel
     per group) take specialized paths; everything else unfolds windows.
     """
-    _, c, _, _ = x.shape
-    if c != spec.in_channels:
-        raise ValueError(f"expected {spec.in_channels} input channels, got {c}")
-    if w.shape != spec.weight_shape:
-        raise ValueError(f"weight shape {w.shape} != {spec.weight_shape}")
-    if spec.kernel == (1, 1) and spec.stride == (1, 1) and spec.padding == (0, 0):
-        kernel = _conv_pointwise
-    elif spec.groups == spec.in_channels:
-        kernel = _conv_depthwise
-    else:
-        kernel = _conv_im2col
-    out, vjp = kernel(x.data, w.data, spec)
+    out, vjp = _conv_kernel(x, w, spec)(x.data, w.data, spec)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
@@ -362,6 +360,38 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
             _accumulate(bias, gout.sum(axis=(0, 2, 3)))
 
     return _result(out, parents, backward)
+
+
+def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+              running_mean: np.ndarray, running_var: np.ndarray, spec: ConvSpec,
+              eps: float = 1e-5) -> Tensor:
+    """conv2d(x, w) followed by batch normalization with running statistics.
+
+    That normalization is the per-channel map y -> a*y + b with
+    a = gamma / sqrt(var + eps) and b = beta - mean * a, so it is folded
+    into the convolution: conv2d(x, w * a) + b, with the bias added in place.
+    """
+    inv = 1.0 / np.sqrt(running_var + eps)
+    a = gamma.data * inv
+    b = beta.data - running_mean * a
+    out, vjp = _conv_kernel(x, w, spec)(x.data, w.data * a[:, None, None, None], spec)
+    out += b[None, :, None, None]
+
+    def backward(gout):
+        need_gamma = gamma.requires_grad
+        gx, gw = vjp(gout, x.requires_grad, w.requires_grad or need_gamma)
+        if gx is not None:
+            _accumulate(x, gx)
+        if w.requires_grad:
+            _accumulate(w, gw * a[:, None, None, None])
+        gb = gout.sum(axis=(0, 2, 3))
+        if need_gamma:
+            ga = (gw * w.data).sum(axis=(1, 2, 3)) - running_mean * gb
+            _accumulate(gamma, ga * inv)
+        if beta.requires_grad:
+            _accumulate(beta, gb)
+
+    return _result(out, [x, w, gamma, beta], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +437,6 @@ def relu(x: Tensor) -> Tensor:
     return _result(out, [x], backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    # e is in [0, 1], so nothing overflows; flushing a tiny e (or e / (1 + e))
-    # to zero is the correctly rounded sigmoid, not an error
-    with np.errstate(under="ignore"):
-        e = np.exp(-np.abs(d))
-        out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * out * (1.0 - out))
-
-    return _result(out, [x], backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -432,40 +447,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     return _result(out, [a, b], backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _result(out, [a, b], backward)
-
-
-def scale(x: Tensor, k: float) -> Tensor:
-    out = x.data * k
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * k)
-
-    return _result(out, [x], backward)
-
-
-def add_scalar(x: Tensor, k) -> Tensor:
-    out = x.data + k
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g)
-
-    return _result(out, [x], backward)
 
 
 def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
@@ -544,15 +525,39 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
     return _result(out.reshape(x.shape), [x, a], backward)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
-    orig = x.shape
+def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                     scale: float, bias: np.ndarray) -> Tensor:
+    """Dynamic Shift-Max coefficients: spatial mean, fc1, relu, fc2, then
+    scale * tanh(raw / 2) + bias.
+
+    x: (N, C, H, W); w1: (D, C); w2: (C*J*K, D); bias: (J, K); the output is
+    (N, C, J, K). scale * tanh(raw / 2) equals 2*scale*sigmoid(raw) - scale:
+    it is exactly bias where raw is 0 and stays within bias +- scale for any
+    raw, and tanh cannot overflow.
+    """
+    n, c, h, w = x.shape
+    # the spatial mean as a matrix-vector product: 3-4x faster than mean()
+    z = x.data.reshape(n, c, h * w) @ np.full(h * w, 1.0 / (h * w), x.dtype)
+    hid = np.maximum(z @ w1.data.T + b1.data, 0)            # (N, D)
+    t = np.tanh(0.5 * (hid @ w2.data.T + b2.data))          # (N, C*J*K)
+    out = (scale * t).reshape(n, c, *bias.shape) + bias
 
     def backward(g):
+        graw = g.reshape(n, -1) * (0.5 * scale) * ((1.0 - t) * (1.0 + t))
+        if w2.requires_grad:
+            _accumulate(w2, graw.T @ hid)
+        if b2.requires_grad:
+            _accumulate(b2, graw.sum(axis=0))
+        ghid = (graw @ w2.data) * (hid > 0)
+        if w1.requires_grad:
+            _accumulate(w1, ghid.T @ z)
+        if b1.requires_grad:
+            _accumulate(b1, ghid.sum(axis=0))
         if x.requires_grad:
-            _accumulate(x, g.reshape(orig))
+            gz = (ghid @ w1.data) / (h * w)
+            _accumulate(x, np.broadcast_to(gz[:, :, None, None], x.shape))
 
-    return _result(out, [x], backward)
+    return _result(out, [x, w1, b1, w2, b2], backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -596,26 +601,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             gx = (gxh - (s1[None, :, None, None] + xhat * s2[None, :, None, None]) / m)
             gx *= inv[None, :, None, None]
             _accumulate(x, gx)
-
-    return _result(out, [x, gamma, beta], backward)
-
-
-def batch_norm_inference(x: Tensor, gamma: Tensor, beta: Tensor,
-                         running_mean: np.ndarray, running_var: np.ndarray,
-                         eps: float = 1e-5) -> Tensor:
-    inv = 1.0 / np.sqrt(running_var + eps)
-    a = gamma.data * inv
-    b = beta.data - running_mean * a
-    out = x.data * a[None, :, None, None] + b[None, :, None, None]
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * a[None, :, None, None])
-        if gamma.requires_grad:
-            xhat = (x.data - running_mean[None, :, None, None]) * inv[None, :, None, None]
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
 
     return _result(out, [x, gamma, beta], backward)
 

@@ -4,7 +4,8 @@ differences, and a small separable synthetic dataset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class EpochStats:
     lr: float
     loss: float
     accuracy: float
+    # wall time of the epoch; runs with equal results compare equal
+    seconds: float = field(compare=False)
 
 
 def iterate_batches(images, labels, batch_size: int, rng: np.random.Generator):
@@ -85,6 +88,7 @@ def train_model(net, images, labels, *, epochs: int, base_lr: float,
               weight_decay=weight_decay)
     history = []
     for epoch in range(epochs):
+        t0 = time.perf_counter()
         opt.lr = cosine_lr(base_lr, epoch, epochs)
         total_loss = 0.0
         correct = 0
@@ -98,7 +102,7 @@ def train_model(net, images, labels, *, epochs: int, base_lr: float,
             total_loss += float(loss.data) * len(yb)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
         stats = EpochStats(epoch, opt.lr, total_loss / len(labels),
-                           correct / len(labels))
+                           correct / len(labels), time.perf_counter() - t0)
         history.append(stats)
         if log is not None:
             log(stats)

@@ -41,15 +41,22 @@ def fusion_margin(layer, x):
     return float((srt[-1] - srt[-2]).min())
 
 
-def _single_fusion(layer, x, k):
+def sigmoid_coefficients(layer, x):
+    """A DyShiftMax layer's coefficients (N, C, J, K) by the sigmoid
+    formula of reference_eval."""
     n, c = x.shape[:2]
-    stride = c // layer.groups
     z = x.mean(axis=(2, 3))
     hid = np.maximum(z @ layer.fc1_w.data.T + layer.fc1_b.data, 0)
     raw = hid @ layer.fc2_w.data.T + layer.fc2_b.data
     sig = 1.0 / (1.0 + np.exp(-raw))
-    a = (2.0 * layer.coeff_scale * sig - layer.coeff_scale).reshape(
+    return (2.0 * layer.coeff_scale * sig - layer.coeff_scale).reshape(
         n, c, layer.num_shifts, layer.num_fusions) + layer.init_bias[None, None]
+
+
+def _single_fusion(layer, x, k):
+    c = x.shape[1]
+    stride = c // layer.groups
+    a = sigmoid_coefficients(layer, x)
     acc = np.zeros_like(x)
     for j in range(layer.num_shifts):
         shifted = np.roll(x, -(j * stride) % c, axis=1)

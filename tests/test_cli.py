@@ -3,21 +3,32 @@ variable."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
-from helpers import seal_archive
+from helpers import reseal, seal_archive
 
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, main)
-from micronet.data import save_dataset
+from micronet.data import IMAGES_NAME, save_dataset
+from micronet.models import build_model
 from micronet.train import make_synthetic
+from micronet.weights_io import save_weights
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """Report one running thread, as under OPENBLAS_NUM_THREADS=1: bench
+    refuses to time an unpinned process."""
+    import micronet.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "_running_threads", lambda: 1)
 
 
 def test_analyze_table_and_json(capsys):
@@ -88,7 +99,7 @@ def test_dataset_command_writes_loadable_files(tmp_path, capsys):
     assert images.shape == (12, 3, 32, 32) and len(labels) == 12
 
 
-def test_bench_reports_percentiles(capsys):
+def test_bench_reports_percentiles(pinned, capsys):
     code, out, _ = run(capsys, "bench", "--variant", "tiny", "--resolution",
                        "32", "--repeats", "4", "--warmup", "1", "--json")
     assert code == EXIT_OK
@@ -136,6 +147,53 @@ def test_exit_code_config_not_an_object(tmp_path, capsys):
     assert code == EXIT_FORMAT
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "JSON object" in err
+
+
+def _tiny_archive(tmp_path):
+    weights = tmp_path / "tiny.mnwt"
+    save_weights(weights, build_model("tiny", seed=0))
+    return weights
+
+
+def test_exit_code_dataset_dims_overflow(tmp_path, capsys):
+    # count 0 makes the expected payload 0 bytes, so only the shape is wrong
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images[:0], labels[:0])
+    (ds / IMAGES_NAME).write_bytes(reseal(
+        b"MNDS" + struct.pack("<5I", 0, 2**32 - 1, 2**32 - 1, 2**32 - 1, 1)))
+    code, _, err = run(capsys, "infer", "--weights", str(_tiny_archive(tmp_path)),
+                       "--data", str(ds))
+    assert code == EXIT_FORMAT
+    assert err.startswith("error: images.bin: bad shape") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+def test_exit_code_empty_dataset(command, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images[:0], labels[:0])
+    argv = ["--data", str(ds)]
+    if command == "infer":
+        argv += ["--weights", str(_tiny_archive(tmp_path))]
+    code, _, err = run(capsys, command, *argv)
+    assert code == EXIT_FORMAT
+    assert "holds no images" in err and err.count("\n") == 1
+
+
+def test_train_reports_epoch_seconds(capsys):
+    argv = ["train", "--variant", "tiny", "--synthetic", "16", "--epochs", "2",
+            "--seed", "3"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    history = json.loads(out)["history"]
+    assert [h["epoch"] for h in history] == [0, 1]
+    assert all(isinstance(h["seconds"], float) and h["seconds"] > 0 for h in history)
+
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    epochs = [line for line in out.splitlines() if line.startswith("epoch")]
+    assert len(epochs) == 2 and all(line.endswith("s") for line in epochs)
 
 
 def test_exit_code_verify_failure(monkeypatch, capsys):
@@ -192,7 +250,7 @@ def test_counts_are_validated(argv, flag, capsys):
     assert flag in err
 
 
-def test_bench_without_warmup(capsys):
+def test_bench_without_warmup(pinned, capsys):
     code, _, _ = run(capsys, "bench", "--variant", "tiny", "--resolution",
                      "16", "--repeats", "1", "--warmup", "0")
     assert code == EXIT_OK
@@ -204,6 +262,14 @@ def test_bench_reports_environment(threads, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "_running_threads", lambda: threads)
     argv = ["bench", "--variant", "tiny", "--resolution", "16", "--repeats",
             "2", "--warmup", "0"]
+    if threads == 2:
+        # more than one thread: refuse, in one line naming the fix
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: unpinned") and err.count("\n") == 1
+            assert "OPENBLAS_NUM_THREADS=1" in err
+        return
     code, out, _ = run(capsys, *argv, "--json")
     assert code == EXIT_OK
     env = json.loads(out)["env"]
@@ -215,7 +281,7 @@ def test_bench_reports_environment(threads, monkeypatch, capsys):
 
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert ("unpinned" in out) == (threads == 2)
+    assert "unpinned" not in out
 
 
 def test_running_threads_counts_this_process():

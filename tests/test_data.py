@@ -1,14 +1,19 @@
 """Dataset files: round trips, integrity checks, and validation."""
 
+import math
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from helpers import reseal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micronet.data import (DatasetError, IMAGES_NAME, LABELS_NAME,
                            load_dataset, save_dataset)
 from micronet.train import make_synthetic
+from micronet.weights_io import TAG_DTYPES
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
@@ -71,3 +76,67 @@ def test_count_mismatch_detected(tmp_path):
 def test_missing_file_raises_filenotfound(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path)
+
+
+def images_file(dims, tag, payload=b""):
+    return reseal(b"MNDS" + struct.pack("<5I", *dims, tag) + payload)
+
+
+def labels_file(count, payload=b""):
+    return reseal(b"MNLB" + struct.pack("<I", count) + payload)
+
+
+def test_zero_count_with_huge_dims_rejected(tmp_path):
+    # the expected payload is 0 bytes, so only reshape can see the bad shape
+    (tmp_path / IMAGES_NAME).write_bytes(images_file((0, 2**32 - 1, 2**32 - 1, 2**32 - 1), 1))
+    (tmp_path / LABELS_NAME).write_bytes(labels_file(0))
+    with pytest.raises(DatasetError, match="bad shape"):
+        load_dataset(tmp_path)
+
+
+def test_empty_dataset_loads(tmp_path):
+    (tmp_path / IMAGES_NAME).write_bytes(images_file((0, 3, 2, 2), 2))
+    (tmp_path / LABELS_NAME).write_bytes(labels_file(0))
+    images, labels = load_dataset(tmp_path)
+    assert images.shape == (0, 3, 2, 2) and images.dtype == np.float64
+    assert labels.shape == (0,)
+
+
+dims = st.one_of(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]),
+                st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def dataset_files(draw):
+    """images.bin and labels.bin with any header values, a payload of the
+    size the header asks for or of any size, and a correct checksum; each
+    body may be cut anywhere."""
+    shape = draw(st.tuples(dims, dims, dims, dims))
+    tag = draw(st.integers(0, 5))
+    size = math.prod(shape) * (TAG_DTYPES[tag].itemsize if tag in TAG_DTYPES else 1)
+    exact = draw(st.booleans()) and size <= 1024
+    payload = bytes(size) if exact else draw(st.binary(max_size=64))
+    images = b"MNDS" + struct.pack("<5I", *shape, tag) + payload
+    count = draw(st.one_of(st.just(shape[0]), dims))
+    labels = b"MNLB" + struct.pack("<I", count) + (
+        bytes(4 * count) if draw(st.booleans()) and count <= 256
+        else draw(st.binary(max_size=16)))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(images))))
+    if cut is not None:
+        images = images[:cut]
+    return reseal(images), reseal(labels)
+
+
+@given(dataset_files())
+@settings(max_examples=300, deadline=None)
+def test_sealed_random_datasets_raise_only_dataset_errors(tmp_path_factory, files):
+    # every field of a correctly checksummed dataset may hold any value: the
+    # loader either returns consistent arrays or raises DatasetError
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / IMAGES_NAME).write_bytes(files[0])
+    (directory / LABELS_NAME).write_bytes(files[1])
+    try:
+        images, labels = load_dataset(directory)
+    except DatasetError:
+        return
+    assert images.ndim == 4 and labels.shape == (images.shape[0],)

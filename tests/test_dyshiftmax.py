@@ -3,13 +3,14 @@ bounds, cost accounting and gradients."""
 
 import numpy as np
 import pytest
-from helpers import assert_grads, fusion_margin
+from helpers import assert_grads, fusion_margin, sigmoid_coefficients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micronet.dyshiftmax import DyShiftMax, circular_shift, reference_eval
 from micronet.reference import MAddCounter
-from micronet.tensor import Tensor, global_avg_pool, softmax_cross_entropy
+from micronet.tensor import (Tensor, coefficient_head, global_avg_pool,
+                             softmax_cross_entropy)
 
 
 def make_layer(channels, groups, j, k, seed, spread=0.5):
@@ -92,6 +93,55 @@ def test_coefficients_stay_in_bounds():
     assert a.shape == (8, 10, 2, 3)
     assert (a >= lo - 1e-12).all() and (a <= hi + 1e-12).all()
     assert lo == 0.0 - 1.0 and hi == 1.0 + 1.0
+
+
+@given(st.integers(0, 500), st.sampled_from([0.25, 1.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_coefficient_head_matches_sigmoid_formula(seed, coeff_scale):
+    rng = np.random.default_rng(seed)
+    groups = int(rng.choice([1, 2, 4]))
+    channels = groups * int(rng.integers(1, 5))
+    layer = make_layer(channels, groups, int(rng.integers(1, 4)),
+                       int(rng.integers(1, 4)), seed, spread=2.0)
+    layer.coeff_scale = coeff_scale
+    x = 3.0 * rng.standard_normal((3, channels, 4, 3))
+    np.testing.assert_allclose(layer.coefficients(Tensor(x)).data,
+                               sigmoid_coefficients(layer, x), atol=1e-14, rtol=0)
+
+
+def test_coefficient_head_gradients():
+    layer = make_layer(6, 2, 2, 3, seed=9)
+    layer.coeff_scale = 0.8
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((3, 6, 3, 2)), requires_grad=True)
+    pre = x.data.mean(axis=(2, 3)) @ layer.fc1_w.data.T + layer.fc1_b.data
+    assert np.abs(pre).min() > 1e-3                  # no hidden unit at the relu kink
+
+    def loss():
+        a = coefficient_head(x, layer.fc1_w, layer.fc1_b, layer.fc2_w, layer.fc2_b,
+                             layer.coeff_scale, layer.init_bias)
+        # the mean over (J, K) gives one logit per channel
+        return softmax_cross_entropy(global_avg_pool(a), np.array([0, 5, 3]))
+
+    assert_grads(loss, [("x", x)] + list(layer.named_params()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_coefficient_head_saturates_exactly(dtype):
+    # scale * tanh(raw / 2) + bias: exactly bias at zero weights, exactly
+    # bias +- scale at raw = +-1000, and no floating-point error on the way
+    layer = DyShiftMax(4, 2, num_shifts=2, num_fusions=3, coeff_scale=0.75,
+                       rng=np.random.default_rng(0), dtype=dtype)
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 3, 3)).astype(dtype))
+    sign = np.resize(np.array([1.0, -1.0], dtype), layer.fc2_b.shape)
+    with np.errstate(all="raise"):
+        at_init = layer.coefficients(x).data
+        layer.fc2_b.data[:] = 1000.0 * sign
+        saturated = layer.coefficients(x).data
+    assert at_init.dtype == saturated.dtype == dtype
+    np.testing.assert_array_equal(at_init, np.broadcast_to(layer.init_bias, at_init.shape))
+    want = layer.init_bias + 0.75 * sign.reshape(1, 4, 2, 3)
+    np.testing.assert_array_equal(saturated, np.broadcast_to(want, saturated.shape))
 
 
 def test_bounded_output_growth():

@@ -1,13 +1,17 @@
 """Architecture table fidelity, block wiring, and network behavior."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from micronet.dyshiftmax import DyShiftMax
-from micronet.models import (BlockSpec, MicroBlockA, MicroBlockBC, ModelSpec,
-                             Network, ReLU, VARIANTS, build_model, model_spec)
+from micronet import models
+from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
+                             MicroBlockBC, ModelSpec, Network, ReLU, VARIANTS,
+                             build_model, model_spec)
 from micronet.module import Context
-from micronet.tensor import Tensor
+from micronet.tensor import ConvSpec, Tensor
 
 
 def test_variant_table_shape():
@@ -97,6 +101,56 @@ def test_batch_norm_mode_switch():
     e2 = net(x, Context(training=False)).data
     np.testing.assert_array_equal(e1, e2)
     assert np.array_equal(net.stem.norm.running_mean, after)
+
+
+def test_norm_after_conv_folds_at_eval_only():
+    rng = np.random.default_rng(3)
+    conv = Conv2dLayer(ConvSpec(4, 6, (3, 1), stride=(2, 1), padding=(1, 0), groups=2),
+                       rng, np.float64)
+    folded_bn = BatchNorm2d(6, np.float64)
+    folded_bn.gamma.data[:] = 1.0 + 0.3 * rng.standard_normal(6)
+    folded_bn.beta.data[:] = rng.standard_normal(6)
+    folded_bn.running_mean[:] = rng.standard_normal(6)
+    folded_bn.running_var[:] = rng.uniform(0.2, 2.0, 6)
+    plain_bn = copy.deepcopy(folded_bn)
+    x = Tensor(rng.standard_normal((3, 4, 6, 5)))
+
+    ev = Context(training=False)
+    y = conv(x, ev).data
+    a = plain_bn.gamma.data / np.sqrt(plain_bn.running_var + plain_bn.eps)
+    want = (y - plain_bn.running_mean[:, None, None]) * a[:, None, None] \
+        + plain_bn.beta.data[:, None, None]
+    np.testing.assert_allclose(conv(x, ev, norm=folded_bn).data, want, atol=1e-12)
+    np.testing.assert_allclose(plain_bn(Tensor(y), ev).data, want, atol=1e-12)
+
+    # training runs the unfused pair: bitwise equal, statistics updated once
+    tr = Context(training=True)
+    np.testing.assert_array_equal(conv(x, tr, norm=folded_bn).data,
+                                  plain_bn(conv(x, tr), tr).data)
+    np.testing.assert_array_equal(folded_bn.running_mean, plain_bn.running_mean)
+    np.testing.assert_array_equal(folded_bn.running_var, plain_bn.running_var)
+
+
+def test_eval_forward_folds_every_norm(monkeypatch):
+    net = build_model("tiny", seed=0, dtype=np.float64)
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
+    want = net(x, Context(training=False)).data
+    calls = []
+    fold = models.conv2d_bn
+
+    def counted(x, w, gamma, *args):
+        calls.append(id(gamma))
+        return fold(x, w, gamma, *args)
+
+    def unfused(self, x, ctx=None):
+        raise AssertionError("a norm ran on its own at eval time")
+
+    monkeypatch.setattr(models, "conv2d_bn", counted)
+    monkeypatch.setattr(BatchNorm2d, "forward", unfused)
+    np.testing.assert_array_equal(net(x, Context(training=False)).data, want)
+    # each of the 6 norms folded into its convolution exactly once
+    gammas = {id(m.gamma) for _, m in net.named_buffers() if isinstance(m, BatchNorm2d)}
+    assert sorted(calls) == sorted(gammas) and len(gammas) == 6
 
 
 def test_eval_batch_composition_invariance():

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from micronet.dyshiftmax import circular_shift
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, _conv_im2col, add, add_scalar,
-                             batch_norm, batch_norm_inference, conv2d, dropout,
-                             global_avg_pool, linear, mul, no_grad,
-                             permute_channels, relu, reshape, scale, shift_max,
-                             sigmoid, softmax, softmax_cross_entropy)
+from micronet.tensor import (ConvSpec, Tensor, _conv_im2col, add, batch_norm,
+                             conv2d, conv2d_bn, dropout, global_avg_pool, linear,
+                             no_grad, permute_channels, relu, shift_max, softmax,
+                             softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
@@ -110,6 +109,91 @@ def test_conv2d_specialized_branches_match_im2col(spec, n, h, w, seed):
     np.testing.assert_allclose(x.grad, gx, atol=1e-12, rtol=1e-12)
     np.testing.assert_allclose(wt.grad, gw, atol=1e-12, rtol=1e-12)
     np.testing.assert_allclose(b.grad, gout.sum(axis=(0, 2, 3)), atol=1e-12, rtol=1e-12)
+
+
+@st.composite
+def dense_specs(draw):
+    """Any group count, kernels up to 3x3, strides 1-3 and padding 0-2: the
+    geometries only the im2col kernel runs."""
+    g = draw(st.integers(1, 3))
+    return ConvSpec(g * draw(st.integers(1, 3)), g * draw(st.integers(1, 3)),
+                    (draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                    stride=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                    padding=(draw(st.integers(0, 2)), draw(st.integers(0, 2))),
+                    groups=g)
+
+
+def conv2d_naive_grads(x, w, spec, g):
+    """Gradients of conv2d_naive with respect to x and w, one output position
+    at a time."""
+    kh, kw = spec.kernel
+    sh, sw = spec.stride
+    ph, pw = spec.padding
+    cg = spec.in_channels // spec.groups
+    og = spec.out_channels // spec.groups
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for grp in range(spec.groups):
+        ci, co = slice(grp * cg, (grp + 1) * cg), slice(grp * og, (grp + 1) * og)
+        for oy in range(g.shape[2]):
+            for ox in range(g.shape[3]):
+                win = (slice(None), ci, slice(oy * sh, oy * sh + kh),
+                       slice(ox * sw, ox * sw + kw))
+                go = g[:, co, oy, ox]                                  # (N, og)
+                gw[co] += np.einsum("no,nckl->ockl", go, xp[win])
+                gxp[win] += np.einsum("no,ockl->nckl", go, w[co])
+    return gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]], gw
+
+
+@given(dense_specs(), st.integers(2, 3), st.integers(4, 7), st.integers(4, 7),
+       st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_conv_im2col_matches_naive(spec, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rnd(rng, n, spec.in_channels, h, w)
+    wt = rnd(rng, *spec.weight_shape)
+    out, vjp = _conv_im2col(x, wt, spec)
+    np.testing.assert_allclose(out, conv2d_naive(x, wt, None, spec), atol=1e-12, rtol=0)
+    gout = rnd(rng, *out.shape)
+    gx, gw = vjp(gout, True, True)
+    want_gx, want_gw = conv2d_naive_grads(x, wt, spec, gout)
+    np.testing.assert_allclose(gx, want_gx, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(gw, want_gw, atol=1e-12, rtol=0)
+    assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
+
+
+@given(st.one_of(pointwise_specs(), depthwise_specs(), dense_specs()),
+       st.integers(1, 2), st.integers(5, 7), st.integers(5, 7), st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_conv2d_bn_matches_conv_then_batch_norm(spec, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    c, eps = spec.out_channels, 1e-3
+    x = Tensor(rnd(rng, n, spec.in_channels, h, w), requires_grad=True)
+    wt = Tensor(rnd(rng, *spec.weight_shape), requires_grad=True)
+    gamma = Tensor(1.0 + 0.3 * rnd(rng, c), requires_grad=True)
+    beta = Tensor(rnd(rng, c), requires_grad=True)
+    mean, var = rnd(rng, c), rng.uniform(0.1, 2.0, c)
+    out = conv2d_bn(x, wt, gamma, beta, mean, var, spec, eps)
+
+    # the reference: conv2d, then y * a + b with the running statistics
+    xr = Tensor(x.data, requires_grad=True)
+    wr = Tensor(wt.data, requires_grad=True)
+    y = conv2d(xr, wr, None, spec)
+    inv = 1.0 / np.sqrt(var + eps)
+    a = gamma.data * inv
+    b = beta.data - mean * a
+    np.testing.assert_allclose(out.data, y.data * a[None, :, None, None]
+                               + b[None, :, None, None], atol=1e-12, rtol=0)
+
+    gout = rnd(rng, *out.shape)
+    out._backward(gout)
+    y._backward(gout * a[None, :, None, None])
+    ggamma = (gout * (y.data - mean[None, :, None, None])
+              * inv[None, :, None, None]).sum(axis=(0, 2, 3))
+    for got, want in ((x.grad, xr.grad), (wt.grad, wr.grad), (gamma.grad, ggamma),
+                      (beta.grad, gout.sum(axis=(0, 2, 3)))):
+        np.testing.assert_allclose(got, want, atol=1e-11, rtol=1e-10)
 
 
 def test_linear_and_pool_match_naive():
@@ -295,18 +379,6 @@ def test_first_gradient_is_not_shared_between_parents():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
-def test_sigmoid_stable_extremes():
-    with np.errstate(all="raise"):
-        for dtype in (np.float32, np.float64):
-            out = sigmoid(Tensor(np.array([-1000.0, 1000.0], dtype))).data
-            np.testing.assert_array_equal(out, [0.0, 1.0])
-            assert out.dtype == dtype
-        d = np.linspace(-30.0, 30.0, 601)
-        out = sigmoid(Tensor(d)).data
-    np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-d)), atol=1e-15, rtol=0)
-    assert out[300] == 0.5
-
-
 def test_softmax_rows_normalize():
     rng = np.random.default_rng(1)
     p = softmax(rnd(rng, 5, 9), axis=1)
@@ -343,9 +415,13 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
+    # with the batch statistics as running statistics, the folded op on a
+    # unit per-channel 1x1 convolution normalizes the same way
     mean = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
-    inf = batch_norm_inference(Tensor(x), gamma, beta, mean, var).data
+    unit = Tensor(np.ones((3, 1, 1, 1)))
+    inf = conv2d_bn(Tensor(x), unit, gamma, beta, mean, var,
+                    ConvSpec(3, 3, 1, groups=3)).data
     np.testing.assert_allclose(inf, out, atol=1e-10)
 
 
@@ -374,10 +450,13 @@ def test_conv2d_gradients():
     w = Tensor(rnd(rng, *spec.weight_shape) * 0.3, requires_grad=True)
     b = Tensor(rnd(rng, 6) * 0.1, requires_grad=True)
 
+    # relu makes the upstream gradient differ per position; no output sits
+    # near its kink
+    assert np.abs(conv2d(x, w, b, spec).data).min() > 1e-3
+
     def loss():
         out = conv2d(x, w, b, spec)
-        return softmax_cross_entropy(reshape(global_avg_pool(
-            mul(out, out)), (2, 6)), np.array([1, 3]))
+        return softmax_cross_entropy(global_avg_pool(relu(out)), np.array([1, 3]))
 
     assert_grads(loss, [("x", x), ("w", w), ("b", b)])
 
@@ -401,9 +480,8 @@ def test_elementwise_gradients():
     b = Tensor(rnd(rng, 2, 3), requires_grad=True)
 
     def loss():
-        z = add(mul(a, b), scale(sigmoid(a), 0.7))
-        z = add_scalar(z, 0.25)
-        return softmax_cross_entropy(z, np.array([0, 1]))
+        # a reaches the sum twice, so its gradients accumulate
+        return softmax_cross_entropy(add(add(a, b), a), np.array([0, 1]))
 
     assert_grads(loss, [("a", a), ("b", b)])
 
@@ -437,17 +515,25 @@ def test_batch_norm_gradients():
 
 
 def test_batch_norm_inference_gradients():
+    # the folded conv2d_bn on the pointwise, depthwise and im2col kernels
     rng = np.random.default_rng(11)
-    x = Tensor(rnd(rng, 2, 3, 2, 2), requires_grad=True)
-    gamma = Tensor(1.0 + 0.1 * rnd(rng, 3), requires_grad=True)
-    beta = Tensor(0.1 * rnd(rng, 3), requires_grad=True)
-    mean, var = rnd(rng, 3) * 0.1, np.abs(rnd(rng, 3)) + 0.5
+    for spec in (ConvSpec(4, 6, 1, groups=2),
+                 ConvSpec(3, 6, (3, 1), stride=(2, 1), padding=(1, 0), groups=3),
+                 ConvSpec(3, 4, (3, 1), stride=(2, 1), padding=(1, 0))):
+        c = spec.out_channels
+        x = Tensor(rnd(rng, 2, spec.in_channels, 4, 3), requires_grad=True)
+        w = Tensor(rnd(rng, *spec.weight_shape) * 0.5, requires_grad=True)
+        gamma = Tensor(1.0 + 0.1 * rnd(rng, c), requires_grad=True)
+        beta = Tensor(0.1 * rnd(rng, c), requires_grad=True)
+        mean, var = rnd(rng, c) * 0.1, np.abs(rnd(rng, c)) + 0.5
+        out = conv2d_bn(x, w, gamma, beta, mean, var, spec).data
+        assert np.abs(out).min() > 1e-3
 
-    def loss():
-        z = global_avg_pool(batch_norm_inference(x, gamma, beta, mean, var))
-        return softmax_cross_entropy(z, np.array([1, 2]))
+        def loss():
+            z = relu(conv2d_bn(x, w, gamma, beta, mean, var, spec))
+            return softmax_cross_entropy(global_avg_pool(z), np.array([1, 2]))
 
-    assert_grads(loss, [("x", x), ("gamma", gamma), ("beta", beta)])
+        assert_grads(loss, [("x", x), ("w", w), ("gamma", gamma), ("beta", beta)])
 
 
 def test_dropout_gradient_with_fixed_mask():
