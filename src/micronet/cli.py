@@ -22,7 +22,7 @@ from .data import DatasetError, load_dataset, save_dataset
 from .models import VARIANTS, build_model
 from .module import Context
 from .tensor import no_grad
-from .train import evaluate, make_synthetic, train_model
+from .train import NonFiniteError, evaluate, make_synthetic, train_model
 from .weights_io import ArchiveError, load_model, save_weights
 
 EXIT_OK = 0
@@ -149,15 +149,21 @@ def cmd_train(args) -> int:
     classes = int(labels.max()) + 1
     net = build_model(args.variant, num_classes=max(classes, 2),
                       seed=seed, dtype=np.float64)
-    history = train_model(
-        net, images, labels, epochs=args.epochs, base_lr=args.lr,
-        batch_size=args.batch_size, momentum=args.momentum,
-        weight_decay=args.weight_decay, seed=seed,
-        target_accuracy=args.target_accuracy,
-        log=None if args.json else lambda s: print(
-            f"epoch {s.epoch:3d}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
-            f"acc {s.accuracy:.4f}  {s.seconds:.2f}s"))
-    eval_loss, eval_acc = evaluate(net, images, labels)
+    # a non-finite loss or gradient ends training with a NonFiniteError,
+    # which names where it happened; numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        history = train_model(
+            net, images, labels, epochs=args.epochs, base_lr=args.lr,
+            batch_size=args.batch_size, momentum=args.momentum,
+            weight_decay=args.weight_decay, seed=seed,
+            target_accuracy=args.target_accuracy,
+            log=None if args.json else lambda s: print(
+                f"epoch {s.epoch:3d}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
+                f"acc {s.accuracy:.4f}  {s.seconds:.2f}s"))
+        eval_loss, eval_acc = evaluate(net, images, labels)
+    if not np.isfinite(eval_loss):
+        # the last update can leave weights that overflow at eval time
+        raise NonFiniteError(history[-1].epoch, None, "evaluation loss")
     if args.output:
         save_weights(args.output, net)
     payload = {

@@ -246,6 +246,9 @@ class MicroFacDepthwise(Module):
         return ConvSpec(self.channels, self.out_channels, self.kernel,
                         stride=self.stride, padding=pad, groups=self.channels)
 
+    def out_size(self, h: int, w: int) -> tuple[int, int]:
+        return self.row_spec.out_size(*self.col_spec.out_size(h, w))
+
     def madds(self, h: int, w: int) -> int:
         hc, wc = self.col_spec.out_size(h, w)
         m = self.col_spec.madds(h, w) + self.row_spec.madds(hc, wc)
@@ -289,8 +292,8 @@ class LiteCombination(Module):
         return conv2d(self.depthwise(x), self.squeeze_w, None, self.squeeze_spec)
 
     def madds(self, h: int, w: int) -> int:
-        s = self.depthwise.stride
-        return self.depthwise.madds(h, w) + self.squeeze_spec.madds(h // s, w // s)
+        return self.depthwise.madds(h, w) + self.squeeze_spec.madds(
+            *self.depthwise.out_size(h, w))
 
 
 def regular_combination_madds(in_channels: int, dw_channels: int,

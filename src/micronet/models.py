@@ -254,14 +254,8 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         if ctx is not None and ctx.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.running_mean *= (1.0 - m)
-            self.running_mean += m * mean
-            self.running_var *= (1.0 - m)
-            self.running_var += m * var
-            return batch_norm(x, self.gamma, self.beta, self.eps)
+            return batch_norm(x, self.gamma, self.beta, self.eps,
+                              (self.running_mean, self.running_var), self.momentum)
         # on its own, the folded op on a unit per-channel 1x1 convolution
         c = self.channels
         unit = Tensor(np.ones((c, 1, 1, 1), dtype=x.dtype))
@@ -352,7 +346,6 @@ class MicroBlockA(Module):
         self.kind = "A"
         self.c_in = c_in
         self.c_out = bs.hidden
-        self.stride = bs.stride
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            expansion=bs.width // c_in,
                                            rng=rng, dtype=dtype)
@@ -370,7 +363,7 @@ class MicroBlockA(Module):
 
     def cost_items(self, h: int, w: int):
         dw = self.depthwise
-        ho, wo = h // self.stride, w // self.stride
+        ho, wo = dw.out_size(h, w)
         items = [
             ("depthwise", "conv", dw.madds(h, w),
              _count(dw.col_w) + _count(dw.row_w), (dw.out_channels, ho, wo)),
@@ -397,7 +390,6 @@ class MicroBlockBC(Module):
         self.kind = bs.kind
         self.c_in = c_in
         self.c_out = bs.width
-        self.stride = bs.stride
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            rng=rng, dtype=dtype)
         self.pointwise = MicroFacPointwise(c_in, bs.width, bs.hidden,
@@ -422,7 +414,7 @@ class MicroBlockBC(Module):
 
     def cost_items(self, h: int, w: int):
         dw, pw = self.depthwise, self.pointwise
-        ho, wo = h // self.stride, w // self.stride
+        ho, wo = dw.out_size(h, w)
         items = [
             ("depthwise", "conv", dw.madds(h, w),
              _count(dw.col_w) + _count(dw.row_w), (self.c_in, ho, wo)),
@@ -536,10 +528,10 @@ class Network(Module):
 
     def geometry(self, res: int = 224):
         """Per-block (kind, out_channels, out_resolution) walk."""
-        h = res // 2
+        h = self.stem.conv1.spec.out_size(res, res)[0]
         rows = [("stem", self.stem.out_channels, h)]
         for blk in self.blocks:
-            h //= blk.stride
+            h = blk.depthwise.out_size(h, h)[0]
             rows.append((blk.kind, blk.c_out, h))
         return rows
 

@@ -579,30 +579,62 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization and loss
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization over (N, H, W) using batch statistics."""
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               running: tuple[np.ndarray, np.ndarray] | None = None,
+               momentum: float = 0.1) -> Tensor:
+    """Per-channel batch normalization over (N, H, W) using batch statistics.
+
+    With running=(running_mean, running_var), both buffers are updated in
+    place from this batch: r <- (1 - momentum) * r + momentum * stat, with
+    the biased variance. The statistics are computed once: the channel sums
+    are matrix-vector products over the contiguous H*W axis, and the
+    variance is taken two-pass on the centred map, which then becomes xhat
+    in place. Per-channel factors are repeated over H*W so that every
+    elementwise pass runs on the (N, C*H*W) view. The backward needs two
+    per-channel reductions, sum(g) and sum(g * xhat).
+    """
     n, c, h, w = x.shape
-    m = n * h * w
-    mean = x.data.mean(axis=(0, 2, 3))
-    var = x.data.var(axis=(0, 2, 3))
+    hw = h * w
+    m = n * hw
+    ones = np.ones(hw, x.dtype)
+
+    def channel_sum(a):
+        return (a.reshape(n, c, hw) @ ones).sum(axis=0)
+
+    def per_element(v):
+        return np.repeat(v, hw)                             # (C*H*W,)
+
+    mean = channel_sum(x.data) / m
+    xhat = x.data.reshape(n, c * hw) - per_element(mean)    # centred, then scaled
+    xv = xhat.reshape(n, c, hw)
+    var = np.einsum("ncl,ncl->c", xv, xv) / m
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= per_element(inv)
+    out = xhat * per_element(gamma.data)
+    out += per_element(beta.data)
+    if running is not None:
+        running_mean, running_var = running
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
 
     def backward(g):
+        sg = channel_sum(g)
+        sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+            _accumulate(gamma, sgx)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
+            _accumulate(beta, sg)
         if x.requires_grad:
-            gxh = g * gamma.data[None, :, None, None]
-            s1 = gxh.sum(axis=(0, 2, 3))
-            s2 = (gxh * xhat).sum(axis=(0, 2, 3))
-            gx = (gxh - (s1[None, :, None, None] + xhat * s2[None, :, None, None]) / m)
-            gx *= inv[None, :, None, None]
-            _accumulate(x, gx)
+            # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
+            gx = xhat * per_element(-sgx / m)
+            gx -= per_element(sg / m)
+            gx += g.reshape(n, c * hw)
+            gx *= per_element(gamma.data * inv)
+            _accumulate(x, gx.reshape(x.shape))
 
-    return _result(out, [x, gamma, beta], backward)
+    return _result(out.reshape(x.shape), [x, gamma, beta], backward)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

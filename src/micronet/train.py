@@ -56,6 +56,30 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 
+class NonFiniteError(ValueError):
+    """Training met a loss or a gradient that is not finite. step is None
+    for a value taken after the epoch, such as an evaluation loss."""
+
+    def __init__(self, epoch: int, step: int | None, tensor: str):
+        where = f"after epoch {epoch}" if step is None else f"at epoch {epoch}, step {step}"
+        super().__init__(f"non-finite {tensor} {where}")
+        self.epoch = epoch
+        self.step = step
+        self.tensor = tensor
+
+
+def _check_finite(loss, named_params, epoch: int, step: int):
+    """Raise NonFiniteError naming the loss or the first parameter, in
+    named_params order, whose gradient is not finite."""
+    if not np.isfinite(loss.data):
+        raise NonFiniteError(epoch, step, "loss")
+    for name, p in named_params:
+        g = p.grad
+        # a finite sum clears a gradient without a full isfinite pass
+        if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
+            raise NonFiniteError(epoch, step, f"gradient of {name}")
+
+
 @dataclass(frozen=True)
 class EpochStats:
     epoch: int
@@ -80,24 +104,28 @@ def train_model(net, images, labels, *, epochs: int, base_lr: float,
                 log=None) -> list[EpochStats]:
     """Minibatch training with a cosine schedule. Stops early once the
     running training accuracy reaches target_accuracy, if given.
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed. Raises NonFiniteError, before the
+    update, on a step whose loss or any gradient is not finite; the
+    gradients of that step stay on the parameters. A normal return leaves
+    no gradients."""
     images = np.asarray(images, dtype=net.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    opt = SGD(net.named_params(), lr=base_lr, momentum=momentum,
-              weight_decay=weight_decay)
+    named = list(net.named_params())
+    opt = SGD(named, lr=base_lr, momentum=momentum, weight_decay=weight_decay)
     history = []
     for epoch in range(epochs):
         t0 = time.perf_counter()
         opt.lr = cosine_lr(base_lr, epoch, epochs)
         total_loss = 0.0
         correct = 0
-        for xb, yb in iterate_batches(images, labels, batch_size, rng):
+        for step, (xb, yb) in enumerate(iterate_batches(images, labels, batch_size, rng)):
             ctx = Context(training=True, rng=rng)
             logits = net(xb, ctx)
             loss = softmax_cross_entropy(logits, yb)
             opt.zero_grad()
             loss.backward()
+            _check_finite(loss, named, epoch, step)
             opt.step()
             total_loss += float(loss.data) * len(yb)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
@@ -108,6 +136,9 @@ def train_model(net, images, labels, *, epochs: int, base_lr: float,
             log(stats)
         if target_accuracy is not None and stats.accuracy >= target_accuracy:
             break
+    # the trained network keeps its parameters and buffers, not the
+    # gradients of the last step
+    opt.zero_grad()
     return history
 
 

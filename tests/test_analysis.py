@@ -1,17 +1,22 @@
 """Cost accounting against frozen desk-checked totals, verification
 reports, and the trade-off sweep."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micronet.analysis import (BUDGETS, check_budget, count_costs,
                                format_json, format_sweep, rank_law_holds,
                                sweep_tradeoff, verify_connectivity,
                                verify_factorization, verify_model,
                                verify_rank)
-from micronet.models import build_model
+from micronet.models import VARIANTS, build_model
+from micronet.module import Context
+from micronet.tensor import no_grad
 
 FROZEN_TOTALS = {
     "M0": (4_152_672, 937_886),
@@ -70,6 +75,39 @@ def test_tiny_report_geometry():
     assert by_name["head.pool"].madds == 8 * 8 * 8
     assert by_name["head.fc1"].madds == 8 * 16
     assert by_name["head.fc2"].madds == 16 * 2
+
+
+@functools.cache
+def _built(variant):
+    return build_model(variant, seed=0)
+
+
+@given(st.sampled_from(VARIANTS), st.integers(8, 256))
+@settings(max_examples=40, deadline=None)
+def test_cost_shapes_match_forward(variant, resolution):
+    # the padded stride-2 stages produce ceil(h / 2); resolutions that are
+    # not multiples of 32 round up at some stage
+    net = _built(variant)
+    records = {r.name: r for r in count_costs(net, resolution).records}
+    shapes = {name: r.out_shape for name, r in records.items()}
+    ctx = Context(training=False)
+    with no_grad():
+        x = np.zeros((1, 3, resolution, resolution), net.dtype)
+        assert shapes["stem.conv1"] == net.stem.conv1(x, ctx).shape[1:]
+        t = net.stem(x, ctx)
+        assert shapes["stem.conv2"] == t.shape[1:]
+        real = [("stem", t.shape[1], t.shape[2])]
+        for i, blk in enumerate(net.blocks):
+            assert shapes[f"blocks.{i}.depthwise"] == blk.depthwise(t, ctx).shape[1:]
+            t = blk(t, ctx)
+            last = "squeeze" if blk.kind == "A" else "expand"
+            assert shapes[f"blocks.{i}.{last}"] == t.shape[1:]
+            for name, shape in shapes.items():
+                if name.startswith(f"blocks.{i}.") and shape is not None:
+                    assert shape[1:] == t.shape[2:], name
+            real.append((blk.kind, t.shape[1], t.shape[2]))
+    assert net.geometry(resolution) == real
+    assert records["head.pool"].madds == t.data[0].size
 
 
 def test_cost_json_and_table_formats():

@@ -43,6 +43,15 @@ def test_analyze_table_and_json(capsys):
     assert payload["totals"]["madds"] == 4_152_672
 
 
+def test_analyze_small_resolution(capsys):
+    # 8 -> 4 -> 2 -> 1 stays 1 through the later stride-2 stages
+    code, out, _ = run(capsys, "analyze", "--variant", "M0", "--resolution", "8",
+                       "--json")
+    assert code == EXIT_OK
+    shapes = {r["name"]: r["out_shape"] for r in json.loads(out)["layers"]}
+    assert shapes["blocks.5.expand"] == [384, 1, 1]
+
+
 def test_analyze_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze", "--variant", "tiny", "--json",
@@ -179,6 +188,18 @@ def test_exit_code_empty_dataset(command, tmp_path, capsys):
     code, _, err = run(capsys, command, *argv)
     assert code == EXIT_FORMAT
     assert "holds no images" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("images, epochs, message", [
+    ("64", "3", "non-finite loss at epoch 1, step 0"),
+    # training stays finite, but the last update overflows at eval time
+    ("32", "2", "non-finite evaluation loss after epoch 1"),
+])
+def test_exit_code_non_finite_training(images, epochs, message, capsys):
+    code, out, err = run(capsys, "train", "--variant", "tiny", "--synthetic", images,
+                         "--epochs", epochs, "--lr", "1e12", "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_train_reports_epoch_seconds(capsys):

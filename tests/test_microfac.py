@@ -261,6 +261,9 @@ def test_lite_combination_forward_shape():
                            rng=np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((2, 4, 8, 8))
     assert lite(Tensor(x)).shape == (2, 8, 4, 4)
+    # an odd size: the padded stride-2 stage gives ceil(7 / 2) = 4
+    assert lite(Tensor(x[:, :, 1:, 1:])).shape == (2, 8, 4, 4)
+    assert lite.madds(7, 7) == lite.depthwise.madds(7, 7) + lite.squeeze_spec.madds(4, 4)
     with pytest.raises(ValueError):
         LiteCombination(5, 12, 8, kernel=3)
 

@@ -425,6 +425,65 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
     np.testing.assert_allclose(inf, out, atol=1e-10)
 
 
+def batch_norm_oracle(x, gamma, beta, g, eps):
+    """Output and (dx, dgamma, dbeta) of the textbook formula, the gradient
+    by the chain rule through var and mean (Ioffe & Szegedy, Alg. 1)."""
+    axes = (0, 2, 3)
+    m = x.size // x.shape[1]
+    mean, var = np.mean(x, axis=axes), np.var(x, axis=axes)
+
+    def c(v):
+        return v[None, :, None, None]
+
+    centred = x - c(mean)
+    xhat = centred / np.sqrt(c(var) + eps)
+    dxhat = g * c(gamma)
+    dvar = (dxhat * centred).sum(axis=axes) * -0.5 * (var + eps) ** -1.5
+    dmean = (-dxhat / np.sqrt(c(var) + eps)).sum(axis=axes) \
+        + dvar * (-2.0 * centred).sum(axis=axes) / m
+    dx = dxhat / np.sqrt(c(var) + eps) + c(dvar) * 2.0 * centred / m + c(dmean) / m
+    return xhat * c(gamma) + c(beta), dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+@given(st.sampled_from([1, 3]), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 0.7]),
+       st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_batch_norm_matches_formula(n, c, h, w, dtype, momentum, seed):
+    rng = np.random.default_rng(seed)
+    xd = rnd(rng, n, c, h, w) * rng.uniform(0.1, 3.0, (1, c, 1, 1)) \
+        + rng.uniform(-2.0, 2.0, (1, c, 1, 1))
+    xd[:, rng.integers(c)] = rng.uniform(-2.0, 2.0)      # a channel with var = 0
+    x = Tensor(xd.astype(dtype), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 2.0, c).astype(dtype), requires_grad=True)
+    beta = Tensor(rnd(rng, c).astype(dtype), requires_grad=True)
+    mean0, var0 = rnd(rng, c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
+    running = (mean0.copy(), var0.copy())
+    out = batch_norm(x, gamma, beta, 1e-5, running, momentum)
+    assert out.dtype == dtype and running[0].dtype == dtype
+
+    x64 = x.data.astype(np.float64)
+    gout = rnd(rng, n, c, h, w)
+    want, gx, ggamma, gbeta = batch_norm_oracle(
+        x64, gamma.data.astype(np.float64), beta.data.astype(np.float64), gout, 1e-5)
+    # float32 rounds the mean of the constant channel, and 1/sqrt(eps)
+    # magnifies that into its xhat
+    tol = 1e-10 if dtype == np.float64 else 1e-3
+
+    def close(got, want, scale=None):
+        scale = np.abs(want).max() if scale is None else scale
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * (scale + 1.0))
+
+    close(out.data, want)
+    close(running[0], (1 - momentum) * mean0 + momentum * x64.mean(axis=(0, 2, 3)))
+    close(running[1], (1 - momentum) * var0 + momentum * x64.var(axis=(0, 2, 3)))
+    out._backward(gout.astype(dtype))
+    assert x.grad.dtype == dtype
+    close(x.grad, gx)
+    close(gamma.grad, ggamma, np.abs(gout).sum(axis=(0, 2, 3)).max())
+    close(beta.grad, gbeta)
+
+
 def test_no_grad_blocks_graph():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():

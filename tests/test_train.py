@@ -4,10 +4,12 @@ and the synthetic dataset."""
 import numpy as np
 import pytest
 
+from micronet import models
 from micronet.models import build_model
 from micronet.tensor import Tensor
-from micronet.train import (SGD, cosine_lr, evaluate, finite_difference_check,
-                            iterate_batches, make_synthetic, train_model)
+from micronet.train import (SGD, NonFiniteError, cosine_lr, evaluate,
+                            finite_difference_check, iterate_batches,
+                            make_synthetic, train_model)
 
 
 def test_sgd_two_steps_by_hand():
@@ -74,8 +76,51 @@ def test_training_converges_single_seed():
                        target_accuracy=0.99)
     assert hist[-1].accuracy >= 0.99
     assert len(hist) < 15
+    # the last step's gradients are dropped on return
+    assert all(p.grad is None for _, p in net.named_params())
     loss, acc = evaluate(net, images, labels)
     assert acc >= 0.99 and loss < 0.5
+
+
+def test_non_finite_loss_stops_training():
+    images, labels = make_synthetic(64, seed=0)
+    net = build_model("tiny", seed=0, dtype=np.float64)
+    seen = []
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+        train_model(net, images, labels, epochs=3, base_lr=1e12, weight_decay=3e-5,
+                    seed=0, log=seen.append)
+    assert isinstance(err.value, ValueError)
+    assert (err.value.epoch, err.value.step, err.value.tensor) == (1, 0, "loss")
+    assert str(err.value) == "non-finite loss at epoch 1, step 0"
+    assert [s.epoch for s in seen] == [0]
+
+
+def test_non_finite_gradient_names_first_parameter(monkeypatch):
+    images, labels = make_synthetic(32, seed=0)
+    net = build_model("tiny", seed=0, dtype=np.float64)
+    before = {name: p.data.copy() for name, p in net.named_params()}
+    linear = models.linear
+
+    def poisoned(x, w, b=None):
+        # the head's biases get one NaN gradient element each
+        out = linear(x, w, b)
+        backward = out._backward
+
+        def poison(g):
+            backward(g)
+            b.grad[-1] = np.nan
+
+        out._backward = poison
+        return out
+
+    monkeypatch.setattr(models, "linear", poisoned)
+    with pytest.raises(NonFiniteError) as err:
+        train_model(net, images, labels, epochs=2, base_lr=0.05, seed=0)
+    assert str(err.value) == "non-finite gradient of head.fc1_b at epoch 0, step 0"
+    # raised before the update, with the step's gradients kept
+    for name, p in net.named_params():
+        np.testing.assert_array_equal(p.data, before[name])
+    assert np.isnan(net.head.fc1_b.grad[-1])
 
 
 def test_evaluate_matches_manual_accuracy():
