@@ -190,16 +190,52 @@ def test_exit_code_empty_dataset(command, tmp_path, capsys):
     assert "holds no images" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("images, epochs, message", [
-    ("64", "3", "non-finite loss at epoch 1, step 0"),
-    # training stays finite, but the last update overflows at eval time
-    ("32", "2", "non-finite evaluation loss after epoch 1"),
+def nan_training_loss(monkeypatch, call):
+    """Make the loss of the call-th training step (counting from 1) NaN."""
+    import micronet.train as train_mod
+    calls = []
+    real = train_mod.softmax_cross_entropy
+
+    def loss(logits, labels):
+        out = real(logits, labels)
+        calls.append(None)
+        if len(calls) == call:
+            out.data = np.asarray(np.nan)
+        return out
+
+    monkeypatch.setattr(train_mod, "softmax_cross_entropy", loss)
+
+
+def nan_evaluation_loss(monkeypatch):
+    import micronet.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "evaluate", lambda net, images, labels: (np.nan, 0.0))
+
+
+# the NaN is injected, so the located message does not depend on how a
+# diverging run rounds
+@pytest.mark.parametrize("images, epochs, message, inject", [
+    # 64 images make 4 steps of 16 per epoch: the 5th step is epoch 1, step 0
+    pytest.param("64", "3", "non-finite loss at epoch 1, step 0",
+                 lambda mp: nan_training_loss(mp, 5),
+                 id="64-3-non-finite loss at epoch 1, step 0"),
+    pytest.param("32", "2", "non-finite evaluation loss after epoch 1", nan_evaluation_loss,
+                 id="32-2-non-finite evaluation loss after epoch 1"),
 ])
-def test_exit_code_non_finite_training(images, epochs, message, capsys):
+def test_exit_code_non_finite_training(images, epochs, message, inject, monkeypatch,
+                                       capsys):
+    inject(monkeypatch)
     code, out, err = run(capsys, "train", "--variant", "tiny", "--synthetic", images,
-                         "--epochs", epochs, "--lr", "1e12", "--json")
+                         "--epochs", epochs, "--json")
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_exit_code_diverging_training(capsys):
+    # which value turns non-finite first depends on rounding; the exit does not
+    code, out, err = run(capsys, "train", "--variant", "tiny", "--synthetic", "32",
+                         "--epochs", "2", "--lr", "1e12", "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
 def test_train_reports_epoch_seconds(capsys):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micronet.dyshiftmax import circular_shift
+from micronet.models import build_model
+from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, _conv_im2col, add, batch_norm,
-                             conv2d, conv2d_bn, dropout, global_avg_pool, linear,
+from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_im2col, add,
+                             batch_norm, conv2d, conv2d_bn, dropout, global_avg_pool, linear,
                              no_grad, permute_channels, relu, shift_max, softmax,
                              softmax_cross_entropy)
 
@@ -97,6 +99,7 @@ def test_conv2d_specialized_branches_match_im2col(spec, n, h, w, seed):
     wt = Tensor(rnd(rng, *spec.weight_shape), requires_grad=True)
     b = Tensor(rnd(rng, spec.out_channels), requires_grad=True)
     out = conv2d(x, wt, b, spec)
+    assert out.data.flags.c_contiguous
     np.testing.assert_allclose(out.data, conv2d_naive(x.data, wt.data, b.data, spec),
                                atol=1e-12, rtol=0)
 
@@ -163,6 +166,91 @@ def test_conv_im2col_matches_naive(spec, n, h, w, seed):
     assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
 
 
+@st.composite
+def banded_cases(draw):
+    """A spec _conv_banded takes (a k x 1 filter with og 1-3, or a 1 x k filter
+    with og 1; k in {1, 3, 5}, stride 1-3, padding 0 to (k-1)/2 + 1 along the
+    filter) and an input shape it fits, down to 1x1 maps."""
+    c = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 3, 5]))
+    s = draw(st.integers(1, 3))
+    p = draw(st.integers(0, (k - 1) // 2 + 1))
+    length = draw(st.integers(max(1, k - 2 * p), 6))     # the filtered axis
+    across = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        spec = ConvSpec(c, c * draw(st.integers(1, 3)), (k, 1), (s, 1), (p, 0), groups=c)
+        return spec, (n, c, length, across)
+    return ConvSpec(c, c, (1, k), (1, s), (0, p), groups=c), (n, c, across, length)
+
+
+@given(banded_cases(), st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
+    spec, shape = case
+    rng = np.random.default_rng(seed)
+    x = rnd(rng, *shape).astype(dtype)
+    wt = rnd(rng, *spec.weight_shape).astype(dtype)
+    out, vjp = _conv_banded(x, wt, spec)
+    gout = rnd(rng, *out.shape).astype(dtype)
+    gx, gw = vjp(gout, True, True)
+    assert out.dtype == gx.dtype == gw.dtype == dtype
+    assert gx.shape == x.shape and gw.shape == wt.shape
+    assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
+
+    # float64 references from the same inputs
+    x64, w64, g64 = (a.astype(np.float64) for a in (x, wt, gout))
+    ref, ref_vjp = _conv_im2col(x64, w64, spec)
+    naive_gx, naive_gw = conv2d_naive_grads(x64, w64, spec, g64)
+    tol = dict(atol=1e-12, rtol=1e-12) if dtype == np.float64 else dict(atol=1e-5, rtol=1e-5)
+    for want_out, (want_gx, want_gw) in ((ref, ref_vjp(g64, True, True)),
+                                         (conv2d_naive(x64, w64, None, spec),
+                                          (naive_gx, naive_gw))):
+        np.testing.assert_allclose(out, want_out, **tol)
+        np.testing.assert_allclose(gx, want_gx, **tol)
+        np.testing.assert_allclose(gw, want_gw, **tol)
+
+
+def test_depthwise_kernel_dispatch(monkeypatch):
+    """The kernel each M0 depthwise stage gets, as in README "Kernels": the
+    phase-grid einsum for one image at 224x224; at batch 16 and 64x64 the
+    banded kernel, except for the stem's grouped 1x3 (two outputs per
+    channel)."""
+    import micronet.tensor as tensor_mod
+    picked = []
+    real = tensor_mod._conv_kernel
+
+    def record(x, w, spec):
+        kernel = real(x, w, spec)
+        if spec.groups == spec.in_channels and kernel is not tensor_mod._conv_pointwise:
+            picked.append((x.shape, spec.kernel, kernel.__name__))
+        return kernel
+
+    monkeypatch.setattr(tensor_mod, "_conv_kernel", record)
+    net = build_model("M0", seed=0, dtype=np.float32)
+    with no_grad():
+        net(np.zeros((1, 3, 224, 224), np.float32), Context(training=False))
+    assert len(picked) == 13 and {name for _, _, name in picked} == {"_conv_depthwise"}
+    assert ((1, 128, 14, 14), (5, 1), "_conv_depthwise") in picked
+
+    picked.clear()
+    net(np.zeros((16, 3, 64, 64), np.float32), Context(training=True))
+    stem, *stages = picked
+    assert stem == ((16, 2, 32, 64), (1, 3), "_conv_depthwise")
+    assert len(stages) == 12 and {name for _, _, name in stages} == {"_conv_banded"}
+    assert ((16, 256, 2, 2), (3, 1), "_conv_banded") in stages
+
+    # batch 16 at 224x224: banded up to a filtered axis of 32
+    for shape, kernel, stride, og, want in [
+            ((16, 8, 56, 56), (3, 1), (2, 1), 4, "_conv_depthwise"),
+            ((16, 32, 28, 56), (1, 3), (1, 2), 1, "_conv_depthwise"),
+            ((16, 12, 28, 28), (5, 1), (2, 1), 1, "_conv_banded")]:
+        c = shape[1]
+        spec = ConvSpec(c, c * og, kernel, stride, tuple(k // 2 for k in kernel), groups=c)
+        x, w = Tensor(np.zeros(shape)), Tensor(np.zeros(spec.weight_shape))
+        assert real(x, w, spec).__name__ == want
+
+
 @given(st.one_of(pointwise_specs(), depthwise_specs(), dense_specs()),
        st.integers(1, 2), st.integers(5, 7), st.integers(5, 7), st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
@@ -175,6 +263,7 @@ def test_conv2d_bn_matches_conv_then_batch_norm(spec, n, h, w, seed):
     beta = Tensor(rnd(rng, c), requires_grad=True)
     mean, var = rnd(rng, c), rng.uniform(0.1, 2.0, c)
     out = conv2d_bn(x, wt, gamma, beta, mean, var, spec, eps)
+    assert out.data.flags.c_contiguous
 
     # the reference: conv2d, then y * a + b with the running statistics
     xr = Tensor(x.data, requires_grad=True)
