@@ -2,8 +2,10 @@
 
 Subcommands: analyze, verify, infer, train, bench, sweep. Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
-3 missing input file, 4 malformed archive or dataset. The MICRONET_SEED
-environment variable supplies the default seed where --seed is omitted.
+3 missing or unreadable input file, 4 malformed archive or dataset. An
+output path that cannot be written is a usage error (2). Every error ends
+with one line on stderr. The MICRONET_SEED environment variable supplies
+the default seed where --seed is omitted.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,10 +51,23 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
+class OutputError(Exception):
+    """An output path that could not be written (exit 2)."""
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised in the block as an OutputError naming path."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"cannot write {e.filename or path}: {e.strerror or e}") from e
+
+
 def _emit(args, payload: dict, text: str) -> None:
     out = analysis.format_json(payload) if args.json else text
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+        with _writing(args.output), open(args.output, "w") as fh:
             fh.write(out + "\n")
     else:
         print(out)
@@ -165,7 +181,8 @@ def cmd_train(args) -> int:
         # the last update can leave weights that overflow at eval time
         raise NonFiniteError(history[-1].epoch, None, "evaluation loss")
     if args.output:
-        save_weights(args.output, net)
+        with _writing(args.output):
+            save_weights(args.output, net)
     payload = {
         "schema": "micronet.train/1",
         "variant": args.variant,
@@ -262,7 +279,8 @@ def cmd_sweep(args) -> int:
 def cmd_dataset(args) -> int:
     images, labels = make_synthetic(args.count, size=args.size,
                                     seed=_seed(args))
-    save_dataset(args.output, images, labels)
+    with _writing(args.output):
+        save_dataset(args.output, images, labels)
     payload = {"schema": "micronet.dataset/1", "count": args.count,
                "size": args.size, "directory": args.output}
     print(analysis.format_json(payload) if args.json else
@@ -363,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True,
                    help="pointwise madds per position")
     p.add_argument("--reduction", type=int, required=True)
-    p.add_argument("--max-groups", type=int, default=None)
+    p.add_argument("--max-groups", type=_positive, default=None)
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dataset", help="generate a synthetic dataset")
     p.add_argument("--count", type=_positive, default=128)
-    p.add_argument("--size", type=int, default=32)
+    p.add_argument("--size", type=_positive, default=32)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True, help="target directory")
     p.add_argument("--json", action="store_true")
@@ -383,9 +401,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except FileNotFoundError as e:
         name = getattr(e, "filename", None) or e
         print(f"error: missing file: {name}", file=sys.stderr)
+        return EXIT_MISSING
+    except OSError as e:
+        # every write goes through _writing, so this is an input that exists
+        # but cannot be read, such as a directory given as a file
+        what = f"{e.filename}: {e.strerror}" if e.filename else e
+        print(f"error: cannot read {what}", file=sys.stderr)
         return EXIT_MISSING
     except (ArchiveError, DatasetError) as e:
         print(f"error: {e}", file=sys.stderr)

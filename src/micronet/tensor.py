@@ -306,6 +306,12 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
 _BANDED_MAX_LENGTH = 32
 
 
+# The most taps a strided depthwise filter with one output per channel may
+# have for _conv_kernel to give it _conv_im2col: with more, its one column
+# copy per tap costs more than the phase-grid einsum.
+_IM2COL_MAX_TAPS = 3
+
+
 def _banded_axis(spec: ConvSpec) -> int | None:
     """The axis of the input a depthwise spec filters along, if _conv_banded
     takes it: 2 for a k x 1 column filter, 3 for a 1 x k row filter with one
@@ -383,9 +389,20 @@ def _conv_banded(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     return out, vjp
 
 
+def _tap_range(t: int, s: int, p: int, size: int, olen: int):
+    """The outputs o0 <= o < o1 of one axis whose tap t reads inside the
+    input, o*s + t - p in [0, size), and the slice of input it reads."""
+    o0 = min(olen, max(0, -((t - p) // s)))
+    o1 = max(o0, min(olen, (size - 1 + p - t) // s + 1))
+    x0 = o0 * s + t - p
+    return o0, o1, slice(x0, x0 + s * (o1 - o0), s)
+
+
 def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
-    """Any geometry: copy the windows tap by tap into (N, C, kh, kw, OH, OW)
-    columns, then one matmul per (image, group) gives NCHW directly."""
+    """Any geometry: copy each tap's window of the unpadded input into
+    (N, C, kh, kw, OH, OW) columns, zeroing only the strips where the tap
+    reads padding, then one matmul per (image, group) gives NCHW directly.
+    The backward scatters each tap's column gradient straight into gx."""
     n, c, h, wdt = xd.shape
     kh, kw = spec.kernel
     sh, sw = spec.stride
@@ -393,13 +410,21 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     g = spec.groups
     oh, ow = spec.out_size(h, wdt)
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xd
-    taps = [(i, j, (slice(None), slice(None), slice(i, i + sh * oh, sh),
-                    slice(j, j + sw * ow, sw)))
-            for i in range(kh) for j in range(kw)]
+    row_taps = [_tap_range(i, sh, ph, h, oh) for i in range(kh)]
+    col_taps = [_tap_range(j, sw, pw, wdt, ow) for j in range(kw)]
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
-    for i, j, win in taps:
-        cols[:, :, i, j] = xp[win]
+    for i, (r0, r1, ys) in enumerate(row_taps):
+        for j, (c0, c1, xs) in enumerate(col_taps):
+            dst = cols[:, :, i, j]
+            if r0:
+                dst[:, :, :r0] = 0
+            if r1 < oh:
+                dst[:, :, r1:] = 0
+            if c0:
+                dst[:, :, r0:r1, :c0] = 0
+            if c1 < ow:
+                dst[:, :, r0:r1, c1:] = 0
+            dst[:, :, r0:r1, c0:c1] = xd[:, :, ys, xs]
     cols = cols.reshape(n, g, -1, oh * ow)                 # (N, g, cg*kh*kw, OH*OW)
     wmat = wd.reshape(g, spec.out_channels // g, -1)       # (g, og, cg*kh*kw)
     out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
@@ -411,10 +436,10 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
             gw = np.matmul(gv, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wd.shape)
         if need_x:
             gcols = np.matmul(wmat.transpose(0, 2, 1), gv).reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros(xp.shape, gcols.dtype)
-            for i, j, win in taps:
-                gxp[win] += gcols[:, :, i, j]
-            gx = gxp[:, :, ph:ph + h, pw:pw + wdt]
+            gx = np.zeros(xd.shape, gcols.dtype)
+            for i, (r0, r1, ys) in enumerate(row_taps):
+                for j, (c0, c1, xs) in enumerate(col_taps):
+                    gx[:, :, ys, xs] += gcols[:, :, i, j, r0:r1, c0:c1]
         return gx, gw
 
     return out, vjp
@@ -430,10 +455,15 @@ def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
     if spec.kernel == (1, 1) and spec.stride == (1, 1) and spec.padding == (0, 0):
         return _conv_pointwise
     if spec.groups == spec.in_channels:
-        # banded for a batch of short 1-D filters; README "Kernels" has the table
+        # banded for a batch of short 1-D filters, im2col for expanding or
+        # short strided filters; README "Kernels" has the tables
         axis = _banded_axis(spec)
         if axis is not None and x.shape[0] > 1 and x.shape[axis] <= _BANDED_MAX_LENGTH:
             return _conv_banded
+        kh, kw = spec.kernel
+        if spec.out_channels > spec.in_channels or (
+                spec.stride != (1, 1) and kh * kw <= _IM2COL_MAX_TAPS):
+            return _conv_im2col
         return _conv_depthwise
     return _conv_im2col
 
@@ -444,7 +474,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
     x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or None.
     Unpadded stride-1 1x1 kernels and depthwise kernels (one input channel
     per group) take specialized paths, and a batch of short 1-D depthwise
-    filters runs as banded matrix products; everything else unfolds windows.
+    filters runs as banded matrix products; everything else, expanding and
+    short strided depthwise filters included, unfolds windows.
     """
     out, vjp = _conv_kernel(x, w, spec)(x.data, w.data, spec)
     out = _output(out, None if bias is None else bias.data)

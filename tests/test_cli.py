@@ -297,13 +297,15 @@ def test_seed_env_variable(monkeypatch, capsys):
     (["bench", "--variant", "tiny", "--warmup", "-1"], "--warmup"),
     (["bench", "--variant", "tiny", "--repeats", "two"], "--repeats"),
     (["dataset", "--output", "d", "--count", "0"], "--count"),
+    (["dataset", "--output", "d", "--size", "0"], "--size"),
+    (["sweep", "--budget", "100", "--reduction", "4", "--max-groups", "0"], "--max-groups"),
 ])
 def test_counts_are_validated(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert flag in err
 
 
@@ -348,3 +350,40 @@ def test_running_threads_counts_this_process():
         assert n >= 1
     else:
         assert n is None
+
+
+def one_line_error(code, out, err, want_code):
+    """A bad path or count ends with want_code and one stderr line, no traceback."""
+    assert code == want_code
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Traceback" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--variant", "tiny"],
+    ["verify", "--variant", "tiny", "--resolution", "32"],
+    ["sweep", "--budget", "108", "--reduction", "2"],
+    ["bench", "--variant", "tiny", "--resolution", "16", "--repeats", "1", "--warmup", "0"],
+    ["train", "--variant", "tiny", "--synthetic", "8", "--epochs", "1"],
+])
+def test_output_to_directory_is_a_usage_error(argv, pinned, tmp_path, capsys):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+    one_line_error(code, out, err, EXIT_USAGE)
+    assert f"cannot write {tmp_path}" in err
+
+
+def test_dataset_over_existing_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_bytes(b"")
+    code, out, err = run(capsys, "dataset", "--count", "4", "--output", str(target))
+    one_line_error(code, out, err, EXIT_USAGE)
+    assert f"cannot write {target}" in err and target.read_bytes() == b""
+
+
+def test_unreadable_weights_exit_like_missing_ones(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    code, out, err = run(capsys, "infer", "--weights", str(tmp_path), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_MISSING)
+    assert f"cannot read {tmp_path}" in err

@@ -1,6 +1,8 @@
 """Architecture table fidelity, block wiring, and network behavior."""
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,17 @@ def test_model_spec_config_round_trip():
         assert again == spec
     with pytest.raises(ValueError):
         ModelSpec.from_config({"schema": "micronet.model/2"})
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_golden_config_files(variant):
+    """configs/<variant>.json is the variant's config, and builds it back."""
+    cfg = json.loads((CONFIGS / f"{variant.lower()}.json").read_text())
+    assert cfg == model_spec(variant).to_config()
+    assert ModelSpec.from_config(cfg) == model_spec(variant)
 
 
 def test_block_spec_validation():

@@ -149,21 +149,48 @@ def conv2d_naive_grads(x, w, spec, g):
     return gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]], gw
 
 
-@given(dense_specs(), st.integers(2, 3), st.integers(4, 7), st.integers(4, 7),
-       st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
-def test_conv_im2col_matches_naive(spec, n, h, w, seed):
+@st.composite
+def im2col_cases(draw):
+    """A dense_specs() or depthwise spec and an input it fits, down to 1x1
+    maps. The depthwise specs have og 1-4, k x 1, 1 x k or k x k kernels
+    with k 1-5, stride 1-3 and padding up to k + 1, so that some taps read
+    only padding."""
+    if draw(st.booleans()):
+        spec = draw(dense_specs())
+    else:
+        c, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        spec = ConvSpec(c, c * draw(st.integers(1, 4)),
+                        draw(st.sampled_from([(k, 1), (1, k), (k, k)])),
+                        stride=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+                        padding=(draw(st.integers(0, k + 1)), draw(st.integers(0, k + 1))),
+                        groups=c)
+    (kh, kw), (ph, pw) = spec.kernel, spec.padding
+    h = draw(st.integers(max(1, kh - 2 * ph), 7))
+    w = draw(st.integers(max(1, kw - 2 * pw), 7))
+    return spec, (draw(st.integers(1, 3)), spec.in_channels, h, w)
+
+
+@given(im2col_cases(), st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_conv_im2col_matches_naive(case, dtype, seed):
+    spec, shape = case
     rng = np.random.default_rng(seed)
-    x = rnd(rng, n, spec.in_channels, h, w)
-    wt = rnd(rng, *spec.weight_shape)
+    x = rnd(rng, *shape).astype(dtype)
+    wt = rnd(rng, *spec.weight_shape).astype(dtype)
     out, vjp = _conv_im2col(x, wt, spec)
-    np.testing.assert_allclose(out, conv2d_naive(x, wt, None, spec), atol=1e-12, rtol=0)
-    gout = rnd(rng, *out.shape)
+    gout = rnd(rng, *out.shape).astype(dtype)
     gx, gw = vjp(gout, True, True)
-    want_gx, want_gw = conv2d_naive_grads(x, wt, spec, gout)
-    np.testing.assert_allclose(gx, want_gx, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(gw, want_gw, atol=1e-12, rtol=0)
+    assert out.dtype == gx.dtype == gw.dtype == dtype
+    assert gx.shape == x.shape and gw.shape == wt.shape
     assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
+
+    # float64 references from the same inputs
+    x64, w64, g64 = (a.astype(np.float64) for a in (x, wt, gout))
+    want_gx, want_gw = conv2d_naive_grads(x64, w64, spec, g64)
+    tol = dict(atol=1e-12, rtol=0) if dtype == np.float64 else dict(atol=1e-5, rtol=1e-5)
+    np.testing.assert_allclose(out, conv2d_naive(x64, w64, None, spec), **tol)
+    np.testing.assert_allclose(gx, want_gx, **tol)
+    np.testing.assert_allclose(gw, want_gw, **tol)
 
 
 @st.composite
@@ -212,10 +239,11 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
 
 
 def test_depthwise_kernel_dispatch(monkeypatch):
-    """The kernel each M0 depthwise stage gets, as in README "Kernels": the
-    phase-grid einsum for one image at 224x224; at batch 16 and 64x64 the
-    banded kernel, except for the stem's grouped 1x3 (two outputs per
-    channel)."""
+    """The kernel each M0 depthwise stage gets, as in README "Kernels": for
+    one image at 224x224, im2col for the expanding and the strided 3-tap
+    stages and the phase-grid einsum for the rest; at batch 16 and 64x64
+    the banded kernel, except for the stem's grouped 1x3 (two outputs per
+    channel), which is im2col."""
     import micronet.tensor as tensor_mod
     picked = []
     real = tensor_mod._conv_kernel
@@ -230,21 +258,27 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     net = build_model("M0", seed=0, dtype=np.float32)
     with no_grad():
         net(np.zeros((1, 3, 224, 224), np.float32), Context(training=False))
-    assert len(picked) == 13 and {name for _, _, name in picked} == {"_conv_depthwise"}
+    names = [name for _, _, name in picked]
+    assert names == ["_conv_im2col"] * 5 + ["_conv_depthwise"] * 8
+    assert ((1, 8, 56, 56), (3, 1), "_conv_im2col") in picked
     assert ((1, 128, 14, 14), (5, 1), "_conv_depthwise") in picked
 
     picked.clear()
     net(np.zeros((16, 3, 64, 64), np.float32), Context(training=True))
     stem, *stages = picked
-    assert stem == ((16, 2, 32, 64), (1, 3), "_conv_depthwise")
+    assert stem == ((16, 2, 32, 64), (1, 3), "_conv_im2col")
     assert len(stages) == 12 and {name for _, _, name in stages} == {"_conv_banded"}
     assert ((16, 256, 2, 2), (3, 1), "_conv_banded") in stages
 
-    # batch 16 at 224x224: banded up to a filtered axis of 32
+    # batch 16 at 224x224: banded up to a filtered axis of 32; past it,
+    # im2col when expanding or strided with at most 3 taps, else einsum
     for shape, kernel, stride, og, want in [
-            ((16, 8, 56, 56), (3, 1), (2, 1), 4, "_conv_depthwise"),
-            ((16, 32, 28, 56), (1, 3), (1, 2), 1, "_conv_depthwise"),
-            ((16, 12, 28, 28), (5, 1), (2, 1), 1, "_conv_banded")]:
+            ((16, 8, 56, 56), (3, 1), (2, 1), 4, "_conv_im2col"),
+            ((16, 32, 28, 56), (1, 3), (1, 2), 1, "_conv_im2col"),
+            ((16, 12, 28, 28), (5, 1), (2, 1), 1, "_conv_banded"),
+            ((16, 12, 56, 56), (5, 1), (2, 1), 1, "_conv_depthwise"),
+            ((16, 32, 56, 56), (3, 1), (1, 1), 1, "_conv_depthwise"),
+            ((16, 32, 56, 56), (3, 1), (1, 1), 2, "_conv_im2col")]:
         c = shape[1]
         spec = ConvSpec(c, c * og, kernel, stride, tuple(k // 2 for k in kernel), groups=c)
         x, w = Tensor(np.zeros(shape)), Tensor(np.zeros(spec.weight_shape))
