@@ -1,12 +1,13 @@
-"""Static analysis over built networks: multiply-add and parameter
-accounting, structural verification of the factorized layers, and the
-connectivity/channel trade-off sweep.
+"""Analysis of built networks: multiply-add and parameter accounting read
+off one traced forward, structural verification of the factorized layers,
+and the connectivity/channel trade-off sweep.
 
 Counting convention (per image): one multiply-add per weight application.
 Convolution costs out_h * out_w * c_out * (c_in / groups) * kh * kw, a
 linear layer costs d_in * d_out, global pooling costs h * w * c. Bias
 adds, normalization, plain activations and residual adds are free. The
-coefficient heads of dynamic activations are counted.
+coefficient heads of dynamic activations are counted. Each op's cost is
+read off the shapes it ran with (_OP_COSTS), so costs follow the network.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .microfac import path_count_matrix
-from .models import Network, _dysm_params
+from .models import Network
+from .module import Context, Module
+from .tensor import no_grad
 
 COST_SCHEMA = "micronet.cost/1"
 VERIFY_SCHEMA = "micronet.verify/1"
@@ -101,37 +105,74 @@ class CostReport:
         return "\n".join(lines)
 
 
+# op name -> (record kind, per-image multiply-adds from the output shape and
+# the operand shapes); ops not listed (relu, add, permute_channels, ...) are free
+_CONV = ("conv", lambda out, x, w, *_: math.prod(out[1:]) * math.prod(w[1:]))
+_OP_COSTS = {
+    "conv2d": _CONV,
+    "conv2d_bn": _CONV,
+    "linear": ("linear", lambda out, x, w, *_: math.prod(w)),
+    "global_avg_pool": ("pool", lambda out, x: math.prod(x[1:])),
+    "coefficient_head": ("dysm", lambda out, x, w1, b1, w2, b2:
+                         math.prod(x[1:]) + math.prod(w1) + math.prod(w2)),
+    "shift_max": ("dysm", lambda out, x, a: math.prod(out[1:]) * math.prod(a[2:])),
+}
+_KIND_ORDER = {"conv": 0, "pool": 0, "linear": 0, "dysm": 1, "norm": 2}
+
+
+def trace_costs(module: Module, x) -> list[LayerCost]:
+    """The cost records of one eval forward of module on x, read off a Tape.
+
+    A record is named by the innermost module whose call ran the op, plus a
+    leaf for the pooling op ("pool") and for a linear op or an op whose
+    weight (second operand) another module holds: the weight's attribute
+    without "_w" (head.fc1, blocks.3.compress). Ops of one name add up and
+    keep the last output shape. A parameter counts toward the op that reads
+    it, a folded norm's toward "<parent>.norm". Records are ordered by the
+    top-level unit they ran in, then convolutions, pooling and linear
+    layers before dynamic activations before norms."""
+    paths = {id(m): path for path, m in module.named_modules()}
+    # parameter id -> (path of the module holding it, attribute)
+    owners = {id(p): name.rpartition(".")[::2] for name, p in module.named_params()}
+    tensor._tape = tape = tensor.Tape()
+    try:
+        with no_grad():
+            module(x, Context(training=False))
+    finally:
+        tensor._tape = None
+
+    records, units = {}, {}     # name -> [kind, madds, params, shape, unit]
+    for op, out, operands, stack in tape.ops:
+        if op not in _OP_COSTS:
+            continue
+        kind, madds = _OP_COSTS[op]
+        top = paths[id(stack[-1])]
+        unit = units.setdefault(paths[id(stack[:2][-1])], len(units))
+        weight = owners.get(operands[1][0]) if len(operands) > 1 else None
+        leaf = "pool" if kind == "pool" else None
+        if weight and (op == "linear" or weight[0] != top):
+            leaf = weight[1].removesuffix("_w")
+        name = ".".join(filter(None, (top, leaf)))
+        rec = records.setdefault(name, [kind, 0, 0, None, unit])
+        rec[1] += madds(out, *(shape for _, shape in operands))
+        rec[3] = out[1:]
+        for owner, shape in ((owners.get(i), shape) for i, shape in operands):
+            if owner and weight and owner[0] == weight[0]:
+                rec[2] += math.prod(shape)
+            elif owner:
+                norm = ".".join(filter(None, (owner[0].rpartition(".")[0], "norm")))
+                records.setdefault(norm, ["norm", 0, 0, None, unit])[2] += math.prod(shape)
+    ordered = sorted(records.items(), key=lambda r: (r[1][4], _KIND_ORDER[r[1][0]]))
+    return [LayerCost(name, kind, madds, params, shape)
+            for name, (kind, madds, params, shape, _) in ordered]
+
+
 def count_costs(net: Network, resolution: int = 224) -> CostReport:
-    """Walk the network and produce one record per cost- or
-    parameter-bearing unit. Parameter totals match the live arrays."""
-    records = []
-
-    def emit(name, kind, madds, params, out_shape):
-        records.append(LayerCost(name, kind, int(madds), int(params),
-                                 tuple(out_shape) if out_shape else None))
-
-    items, extra, (c, h, w) = net.stem.cost_items(resolution, resolution)
-    for name, kind, madds, params, shape in items:
-        emit(name, kind, madds, params, shape)
-    if extra:
-        emit("stem.norm", "norm", 0, extra, None)
-
-    for i, blk in enumerate(net.blocks):
-        prefix = f"blocks.{i}"
-        items, extra, acts, geom = blk.cost_items(h, w)
-        for name, kind, madds, params, shape in items:
-            emit(f"{prefix}.{name}", kind, madds, params, shape)
-        for slot, act, (ho, wo) in acts:
-            emit(f"{prefix}.{slot}", "dysm", act.madds(ho, wo),
-                 _dysm_params(act), (act.channels, ho, wo))
-        if extra:
-            emit(f"{prefix}.norm", "norm", 0, extra, None)
-        c, h, w = geom
-
-    for name, kind, madds, params, shape in net.head.cost_items(h, w):
-        emit(name, kind, madds, params, shape)
-
-    return CostReport(net.spec.name, resolution, records)
+    """trace_costs of net on a zero (1, 3, resolution, resolution) image:
+    per-image multiply-adds, parameter totals that match the live arrays,
+    and each unit's output shape as the forward made it."""
+    x = np.zeros((1, 3, resolution, resolution), net.dtype)
+    return CostReport(net.spec.name, resolution, trace_costs(net, x))
 
 
 def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE):

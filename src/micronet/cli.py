@@ -298,8 +298,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer from minimum up to maximum, if given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -307,12 +307,17 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return parse
 
 
 _positive = _at_least(1)
 _non_negative = _at_least(0)
+# analyze and verify run one forward at this size: M3 peaks at about 101 MB
+# in float32 and 201 MB in float64 at 1024x1024
+_resolution = _at_least(1, 1024)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="per-layer madds/params table")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=_resolution, default=224)
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="structural checks and budgets")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=_resolution, default=224)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="single-image latency")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=_resolution, default=224)
     p.add_argument("--repeats", type=_positive, default=200)
     p.add_argument("--warmup", type=_non_negative, default=50)
     p.add_argument("--threads", type=int, default=1)

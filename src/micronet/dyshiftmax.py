@@ -78,10 +78,6 @@ class DyShiftMax(Module):
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         return shift_max(x, self.coefficients(x), self.groups)
 
-    def madds(self, h: int, w: int) -> int:
-        c, jk = self.channels, self.num_shifts * self.num_fusions
-        return h * w * c + c * self.hidden + self.hidden * c * jk + h * w * c * jk
-
 
 def reference_eval(layer: DyShiftMax, x: np.ndarray,
                    counter: MAddCounter | None = None) -> np.ndarray:

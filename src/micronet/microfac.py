@@ -145,9 +145,6 @@ class MicroFacPointwise(Module):
         phi[np.arange(self.hidden), self.perm] = 1.0
         return p @ phi @ q
 
-    def madds(self, h: int, w: int) -> int:
-        return self.compress_spec.madds(h, w) + self.expand_spec.madds(h, w)
-
 
 def _group_conv_matrix(w: np.ndarray, groups: int) -> np.ndarray:
     """Dense matrix of a grouped 1x1 convolution weight (C_out, C_in/g, 1, 1)."""
@@ -221,7 +218,6 @@ class MicroFacDepthwise(Module):
         self.out_channels = out
         self.kernel = kernel
         self.stride = stride
-        self.expansion = expansion
         self.col_spec = ConvSpec(channels, out, (kernel, 1), stride=(stride, 1),
                                  padding=(pad, 0), groups=channels)
         self.row_spec = ConvSpec(out, out, (1, kernel), stride=(1, stride),
@@ -246,55 +242,9 @@ class MicroFacDepthwise(Module):
         return ConvSpec(self.channels, self.out_channels, self.kernel,
                         stride=self.stride, padding=pad, groups=self.channels)
 
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        return self.row_spec.out_size(*self.col_spec.out_size(h, w))
-
-    def madds(self, h: int, w: int) -> int:
-        hc, wc = self.col_spec.out_size(h, w)
-        m = self.col_spec.madds(h, w) + self.row_spec.madds(hc, wc)
-        return m
-
-    @staticmethod
-    def cost_per_position(kernel: int, channels: int) -> tuple[int, int]:
-        """(factorized, dense) multiply-adds per output position."""
-        return 2 * kernel * channels, kernel * kernel * channels
-
 
 # ---------------------------------------------------------------------------
-# lite combination
-
-class LiteCombination(Module):
-    """Depthwise expansion followed by a single group-adaptive squeeze.
-
-    Widens spatial filtering via the factorized depthwise stage and fuses
-    channels with one grouped 1x1 convolution instead of a full pointwise
-    pair, trading fusion arithmetic for spatial filters.
-    """
-
-    def __init__(self, in_channels: int, dw_channels: int, out_channels: int,
-                 kernel: int, stride: int = 1, lam: float = 1.0,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__()
-        if dw_channels % in_channels:
-            raise ValueError("depthwise width must be a multiple of the input width")
-        rng = rng or np.random.default_rng()
-        self.depthwise = MicroFacDepthwise(in_channels, kernel, stride,
-                                           expansion=dw_channels // in_channels,
-                                           rng=rng, dtype=dtype)
-        g = adaptive_groups(dw_channels, out_channels, lam)
-        self.squeeze_spec = ConvSpec(dw_channels, out_channels, 1, groups=g)
-        self.squeeze_w = he_normal(self.squeeze_spec.weight_shape,
-                                   dw_channels // g, rng, dtype)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return conv2d(self.depthwise(x), self.squeeze_w, None, self.squeeze_spec)
-
-    def madds(self, h: int, w: int) -> int:
-        return self.depthwise.madds(h, w) + self.squeeze_spec.madds(
-            *self.depthwise.out_size(h, w))
-
+# lite combination baseline
 
 def regular_combination_madds(in_channels: int, dw_channels: int,
                               out_channels: int, kernel: int,

@@ -323,17 +323,6 @@ class Stem(Module):
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         return relu(self.conv2(self.conv1(x, ctx), ctx, norm=self.norm))
 
-    def cost_items(self, h: int, w: int):
-        s1, s2 = self.conv1.spec, self.conv2.spec
-        h1, w1 = s1.out_size(h, w)
-        h2, w2 = s2.out_size(h1, w1)
-        items = [
-            ("stem.conv1", "conv", s1.madds(h, w), _nparams(s1), (s1.out_channels, h1, w1)),
-            ("stem.conv2", "conv", s2.madds(h1, w1), _nparams(s2), (s2.out_channels, h2, w2)),
-        ]
-        extra = 2 * self.out_channels if isinstance(self.norm, BatchNorm2d) else 0
-        return items, extra, (self.out_channels, h2, w2)
-
 
 class MicroBlockA(Module):
     """Lite combination: factorized depthwise expansion, then one
@@ -344,7 +333,6 @@ class MicroBlockA(Module):
         if bs.width % c_in:
             raise ValueError(f"block width {bs.width} not a multiple of input {c_in}")
         self.kind = "A"
-        self.c_in = c_in
         self.c_out = bs.hidden
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            expansion=bs.width // c_in,
@@ -361,25 +349,6 @@ class MicroBlockA(Module):
         t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
         return self.act2(self.squeeze(t, ctx, norm=self.norm2), ctx)
 
-    def cost_items(self, h: int, w: int):
-        dw = self.depthwise
-        ho, wo = dw.out_size(h, w)
-        items = [
-            ("depthwise", "conv", dw.madds(h, w),
-             _count(dw.col_w) + _count(dw.row_w), (dw.out_channels, ho, wo)),
-            ("squeeze", "conv", self.squeeze.spec.madds(ho, wo),
-             _nparams(self.squeeze.spec), (self.c_out, ho, wo)),
-        ]
-        extra = 0
-        for nm in (self.norm1, self.norm2):
-            if isinstance(nm, BatchNorm2d):
-                extra += 2 * nm.channels
-        acts = []
-        for slot, act in (("act1", self.act1), ("act2", self.act2)):
-            if isinstance(act, DyShiftMax):
-                acts.append((slot, act, (ho, wo)))
-        return items, extra, acts, (self.c_out, ho, wo)
-
 
 class MicroBlockBC(Module):
     """Regular combination: factorized depthwise stage, then the full
@@ -388,7 +357,6 @@ class MicroBlockBC(Module):
     def __init__(self, c_in: int, bs: BlockSpec, spec: ModelSpec, rng, dtype):
         super().__init__()
         self.kind = bs.kind
-        self.c_in = c_in
         self.c_out = bs.width
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            rng=rng, dtype=dtype)
@@ -412,36 +380,12 @@ class MicroBlockBC(Module):
             t = add(t, x)
         return t
 
-    def cost_items(self, h: int, w: int):
-        dw, pw = self.depthwise, self.pointwise
-        ho, wo = dw.out_size(h, w)
-        items = [
-            ("depthwise", "conv", dw.madds(h, w),
-             _count(dw.col_w) + _count(dw.row_w), (self.c_in, ho, wo)),
-            ("compress", "conv", pw.compress_spec.madds(ho, wo),
-             _nparams(pw.compress_spec), (pw.hidden, ho, wo)),
-            ("expand", "conv", pw.expand_spec.madds(ho, wo),
-             _nparams(pw.expand_spec), (self.c_out, ho, wo)),
-        ]
-        extra = 0
-        for nm in (self.norm1, self.norm2, self.norm3):
-            if isinstance(nm, BatchNorm2d):
-                extra += 2 * nm.channels
-        acts = []
-        for slot, act in (("act1", self.act1), ("act2", self.act2), ("act3", self.act3)):
-            if isinstance(act, DyShiftMax):
-                acts.append((slot, act, (ho, wo)))
-        return items, extra, acts, (self.c_out, ho, wo)
-
 
 class Head(Module):
     """Global average pool into a two-layer classifier."""
 
     def __init__(self, c_in: int, spec: ModelSpec, rng, dtype):
         super().__init__()
-        self.c_in = c_in
-        self.width = spec.head_width
-        self.num_classes = spec.num_classes
         self.drop_rate = spec.dropout
         self.fc1_w = he_normal((spec.head_width, c_in), c_in, rng, dtype)
         self.fc1_b = zeros_param((spec.head_width,), dtype)
@@ -456,30 +400,6 @@ class Head(Module):
         if ctx.training and self.drop_rate > 0.0:
             z = dropout(z, self.drop_rate, ctx.rng)
         return linear(z, self.fc2_w, self.fc2_b)
-
-    def cost_items(self, h: int, w: int):
-        items = [
-            ("head.pool", "pool", h * w * self.c_in, 0, (self.c_in,)),
-            ("head.fc1", "linear", self.c_in * self.width,
-             self.c_in * self.width + self.width, (self.width,)),
-            ("head.fc2", "linear", self.width * self.num_classes,
-             self.width * self.num_classes + self.num_classes, (self.num_classes,)),
-        ]
-        return items
-
-
-def _nparams(spec: ConvSpec) -> int:
-    return int(np.prod(spec.weight_shape))
-
-
-def _count(t: Tensor) -> int:
-    return int(np.prod(t.shape))
-
-
-def _dysm_params(act: DyShiftMax) -> int:
-    c, hid = act.channels, act.hidden
-    jk = act.num_shifts * act.num_fusions
-    return hid * c + hid + c * jk * hid + c * jk
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +445,6 @@ class Network(Module):
             if isinstance(blk, MicroBlockBC):
                 out.append((f"blocks.{i}.pointwise", blk.pointwise))
         return out
-
-    def geometry(self, res: int = 224):
-        """Per-block (kind, out_channels, out_resolution) walk."""
-        h = self.stem.conv1.spec.out_size(res, res)[0]
-        rows = [("stem", self.stem.out_channels, h)]
-        for blk in self.blocks:
-            h = blk.depthwise.out_size(h, h)[0]
-            rows.append((blk.kind, blk.c_out, h))
-        return rows
 
 
 def build_model(variant_or_spec, *, num_classes: int | None = None,

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
 from .tensor import ConvSpec, Tensor, conv2d
 
 
@@ -36,12 +37,6 @@ class Module:
         self._buffers[name] = array
         object.__setattr__(self, name, array)
 
-    def set_buffer(self, name, array: np.ndarray):
-        if name not in self._buffers:
-            raise KeyError(name)
-        self._buffers[name] = array
-        object.__setattr__(self, name, array)
-
     def named_params(self, prefix=""):
         for name, p in self._params.items():
             yield prefix + name, p
@@ -53,6 +48,11 @@ class Module:
             yield prefix + name, self
         for cname, child in self._children.items():
             yield from child.named_buffers(f"{prefix}{cname}.")
+
+    def named_modules(self, path=""):
+        yield path, self
+        for cname, child in self._children.items():
+            yield from child.named_modules(f"{path}.{cname}" if path else cname)
 
     def param_count(self) -> int:
         return sum(int(np.prod(p.shape)) for _, p in self.named_params())
@@ -69,7 +69,13 @@ class Module:
     def __call__(self, x, ctx: Context | None = None, **kwargs) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
-        return self.forward(x, ctx or Context(), **kwargs)
+        tape = tensor._tape
+        if tape is None:
+            return self.forward(x, ctx or Context(), **kwargs)
+        tape.modules.append(self)       # a forward that raises ends the trace
+        out = self.forward(x, ctx or Context(), **kwargs)
+        tape.modules.pop()
+        return out
 
 
 def conv_norm(x: Tensor, w: Tensor, spec: ConvSpec, norm: Module | None = None,

@@ -1,9 +1,11 @@
-"""Naive scalar-loop reference kernels.
+"""Naive scalar-loop reference kernels, and a whole-network forward built
+from them.
 
 These exist to check the vectorized implementations and the cost model,
 not to be fast. Each kernel optionally increments a multiply-accumulate
 counter once per fused multiply-add, matching the analyzer's convention
-(bias adds, normalization and activations are free).
+(bias adds, normalization and activations are free), so the count of a
+network_forward is an independent check of count_costs.
 """
 
 from __future__ import annotations
@@ -84,3 +86,52 @@ def global_avg_pool_naive(x: np.ndarray,
                         counter.tick()
             out[b, ch] = acc / (h * w)
     return out
+
+
+def network_forward(net, x: np.ndarray, training: bool = False,
+                    counter: MAddCounter | None = None) -> np.ndarray:
+    """The logits of net on x from the kernels above, reading the network's
+    own parameters: every convolution stage through conv2d_naive, batch
+    norm as its formula (batch statistics in training, running statistics
+    at eval), dynamic shift-max through reference_eval, the shuffle as a
+    channel index, and the skip add. Dropout is not applied, so a training
+    forward is compared on a network built with dropout 0."""
+    # imported here: dyshiftmax, and through it models, import this module
+    from .dyshiftmax import DyShiftMax, reference_eval
+    from .models import BatchNorm2d, ReLU
+
+    def conv(t, w, spec, norm=None):
+        y = conv2d_naive(t, w.data, None, spec, counter)
+        if not isinstance(norm, BatchNorm2d):
+            return y
+        if training:
+            mean, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))
+        else:
+            mean, var = norm.running_mean, norm.running_var
+        scale = norm.gamma.data / np.sqrt(var + norm.eps)
+        return ((y - mean[:, None, None]) * scale[:, None, None]
+                + norm.beta.data[:, None, None])
+
+    def act(layer, t):
+        if isinstance(layer, DyShiftMax):
+            return reference_eval(layer, t, counter)
+        return np.maximum(t, 0) if isinstance(layer, ReLU) else t
+
+    stem = net.stem
+    t = conv(x, stem.conv1.weight, stem.conv1.spec)
+    t = np.maximum(conv(t, stem.conv2.weight, stem.conv2.spec, stem.norm), 0)
+    for blk in net.blocks:
+        dw = blk.depthwise
+        y = conv(conv(t, dw.col_w, dw.col_spec), dw.row_w, dw.row_spec, blk.norm1)
+        y = act(blk.act1, y)
+        if blk.kind == "A":
+            t = act(blk.act2, conv(y, blk.squeeze.weight, blk.squeeze.spec, blk.norm2))
+            continue
+        pw = blk.pointwise
+        y = act(blk.act2, conv(y, pw.compress_w, pw.compress_spec, blk.norm2))
+        y = act(blk.act3, conv(y[:, pw.perm], pw.expand_w, pw.expand_spec, blk.norm3))
+        t = y + t if blk.skip else y
+    head = net.head
+    z = global_avg_pool_naive(t, counter)
+    z = np.maximum(linear_naive(z, head.fc1_w.data, head.fc1_b.data, counter), 0)
+    return linear_naive(z, head.fc2_w.data, head.fc2_b.data, counter)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _grad_enabled = True
+# a Tape while analysis.trace_costs runs its forward, None otherwise
+_tape = None
 
 
 @contextmanager
@@ -25,6 +27,15 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+class Tape:
+    """Installed as _tape, it records each op's name, output shape and
+    operands' (id, shape), with the stack of modules (Module.__call__) it
+    ran in. It keeps no arrays, so a taped forward needs no more memory."""
+
+    def __init__(self):
+        self.modules, self.ops = [], []
 
 
 class Tensor:
@@ -49,9 +60,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def backward(self):
         """Seed d(self)/d(self) = 1 and push gradients to all ancestors."""
@@ -82,6 +90,10 @@ class Tensor:
 
 
 def _result(data, parents, backward):
+    if _tape is not None:
+        # an op's backward is defined in it, so its qualname names the op
+        _tape.ops.append((backward.__qualname__.split(".")[0], data.shape,
+                          [(id(p), p.shape) for p in parents], tuple(_tape.modules)))
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -99,10 +111,6 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g.astype(t.data.dtype, order="C", copy=True)
     else:
         t.grad += g
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 
+from micronet.analysis import trace_costs
 from micronet.train import finite_difference_check
 
 
@@ -16,6 +17,11 @@ def assert_grads(loss_fn, named_params, probes=12, rtol=1e-5, atol=1e-8,
         step=step, rng=np.random.default_rng(seed))
     bad = [r for r in results if not r.ok]
     assert not bad, f"{len(bad)}/{len(results)} probes off, first: {bad[:3]}"
+
+
+def traced_madds(layer, x):
+    """Per-image multiply-adds of one eval forward of layer on x."""
+    return sum(r.madds for r in trace_costs(layer, x))
 
 
 def away_from_zero(x, margin=1e-2):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import traced_madds
 
 from micronet.analysis import (check_budget, count_costs, rank_law_holds,
                                sweep_tradeoff, verify_connectivity,
@@ -125,7 +126,8 @@ def test_criterion_04_path_counts_match_formula(capsys):
 
 def test_criterion_05_depthwise_factorization(capsys):
     """Factorized depthwise equals the dense outer-product kernel to
-    1e-10 and costs 2kC per position against k^2 C dense."""
+    1e-10 and costs 2kC per position against k^2 C dense (at stride 1; a
+    strided column stage runs at the input width)."""
     worst = 0.0
     rng = np.random.default_rng(5)
     for kernel in (3, 5):
@@ -138,10 +140,16 @@ def test_criterion_05_depthwise_factorization(capsys):
                 want = conv2d(Tensor(x), Tensor(layer.dense_kernel()), None,
                               layer.dense_spec()).data
                 worst = max(worst, float(np.abs(got - want).max()))
-                fac, dense = MicroFacDepthwise.cost_per_position(
-                    kernel, 6 * expansion)
-                assert fac == 2 * kernel * 6 * expansion
-                assert dense == kernel * kernel * 6 * expansion
+                channels, positions = 6 * expansion, got[0, 0].size
+                traced = traced_madds(layer, x)
+                if stride == 1:
+                    assert traced == 2 * kernel * channels * positions
+                else:
+                    # the column stage's output keeps the input's width
+                    cols = got.shape[2] * x.shape[3]
+                    assert traced == kernel * channels * (cols + positions)
+                assert layer.dense_spec().madds(9, 9) == (
+                    kernel * kernel * channels * positions)
     assert worst <= 1e-10, worst
     announce(capsys, 5,
              f"8 kernel/stride/expansion combos, max error {worst:.2e}, "

@@ -1,8 +1,10 @@
 """Cost accounting against frozen desk-checked totals, verification
 reports, and the trade-off sweep."""
 
+import dataclasses
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from micronet.analysis import (BUDGETS, check_budget, count_costs,
                                sweep_tradeoff, verify_connectivity,
                                verify_factorization, verify_model,
                                verify_rank)
-from micronet.models import VARIANTS, build_model
+from micronet import tensor
+from micronet.models import VARIANTS, build_model, model_spec
 from micronet.module import Context
 from micronet.tensor import no_grad
 
@@ -97,6 +100,7 @@ def test_cost_shapes_match_forward(variant, resolution):
         t = net.stem(x, ctx)
         assert shapes["stem.conv2"] == t.shape[1:]
         real = [("stem", t.shape[1], t.shape[2])]
+        walk = [("stem",) + shapes["stem.conv2"][:2]]
         for i, blk in enumerate(net.blocks):
             assert shapes[f"blocks.{i}.depthwise"] == blk.depthwise(t, ctx).shape[1:]
             t = blk(t, ctx)
@@ -106,8 +110,57 @@ def test_cost_shapes_match_forward(variant, resolution):
                 if name.startswith(f"blocks.{i}.") and shape is not None:
                     assert shape[1:] == t.shape[2:], name
             real.append((blk.kind, t.shape[1], t.shape[2]))
-    assert net.geometry(resolution) == real
+            walk.append((blk.kind,) + shapes[f"blocks.{i}.{last}"][:2])
+    assert walk == real
     assert records["head.pool"].madds == t.data[0].size
+
+
+def test_record_order_per_unit():
+    # convolutions, pooling and linear layers, then dynamic activations, then
+    # the unit's folded norms, whatever order the forward runs them in
+    m0 = model_spec("M0")
+    spec = dataclasses.replace(m0, blocks=tuple(
+        dataclasses.replace(b, activations=("dysm",) * (2 if b.kind == "A" else 3))
+        for b in m0.blocks))
+    want = ["stem.conv1", "stem.conv2", "stem.norm"]
+    for i, b in enumerate(spec.blocks):
+        convs = ["squeeze"] if b.kind == "A" else ["compress", "expand"]
+        acts = ["act1", "act2"] if b.kind == "A" else ["act1", "act2", "act3"]
+        want += [f"blocks.{i}.{n}" for n in ["depthwise", *convs, *acts, "norm"]]
+    want += ["head.pool", "head.fc1", "head.fc2"]
+
+    def names(spec):
+        return [r.name for r in count_costs(build_model(spec, seed=0), 33).records]
+
+    assert names(spec) == want
+    assert names(dataclasses.replace(spec, norm="none")) == [
+        n for n in want if not n.endswith(".norm")]
+
+
+def test_failed_trace_leaves_no_tape():
+    net = _built("tiny")
+    with pytest.raises(ValueError, match="does not fit"):
+        count_costs(net, 0)
+    assert tensor._tape is None
+    assert count_costs(net, 32).total_params == net.param_count()
+
+
+def test_tape_keeps_no_arrays():
+    # a tape that held the ops' backward closures, and so their operands,
+    # peaked at 7x the memory of the forward itself
+    net = _built("M3")
+    x = np.zeros((1, 3, 224, 224), net.dtype)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            net(x, Context(training=False))
+        _, forward = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        count_costs(net, 224)
+        _, traced = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced <= 2 * forward, (traced, forward)
 
 
 def test_cost_json_and_table_formats():

@@ -299,6 +299,12 @@ def test_seed_env_variable(monkeypatch, capsys):
     (["dataset", "--output", "d", "--count", "0"], "--count"),
     (["dataset", "--output", "d", "--size", "0"], "--size"),
     (["sweep", "--budget", "100", "--reduction", "4", "--max-groups", "0"], "--max-groups"),
+    (["analyze", "--variant", "tiny", "--resolution", "0"], "--resolution"),
+    (["analyze", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
+    (["verify", "--variant", "tiny", "--resolution", "0"], "--resolution"),
+    (["verify", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
+    (["bench", "--variant", "tiny", "--resolution", "0"], "--resolution"),
+    (["bench", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
 ])
 def test_counts_are_validated(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

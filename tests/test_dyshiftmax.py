@@ -3,7 +3,8 @@ bounds, cost accounting and gradients."""
 
 import numpy as np
 import pytest
-from helpers import assert_grads, fusion_margin, sigmoid_coefficients
+from helpers import (assert_grads, fusion_margin, sigmoid_coefficients,
+                     traced_madds)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +66,7 @@ def test_reference_counter_matches_cost_model():
     x = np.random.default_rng(0).standard_normal((3, 12, 5, 4))
     counter = MAddCounter()
     reference_eval(layer, x, counter)
-    assert counter.count == 3 * layer.madds(5, 4)
+    assert counter.count == 3 * traced_madds(layer, x)
 
 
 def test_hidden_width_floor():
@@ -82,7 +83,7 @@ def test_madds_identity_configuration():
     layer = DyShiftMax(c, 1, num_shifts=1, num_fusions=1, reduction=c,
                        min_hidden=1, rng=np.random.default_rng(0))
     assert layer.hidden == 1
-    assert layer.madds(h, w) == 2 * h * w * c + 2 * c
+    assert traced_madds(layer, np.zeros((1, c, h, w))) == 2 * h * w * c + 2 * c
 
 
 def test_coefficients_stay_in_bounds():

@@ -1,18 +1,22 @@
 """Group selection laws, factorized pointwise/depthwise equivalence,
 rank structure, and connectivity counting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import assert_grads
+from helpers import assert_grads, traced_madds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micronet.microfac import (LiteCombination, MicroFacDepthwise,
-                               MicroFacPointwise, adaptive_groups,
-                               channel_shuffle, compute_groups, connectivity,
-                               fit_groups, path_count_matrix,
-                               path_count_oracle, pick_group_pair,
-                               regular_combination_madds, shuffle_permutation)
+from micronet.analysis import trace_costs
+from micronet.microfac import (MicroFacDepthwise, MicroFacPointwise,
+                               adaptive_groups, channel_shuffle,
+                               compute_groups, connectivity, fit_groups,
+                               path_count_matrix, path_count_oracle,
+                               pick_group_pair, regular_combination_madds,
+                               shuffle_permutation)
+from micronet.models import BlockSpec, MicroBlockA, model_spec
 from micronet.tensor import ConvSpec, Tensor, conv2d, global_avg_pool, \
     softmax_cross_entropy
 
@@ -143,7 +147,7 @@ def test_pointwise_rejects_bad_groups():
 def test_pointwise_madds_sum_of_stages():
     layer = MicroFacPointwise(64, 128, 32, rng=np.random.default_rng(0))
     want = 7 * 7 * (32 * 64 // 4 + 128 * 32 // 8)
-    assert layer.madds(7, 7) == want
+    assert traced_madds(layer, np.zeros((2, 64, 7, 7))) == want
 
 
 def test_pointwise_gradients():
@@ -212,11 +216,9 @@ def test_depthwise_matches_outer_product_kernel(kernel, stride, expansion):
 
 
 def test_depthwise_cost_factorized_vs_dense():
-    fac, dense = MicroFacDepthwise.cost_per_position(5, 32)
-    assert fac == 2 * 5 * 32
-    assert dense == 5 * 5 * 32
     layer = MicroFacDepthwise(32, 5, 1, rng=np.random.default_rng(0))
-    assert layer.madds(14, 14) == 14 * 14 * fac
+    assert traced_madds(layer, np.zeros((1, 32, 14, 14))) == 14 * 14 * 2 * 5 * 32
+    assert layer.dense_spec().madds(14, 14) == 14 * 14 * 5 * 5 * 32
 
 
 def test_depthwise_rejects_even_kernels():
@@ -249,23 +251,33 @@ def test_depthwise_gradients():
 # ---------------------------------------------------------------------------
 # lite combination and connectivity profiles
 
+def lite_combination(in_channels, dw_channels, out_channels, kernel, stride=1):
+    """Micro-Block-A alone: depthwise expansion, then one squeeze, with no
+    norm and no activation."""
+    spec = dataclasses.replace(model_spec("tiny"), norm="none")
+    row = BlockSpec("A", kernel, dw_channels, out_channels, stride, ("none", "none"))
+    return MicroBlockA(in_channels, row, spec, np.random.default_rng(0), np.float64)
+
+
 def test_lite_combination_cheaper_than_regular_at_same_width():
     h = w = 56
-    lite = LiteCombination(8, 32, 12, kernel=3, rng=np.random.default_rng(0))
+    lite = lite_combination(8, 32, 12, kernel=3)
     regular = regular_combination_madds(8, 32, 12, kernel=3, h=h, w=w)
-    assert lite.madds(h, w) < regular
+    assert traced_madds(lite, np.zeros((1, 8, h, w))) < regular
 
 
 def test_lite_combination_forward_shape():
-    lite = LiteCombination(4, 16, 8, kernel=3, stride=2,
-                           rng=np.random.default_rng(0))
+    lite = lite_combination(4, 16, 8, kernel=3, stride=2)
     x = np.random.default_rng(1).standard_normal((2, 4, 8, 8))
     assert lite(Tensor(x)).shape == (2, 8, 4, 4)
     # an odd size: the padded stride-2 stage gives ceil(7 / 2) = 4
     assert lite(Tensor(x[:, :, 1:, 1:])).shape == (2, 8, 4, 4)
-    assert lite.madds(7, 7) == lite.depthwise.madds(7, 7) + lite.squeeze_spec.madds(4, 4)
+    records = {r.name: r for r in trace_costs(lite, x[:, :, 1:, 1:])}
+    assert list(records) == ["depthwise", "squeeze"]
+    assert records["depthwise"].out_shape == (16, 4, 4)
+    assert records["squeeze"].madds == lite.squeeze.spec.madds(4, 4)
     with pytest.raises(ValueError):
-        LiteCombination(5, 12, 8, kernel=3)
+        lite_combination(5, 12, 8, kernel=3)
 
 
 def test_connectivity_profile_frozen():

@@ -1,19 +1,22 @@
 """Architecture table fidelity, block wiring, and network behavior."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from micronet.analysis import count_costs
 from micronet.dyshiftmax import DyShiftMax
 from micronet import models
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
                              MicroBlockBC, ModelSpec, Network, ReLU, VARIANTS,
                              build_model, model_spec)
 from micronet.module import Context
-from micronet.tensor import ConvSpec, Tensor
+from micronet.reference import MAddCounter, network_forward
+from micronet.tensor import ConvSpec, Tensor, no_grad
 
 
 def test_variant_table_shape():
@@ -37,9 +40,12 @@ def test_variant_table_shape():
 ])
 def test_stage_geometry(variant, widths, resolutions):
     net = build_model(variant, seed=0)
-    rows = net.geometry(224)
-    assert [c for _, c, _ in rows] == widths
-    assert [r for _, _, r in rows] == resolutions
+    shapes = {r.name: r.out_shape for r in count_costs(net, 224).records}
+    rows = [shapes["stem.conv2"]] + [
+        shapes[f"blocks.{i}.{'squeeze' if blk.kind == 'A' else 'expand'}"]
+        for i, blk in enumerate(net.blocks)]
+    assert [c for c, _, _ in rows] == widths
+    assert [r for _, r, _ in rows] == resolutions
 
 
 def test_skip_connections_only_on_matching_micro_c():
@@ -197,6 +203,36 @@ def test_norm_none_variant_runs():
     out = net(np.random.default_rng(1).standard_normal((1, 3, 32, 32)) * 0.1)
     assert np.isfinite(out.data).all()
     assert not any("running_mean" in n for n, _ in net.named_buffers())
+
+
+@pytest.mark.parametrize("variant", ["tiny", "tiny-skip", "M0"])
+def test_network_matches_naive_reference(variant):
+    # the loop-based forward gives the same logits in both modes, and its
+    # multiply-add tally is the traced cost of every image
+    spec = model_spec("M0" if variant == "M0" else "tiny")
+    if variant == "tiny-skip":
+        spec = dataclasses.replace(spec, blocks=(
+            BlockSpec("A", 3, 8, 4, 2), BlockSpec("C", 3, 4, 4, 1, ("dysm",) * 3)))
+    spec = dataclasses.replace(spec, num_classes=10, dropout=0.0)
+    net = build_model(spec, dtype=np.float64, seed=0)
+    assert any(getattr(b, "skip", False) for b in net.blocks) == (variant == "tiny-skip")
+    rng = np.random.default_rng(1)
+    for _, p in net.named_params():
+        # moves the norms off (1, 0) and the zero-initialized shift-max heads
+        p.data += 0.2 * rng.standard_normal(p.shape)
+    for name, owner in net.named_buffers():
+        buf = getattr(owner, name.rsplit(".", 1)[-1])
+        buf[:] = rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var") \
+            else 0.1 * rng.standard_normal(buf.shape)
+    madds = count_costs(net, 32).total_madds
+    x = rng.standard_normal((2, 3, 32, 32))
+    for training in (False, True):
+        counter = MAddCounter()
+        want = network_forward(net, x, training, counter)
+        with no_grad():
+            got = net(x, Context(training=training)).data
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
+        assert counter.count == 2 * madds
 
 
 def test_num_classes_override():
