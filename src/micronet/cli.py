@@ -3,7 +3,8 @@
 Subcommands: analyze, verify, infer, train, bench, sweep. Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
 3 missing or unreadable input file, 4 malformed archive or dataset. An
-output path that cannot be written is a usage error (2). Every error ends
+output path that cannot be written, and a request too large to allocate
+(out of memory), are usage errors (2). Every error ends
 with one line on stderr. The MICRONET_SEED environment variable supplies
 the default seed where --seed is omitted.
 """
@@ -424,6 +425,9 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -10,21 +10,23 @@ Block kinds:
      connection whenever input and output shapes agree (three slots).
 
 Batch normalization follows every convolution stage and precedes its
-activation; at eval time it is folded into that convolution (one
-`conv2d_bn` op). Stage-leading blocks carry stride 2 in the depthwise stage.
+activation. Each convolution and its norm run as one `conv2d_bn` op: with
+batch statistics in training, and at eval time with the running statistics
+folded into the convolution. Stage-leading blocks carry stride 2 in the
+depthwise stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups)
 from .module import Context, Module, conv_norm, he_normal, ones_param, zeros_param
-from .tensor import (ConvSpec, Tensor, add, batch_norm, conv2d, conv2d_bn, dropout,
-                     global_avg_pool, linear, relu)
+from .tensor import (ConvSpec, Tensor, add, conv2d_bn, dropout, global_avg_pool,
+                     linear, relu)
 
 VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
 
@@ -253,22 +255,19 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        if ctx is not None and ctx.training:
-            return batch_norm(x, self.gamma, self.beta, self.eps,
-                              (self.running_mean, self.running_var), self.momentum)
-        # on its own, the folded op on a unit per-channel 1x1 convolution
+        # on its own, the norm of a unit per-channel 1x1 convolution
         c = self.channels
         unit = Tensor(np.ones((c, 1, 1, 1), dtype=x.dtype))
         return self.after_conv(x, unit, ConvSpec(c, c, 1, groups=c), ctx)
 
     def after_conv(self, x: Tensor, w: Tensor, spec: ConvSpec,
                    ctx: Context | None = None) -> Tensor:
-        """Training normalizes conv2d(x, w) with batch statistics; eval
-        folds the running statistics into the convolution."""
-        if ctx is not None and ctx.training:
-            return self(conv2d(x, w, None, spec), ctx)
+        """This norm applied to conv2d(x, w), as one conv2d_bn op: with batch
+        statistics in training, else with the running statistics."""
         return conv2d_bn(x, w, self.gamma, self.beta, self.running_mean,
-                         self.running_var, spec, self.eps)
+                         self.running_var, spec, self.eps,
+                         training=ctx is not None and ctx.training,
+                         momentum=self.momentum)
 
 
 class Identity(Module):
@@ -281,8 +280,8 @@ class ReLU(Module):
         return relu(x)
 
 
-def _make_norm(spec: ModelSpec, channels: int, dtype) -> Module:
-    return BatchNorm2d(channels, dtype) if spec.norm == "bn" else Identity()
+def _make_norm(spec: ModelSpec, channels: int, dtype) -> BatchNorm2d | None:
+    return BatchNorm2d(channels, dtype) if spec.norm == "bn" else None
 
 
 def _make_activation(kind: str, channels: int, groups: int, spec: ModelSpec,
@@ -456,11 +455,7 @@ def build_model(variant_or_spec, *, num_classes: int | None = None,
     else:
         spec = model_spec(variant_or_spec)
     if num_classes is not None and num_classes != spec.num_classes:
-        spec = ModelSpec(**{**_spec_dict(spec), "num_classes": num_classes})
+        spec = replace(spec, num_classes=num_classes)
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     return Network(spec, rng=rng, dtype=dtype)
-
-
-def _spec_dict(spec: ModelSpec) -> dict:
-    return {f: getattr(spec, f) for f in spec.__dataclass_fields__}

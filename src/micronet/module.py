@@ -1,4 +1,6 @@
-"""Tiny layer base: parameter, buffer and child registration by attribute."""
+"""Tiny layer base: parameter, buffer and child registration by attribute,
+and conv_norm, which runs a bias-free convolution and the batch norm after
+it as one op in both modes."""
 
 from __future__ import annotations
 
@@ -60,12 +62,6 @@ class Module:
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         raise NotImplementedError
 
-    def after_conv(self, x: Tensor, w: Tensor, spec: ConvSpec,
-                   ctx: Context | None = None) -> Tensor:
-        """This module applied to conv2d(x, w) without bias. A module that
-        folds into the convolution before it overrides this."""
-        return self(conv2d(x, w, None, spec), ctx)
-
     def __call__(self, x, ctx: Context | None = None, **kwargs) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
@@ -80,7 +76,8 @@ class Module:
 
 def conv_norm(x: Tensor, w: Tensor, spec: ConvSpec, norm: Module | None = None,
               ctx: Context | None = None) -> Tensor:
-    """conv2d(x, w) without bias, followed by norm when one is given."""
+    """conv2d(x, w) without bias, followed by norm (a models.BatchNorm2d)
+    when one is given: then the pair is one op, norm.after_conv."""
     if norm is None:
         return conv2d(x, w, None, spec)
     return norm.after_conv(x, w, spec, ctx)

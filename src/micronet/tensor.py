@@ -181,8 +181,9 @@ def _pair(v):
 
 # Each kernel below maps (x, w, spec) arrays to (out, vjp), where
 # vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
-# out may be a strided view of a buffer the kernel owns; _output makes it
-# C-ordered with at most one copy and adds the bias.
+# out may be a strided view of a buffer the kernel owns, never of x or w;
+# _output makes it C-ordered with at most one copy and adds the bias, and
+# training conv2d_bn then overwrites it with xhat.
 
 def _output(view: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """A kernel's output as a C-ordered array plus a per-channel bias.
@@ -504,18 +505,77 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
 
 def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray, spec: ConvSpec,
-              eps: float = 1e-5) -> Tensor:
-    """conv2d(x, w) followed by batch normalization with running statistics.
+              eps: float = 1e-5, training: bool = False,
+              momentum: float = 0.1) -> Tensor:
+    """conv2d(x, w) followed by per-channel batch normalization, as one op.
 
-    That normalization is the per-channel map y -> a*y + b with
-    a = gamma / sqrt(var + eps) and b = beta - mean * a, so it is folded
-    into the convolution: conv2d(x, w * a) + b, with the bias added in place
-    on the kernel's C-ordered output.
+    At eval time the norm uses the running statistics: it is the map
+    y -> a*y + b with a = gamma / sqrt(var + eps) and b = beta - mean * a,
+    so it folds into the convolution, conv2d(x, w * a) + b, with b added in
+    place on the kernel's C-ordered output.
+
+    In training it uses this batch's statistics over (N, H, W), computed
+    once (channel sums as matrix-vector products over the contiguous H*W
+    axis, the variance two-pass), and updates the running buffers in place:
+    r <- (1 - momentum) * r + momentum * stat, with the biased variance.
+    The kernel's output buffer becomes xhat in place, so the backward keeps
+    only the convolution's input and xhat. It needs two reductions, sum(g)
+    and sum(g * xhat), and hands the norm's gradient to the kernel's vjp.
     """
+    kernel = _conv_kernel(x, w, spec)
+    if training:
+        out, vjp = kernel(x.data, w.data, spec)
+        y = _output(out, None)
+        n, c, h, wdt = y.shape
+        hw = h * wdt
+        m = n * hw
+        ones = np.ones(hw, y.dtype)
+
+        def channel_sum(a):
+            return (a.reshape(n, c, hw) @ ones).sum(axis=0)
+
+        def per_element(v):
+            # factors repeated over H*W: elementwise passes run on (N, C*H*W)
+            return np.repeat(v, hw)
+
+        mean = channel_sum(y) / m
+        xhat = y.reshape(n, c * hw)                         # y centred, then scaled
+        xhat -= per_element(mean)
+        xv = xhat.reshape(n, c, hw)
+        var = np.einsum("ncl,ncl->c", xv, xv) / m
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= per_element(inv)
+        out = xhat * per_element(gamma.data)
+        out += per_element(beta.data)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+
+        def backward(g):
+            sg = channel_sum(g)
+            sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
+            if gamma.requires_grad:
+                _accumulate(gamma, sgx)
+            if beta.requires_grad:
+                _accumulate(beta, sg)
+            # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
+            gy = xhat * per_element(-sgx / m)
+            gy -= per_element(sg / m)
+            gy += g.reshape(n, c * hw)
+            gy *= per_element(gamma.data * inv)
+            gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, w.requires_grad)
+            if gw is not None:
+                _accumulate(w, gw)
+            if gx is not None:
+                _accumulate(x, gx)
+
+        return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
+
     inv = 1.0 / np.sqrt(running_var + eps)
     a = gamma.data * inv
     b = beta.data - running_mean * a
-    out, vjp = _conv_kernel(x, w, spec)(x.data, w.data * a[:, None, None, None], spec)
+    out, vjp = kernel(x.data, w.data * a[:, None, None, None], spec)
     out = _output(out, b)
 
     def backward(gout):
@@ -718,65 +778,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization and loss
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               running: tuple[np.ndarray, np.ndarray] | None = None,
-               momentum: float = 0.1) -> Tensor:
-    """Per-channel batch normalization over (N, H, W) using batch statistics.
-
-    With running=(running_mean, running_var), both buffers are updated in
-    place from this batch: r <- (1 - momentum) * r + momentum * stat, with
-    the biased variance. The statistics are computed once: the channel sums
-    are matrix-vector products over the contiguous H*W axis, and the
-    variance is taken two-pass on the centred map, which then becomes xhat
-    in place. Per-channel factors are repeated over H*W so that every
-    elementwise pass runs on the (N, C*H*W) view. The backward needs two
-    per-channel reductions, sum(g) and sum(g * xhat).
-    """
-    n, c, h, w = x.shape
-    hw = h * w
-    m = n * hw
-    ones = np.ones(hw, x.dtype)
-
-    def channel_sum(a):
-        return (a.reshape(n, c, hw) @ ones).sum(axis=0)
-
-    def per_element(v):
-        return np.repeat(v, hw)                             # (C*H*W,)
-
-    mean = channel_sum(x.data) / m
-    xhat = x.data.reshape(n, c * hw) - per_element(mean)    # centred, then scaled
-    xv = xhat.reshape(n, c, hw)
-    var = np.einsum("ncl,ncl->c", xv, xv) / m
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= per_element(inv)
-    out = xhat * per_element(gamma.data)
-    out += per_element(beta.data)
-    if running is not None:
-        running_mean, running_var = running
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-
-    def backward(g):
-        sg = channel_sum(g)
-        sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
-        if gamma.requires_grad:
-            _accumulate(gamma, sgx)
-        if beta.requires_grad:
-            _accumulate(beta, sg)
-        if x.requires_grad:
-            # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
-            gx = xhat * per_element(-sgx / m)
-            gx -= per_element(sg / m)
-            gx += g.reshape(n, c * hw)
-            gx *= per_element(gamma.data * inv)
-            _accumulate(x, gx.reshape(x.shape))
-
-    return _result(out.reshape(x.shape), [x, gamma, beta], backward)
-
+# loss
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = logits - logits.max(axis=axis, keepdims=True)

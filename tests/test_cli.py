@@ -393,3 +393,18 @@ def test_unreadable_weights_exit_like_missing_ones(tmp_path, capsys):
     code, out, err = run(capsys, "infer", "--weights", str(tmp_path), "--data", str(ds))
     one_line_error(code, out, err, EXIT_MISSING)
     assert f"cannot read {tmp_path}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--synthetic", "100000000000000"],
+    ["dataset", "--count", "100000000000000"],
+    ["dataset", "--count", "2", "--size", "100000000"],
+])
+def test_out_of_memory_is_a_usage_error(argv, tmp_path, capsys):
+    # each request exceeds a 47-bit address space, so it fails at allocation
+    # whatever the overcommit policy
+    if argv[0] == "dataset":
+        argv = argv + ["--output", str(tmp_path / "ds")]
+    code, out, err = run(capsys, *argv)
+    one_line_error(code, out, err, EXIT_USAGE)
+    assert err.startswith("error: out of memory: ")

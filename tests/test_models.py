@@ -131,7 +131,8 @@ def test_norm_after_conv_folds_at_eval_only():
     np.testing.assert_allclose(conv(x, ev, norm=folded_bn).data, want, atol=1e-12)
     np.testing.assert_allclose(plain_bn(Tensor(y), ev).data, want, atol=1e-12)
 
-    # training runs the unfused pair: bitwise equal, statistics updated once
+    # training runs the pair as one op with batch statistics: bitwise equal to
+    # the norm on its own after the convolution, statistics updated once
     tr = Context(training=True)
     np.testing.assert_array_equal(conv(x, tr, norm=folded_bn).data,
                                   plain_bn(conv(x, tr), tr).data)
@@ -139,23 +140,25 @@ def test_norm_after_conv_folds_at_eval_only():
     np.testing.assert_array_equal(folded_bn.running_var, plain_bn.running_var)
 
 
-def test_eval_forward_folds_every_norm(monkeypatch):
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_eval_forward_folds_every_norm(training, monkeypatch):
     net = build_model("tiny", seed=0, dtype=np.float64)
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
-    want = net(x, Context(training=False)).data
+    want = net(x, Context(training=training)).data
     calls = []
     fold = models.conv2d_bn
 
-    def counted(x, w, gamma, *args):
+    def counted(x, w, gamma, *args, **kwargs):
         calls.append(id(gamma))
-        return fold(x, w, gamma, *args)
+        return fold(x, w, gamma, *args, **kwargs)
 
     def unfused(self, x, ctx=None):
-        raise AssertionError("a norm ran on its own at eval time")
+        raise AssertionError("a norm ran on its own")
 
     monkeypatch.setattr(models, "conv2d_bn", counted)
     monkeypatch.setattr(BatchNorm2d, "forward", unfused)
-    np.testing.assert_array_equal(net(x, Context(training=False)).data, want)
+    # a training Context's default rng is seeded, so its dropout repeats too
+    np.testing.assert_array_equal(net(x, Context(training=training)).data, want)
     # each of the 6 norms folded into its convolution exactly once
     gammas = {id(m.gamma) for _, m in net.named_buffers() if isinstance(m, BatchNorm2d)}
     assert sorted(calls) == sorted(gammas) and len(gammas) == 6
@@ -172,8 +175,7 @@ def test_eval_batch_composition_invariance():
 
 def test_dropout_only_in_training():
     spec = model_spec("tiny")
-    spec = ModelSpec(**{**{f: getattr(spec, f) for f in spec.__dataclass_fields__},
-                        "dropout": 0.5})
+    spec = dataclasses.replace(spec, dropout=0.5)
     net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
     x = np.random.default_rng(3).standard_normal((2, 3, 32, 32))
     a = net(x, Context(training=False)).data
@@ -186,8 +188,7 @@ def test_dropout_only_in_training():
 
 def test_default_training_context_is_deterministic():
     spec = model_spec("tiny")
-    spec = ModelSpec(**{**{f: getattr(spec, f) for f in spec.__dataclass_fields__},
-                        "dropout": 0.5})
+    spec = dataclasses.replace(spec, dropout=0.5)
     net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
     x = np.random.default_rng(3).standard_normal((2, 3, 32, 32))
     a = net(x, Context(training=True)).data
@@ -197,8 +198,7 @@ def test_default_training_context_is_deterministic():
 
 def test_norm_none_variant_runs():
     spec = model_spec("tiny")
-    spec = ModelSpec(**{**{f: getattr(spec, f) for f in spec.__dataclass_fields__},
-                        "norm": "none"})
+    spec = dataclasses.replace(spec, norm="none")
     net = Network(spec, rng=np.random.default_rng(0))
     out = net(np.random.default_rng(1).standard_normal((1, 3, 32, 32)) * 0.1)
     assert np.isfinite(out.data).all()
@@ -293,15 +293,14 @@ def test_block_spec_validation():
 
 
 def test_model_spec_validation():
-    base = {f: getattr(model_spec("tiny"), f)
-            for f in ModelSpec.__dataclass_fields__}
+    base = model_spec("tiny")
     with pytest.raises(ValueError):
-        ModelSpec(**{**base, "norm": "layer"})
+        dataclasses.replace(base, norm="layer")
     with pytest.raises(ValueError):
-        ModelSpec(**{**base, "dropout": 1.5})
+        dataclasses.replace(base, dropout=1.5)
     with pytest.raises(ValueError):
-        ModelSpec(**{**base, "blocks": (BlockSpec("B", 3, 16, 8),
-                                        BlockSpec("B", 3, 32, 8))})
+        dataclasses.replace(base, blocks=(BlockSpec("B", 3, 16, 8),
+                                          BlockSpec("B", 3, 32, 8)))
 
 
 def test_build_model_accepts_explicit_spec():

@@ -4,7 +4,7 @@ checks for every differentiable operation."""
 import numpy as np
 import pytest
 from helpers import assert_grads, away_from_zero
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from micronet.dyshiftmax import circular_shift
@@ -12,9 +12,9 @@ from micronet.models import build_model
 from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_im2col, add,
-                             batch_norm, conv2d, conv2d_bn, dropout, global_avg_pool, linear,
-                             no_grad, permute_channels, relu, shift_max, softmax,
+from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_im2col, add, conv2d,
+                             conv2d_bn, dropout, global_avg_pool, linear, no_grad,
+                             permute_channels, relu, shift_max, softmax,
                              softmax_cross_entropy)
 
 
@@ -529,22 +529,29 @@ def test_dropout_scales_survivors():
         dropout(x, 1.0, np.random.default_rng(0))
 
 
+def unit_conv(c):
+    """A unit per-channel 1x1 convolution: conv2d_bn on it is the norm alone."""
+    return Tensor(np.ones((c, 1, 1, 1))), ConvSpec(c, c, 1, groups=c)
+
+
 def test_batch_norm_normalizes_and_inference_uses_running_stats():
     rng = np.random.default_rng(4)
     x = rnd(rng, 8, 3, 4, 4) * 3.0 + 1.0
     gamma = Tensor(np.ones(3))
     beta = Tensor(np.zeros(3))
-    out = batch_norm(Tensor(x), gamma, beta).data
+    unit, spec = unit_conv(3)
+    # momentum 1 makes the running statistics this batch's
+    running = (np.zeros(3), np.ones(3))
+    out = conv2d_bn(Tensor(x), unit, gamma, beta, *running, spec,
+                    training=True, momentum=1.0).data
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+    np.testing.assert_allclose(running[0], x.mean(axis=(0, 2, 3)), atol=1e-12)
+    np.testing.assert_allclose(running[1], x.var(axis=(0, 2, 3)), atol=1e-12)
 
-    # with the batch statistics as running statistics, the folded op on a
-    # unit per-channel 1x1 convolution normalizes the same way
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    unit = Tensor(np.ones((3, 1, 1, 1)))
-    inf = conv2d_bn(Tensor(x), unit, gamma, beta, mean, var,
-                    ConvSpec(3, 3, 1, groups=3)).data
+    # with the batch statistics as running statistics, eval normalizes the
+    # same way
+    inf = conv2d_bn(Tensor(x), unit, gamma, beta, *running, spec).data
     np.testing.assert_allclose(inf, out, atol=1e-10)
 
 
@@ -568,29 +575,46 @@ def batch_norm_oracle(x, gamma, beta, g, eps):
     return xhat * c(gamma) + c(beta), dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
-@given(st.sampled_from([1, 3]), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
-       st.sampled_from([np.float32, np.float64]), st.sampled_from([0.1, 0.7]),
-       st.integers(0, 10_000))
+@given(st.one_of(pointwise_specs(), depthwise_specs(), dense_specs()), st.integers(1, 3),
+       st.integers(5, 7), st.integers(5, 7), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([0.1, 0.7]), st.integers(0, 10_000))
+# the banded kernel at N > 1, and the row filter whose einsum output is a
+# transposed view that _output copies
+@example(ConvSpec(2, 4, (3, 1), padding=(1, 0), groups=2), 2, 5, 6, np.float64, 0.1, 0)
+@example(ConvSpec(2, 2, (1, 3), padding=(0, 1), groups=2), 1, 5, 6, np.float64, 0.7, 0)
 @settings(max_examples=150, deadline=None)
-def test_batch_norm_matches_formula(n, c, h, w, dtype, momentum, seed):
+def test_batch_norm_matches_formula(spec, n, h, w, dtype, momentum, seed):
+    """Training conv2d_bn on every conv kernel against the naive convolution
+    and the textbook norm, through the chain to x and w."""
     rng = np.random.default_rng(seed)
-    xd = rnd(rng, n, c, h, w) * rng.uniform(0.1, 3.0, (1, c, 1, 1)) \
-        + rng.uniform(-2.0, 2.0, (1, c, 1, 1))
-    xd[:, rng.integers(c)] = rng.uniform(-2.0, 2.0)      # a channel with var = 0
-    x = Tensor(xd.astype(dtype), requires_grad=True)
+    c = spec.out_channels
+    wd = rnd(rng, *spec.weight_shape)
+    wd[rng.integers(c)] = 0.0                             # a channel with var = 0
+    x = Tensor(rnd(rng, n, spec.in_channels, h, w).astype(dtype), requires_grad=True)
+    wt = Tensor(wd.astype(dtype), requires_grad=True)
     gamma = Tensor(rng.uniform(0.5, 2.0, c).astype(dtype), requires_grad=True)
     beta = Tensor(rnd(rng, c).astype(dtype), requires_grad=True)
     mean0, var0 = rnd(rng, c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype)
     running = (mean0.copy(), var0.copy())
-    out = batch_norm(x, gamma, beta, 1e-5, running, momentum)
-    assert out.dtype == dtype and running[0].dtype == dtype
 
-    x64 = x.data.astype(np.float64)
-    gout = rnd(rng, n, c, h, w)
-    want, gx, ggamma, gbeta = batch_norm_oracle(
-        x64, gamma.data.astype(np.float64), beta.data.astype(np.float64), gout, 1e-5)
-    # float32 rounds the mean of the constant channel, and 1/sqrt(eps)
-    # magnifies that into its xhat
+    x64, w64 = x.data.astype(np.float64), wt.data.astype(np.float64)
+    y64 = conv2d_naive(x64, w64, None, spec)
+    var64 = y64.var(axis=(0, 2, 3))
+    # float32 rounding of the convolution is magnified by 1/std, and on a
+    # channel of near-zero variance by up to 1/sqrt(eps)
+    assume(dtype == np.float64 or ((var64 == 0) | (var64 > 1e-2)).all())
+
+    out = conv2d_bn(x, wt, gamma, beta, *running, spec, 1e-5,
+                    training=True, momentum=momentum)
+    assert out.dtype == dtype and running[0].dtype == dtype
+    # xhat is made in the kernel's own output buffer, not in x's
+    np.testing.assert_array_equal(x.data, x64.astype(dtype))
+    assert out.data.flags.c_contiguous
+
+    gout = rnd(rng, *out.shape)
+    want, gy, ggamma, gbeta = batch_norm_oracle(
+        y64, gamma.data.astype(np.float64), beta.data.astype(np.float64), gout, 1e-5)
+    gx, gw = conv2d_naive_grads(x64, w64, spec, gy)
     tol = 1e-10 if dtype == np.float64 else 1e-3
 
     def close(got, want, scale=None):
@@ -598,11 +622,12 @@ def test_batch_norm_matches_formula(n, c, h, w, dtype, momentum, seed):
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * (scale + 1.0))
 
     close(out.data, want)
-    close(running[0], (1 - momentum) * mean0 + momentum * x64.mean(axis=(0, 2, 3)))
-    close(running[1], (1 - momentum) * var0 + momentum * x64.var(axis=(0, 2, 3)))
+    close(running[0], (1 - momentum) * mean0 + momentum * y64.mean(axis=(0, 2, 3)))
+    close(running[1], (1 - momentum) * var0 + momentum * var64)
     out._backward(gout.astype(dtype))
-    assert x.grad.dtype == dtype
+    assert x.grad.dtype == wt.grad.dtype == dtype
     close(x.grad, gx)
+    close(wt.grad, gw)
     close(gamma.grad, ggamma, np.abs(gout).sum(axis=(0, 2, 3)).max())
     close(beta.grad, gbeta)
 
@@ -687,9 +712,12 @@ def test_batch_norm_gradients():
     x = Tensor(rnd(rng, 4, 3, 2, 2), requires_grad=True)
     gamma = Tensor(1.0 + 0.1 * rnd(rng, 3), requires_grad=True)
     beta = Tensor(0.1 * rnd(rng, 3), requires_grad=True)
+    unit, spec = unit_conv(3)
+    running = (np.zeros(3), np.ones(3))
 
     def loss():
-        z = global_avg_pool(batch_norm(x, gamma, beta))
+        z = global_avg_pool(conv2d_bn(x, unit, gamma, beta, *running, spec,
+                                      training=True))
         return softmax_cross_entropy(z, np.array([0, 1, 2, 0]))
 
     assert_grads(loss, [("x", x), ("gamma", gamma), ("beta", beta)],
