@@ -38,6 +38,9 @@ BUDGETS = {
 }
 BUDGET_TOLERANCE = 0.10
 
+# the most rows (group counts) sweep_tradeoff makes
+MAX_SWEEP_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class LayerCost:
@@ -107,10 +110,8 @@ class CostReport:
 
 # op name -> (record kind, per-image multiply-adds from the output shape and
 # the operand shapes); ops not listed (relu, add, permute_channels, ...) are free
-_CONV = ("conv", lambda out, x, w, *_: math.prod(out[1:]) * math.prod(w[1:]))
 _OP_COSTS = {
-    "conv2d": _CONV,
-    "conv2d_bn": _CONV,
+    "conv2d": ("conv", lambda out, x, w, *_: math.prod(out[1:]) * math.prod(w[1:])),
     "linear": ("linear", lambda out, x, w, *_: math.prod(w)),
     "global_avg_pool": ("pool", lambda out, x: math.prod(x[1:])),
     "coefficient_head": ("dysm", lambda out, x, w1, b1, w2, b2:
@@ -335,11 +336,14 @@ def sweep_tradeoff(budget: float, reduction: int,
     curves cross at G* = (O/(2R))^(1/3), where E = C = R*G*^2; widths
     beyond that point lose connectivity faster than they gain channels.
     """
-    if budget <= 0 or reduction <= 0:
-        raise ValueError("budget and reduction must be positive")
+    if not (math.isfinite(budget) and budget > 0) or reduction <= 0:
+        raise ValueError("budget must be finite and positive, and reduction positive")
     g_star = (budget / (2.0 * reduction)) ** (1.0 / 3.0)
     if max_groups is None:
         max_groups = max(8, math.ceil(g_star) + 2)
+    if max_groups > MAX_SWEEP_ROWS:
+        raise ValueError(f"the sweep would have {max_groups:.4g} rows, more than "
+                         f"{MAX_SWEEP_ROWS}; pass --max-groups up to {MAX_SWEEP_ROWS}")
     rows = []
     for g in range(1, max_groups + 1):
         channels = math.sqrt(budget * reduction * g / 2.0)

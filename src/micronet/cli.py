@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True,
                    help="pointwise madds per position")
     p.add_argument("--reduction", type=int, required=True)
-    p.add_argument("--max-groups", type=_positive, default=None)
+    p.add_argument("--max-groups", type=_at_least(1, analysis.MAX_SWEEP_ROWS),
+                   default=None)
     common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .module import Context, Module, conv_norm, he_normal
+from .module import Context, Module, he_normal
 from .tensor import ConvSpec, Tensor, conv2d, permute_channels
 
 
@@ -123,19 +123,17 @@ class MicroFacPointwise(Module):
         self.expand_w = he_normal(self.expand_spec.weight_shape,
                                   hidden // g2, rng, dtype)
 
-    def compress(self, x: Tensor, norm: Module | None = None,
-                 ctx: Context | None = None) -> Tensor:
-        return conv_norm(x, self.compress_w, self.compress_spec, norm, ctx)
+    def compress(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
+        return conv2d(x, self.compress_w, None, self.compress_spec, norm, ctx.training)
 
     def shuffle(self, x: Tensor) -> Tensor:
         return permute_channels(x, self.perm)
 
-    def expand(self, x: Tensor, norm: Module | None = None,
-               ctx: Context | None = None) -> Tensor:
-        return conv_norm(x, self.expand_w, self.expand_spec, norm, ctx)
+    def expand(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
+        return conv2d(x, self.expand_w, None, self.expand_spec, norm, ctx.training)
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return self.expand(self.shuffle(self.compress(x)))
+    def forward(self, x: Tensor, ctx: Context) -> Tensor:
+        return self.expand(self.shuffle(self.compress(x, ctx)), ctx)
 
     def expand_dense(self) -> np.ndarray:
         """Multiply the three factors out to the dense (C_out, C_in) matrix."""
@@ -225,11 +223,10 @@ class MicroFacDepthwise(Module):
         self.col_w = he_normal(self.col_spec.weight_shape, kernel, rng, dtype)
         self.row_w = he_normal(self.row_spec.weight_shape, kernel, rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context | None = None,
-                norm: Module | None = None) -> Tensor:
+    def forward(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
         """The column then the row stage; norm, if given, follows the row stage."""
-        return conv_norm(conv2d(x, self.col_w, None, self.col_spec),
-                         self.row_w, self.row_spec, norm, ctx)
+        return conv2d(conv2d(x, self.col_w, None, self.col_spec),
+                      self.row_w, None, self.row_spec, norm, ctx.training)
 
     def dense_kernel(self) -> np.ndarray:
         """Outer-product k x k kernels, shape (C*expansion, 1, k, k)."""

@@ -10,10 +10,10 @@ Block kinds:
      connection whenever input and output shapes agree (three slots).
 
 Batch normalization follows every convolution stage and precedes its
-activation. Each convolution and its norm run as one `conv2d_bn` op: with
-batch statistics in training, and at eval time with the running statistics
-folded into the convolution. Stage-leading blocks carry stride 2 in the
-depthwise stage.
+activation. A BatchNorm2d is only the norm's state: each convolution runs
+with the norm after it as one `conv2d` op, with batch statistics in
+training, and at eval time with the running statistics folded into the
+convolution. Stage-leading blocks carry stride 2 in the depthwise stage.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups)
-from .module import Context, Module, conv_norm, he_normal, ones_param, zeros_param
-from .tensor import (ConvSpec, Tensor, add, conv2d_bn, dropout, global_avg_pool,
+from .module import Context, Module, he_normal, ones_param, zeros_param
+from .tensor import (ConvSpec, Tensor, add, conv2d, dropout, global_avg_pool,
                      linear, relu)
 
 VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
@@ -85,6 +85,11 @@ class ModelSpec:
             raise ValueError(f"unknown norm {self.norm!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.head_width <= 0 or self.hyper_reduction <= 0:
+            raise ValueError("head_width and hyper_reduction must be positive")
+        scale = self.coeff_scale
+        if not (isinstance(scale, (int, float)) and np.isfinite(scale)):
+            raise ValueError(f"coeff_scale must be a finite number, got {scale!r}")
         if sum(1 for b in self.blocks if b.kind == "B") > 1:
             raise ValueError("at most one transition (B) block per model")
 
@@ -118,6 +123,8 @@ class ModelSpec:
         if cfg.get("schema") != "micronet.model/1":
             raise ValueError(f"unsupported model config schema {cfg.get('schema')!r}")
         dy = cfg.get("dyshiftmax", {})
+        if not isinstance(dy, dict):
+            raise TypeError(f"dyshiftmax must be an object, got {dy!r}")
         return ModelSpec(
             name=cfg["name"],
             stem_width=cfg["stem"]["width"],
@@ -237,37 +244,25 @@ class Conv2dLayer(Module):
         self.spec = spec
         self.weight = he_normal(spec.weight_shape, spec.fan_in(), rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context | None = None,
-                norm: Module | None = None) -> Tensor:
-        return conv_norm(x, self.weight, self.spec, norm, ctx)
+    def forward(self, x: Tensor, ctx: Context,
+                norm: BatchNorm2d | None = None) -> Tensor:
+        return conv2d(x, self.weight, None, self.spec, norm, ctx.training)
 
 
 class BatchNorm2d(Module):
+    """The state of the batch norm after a convolution, which conv2d reads
+    from its norm argument: gamma, beta, the running statistics, eps and
+    momentum."""
+
     def __init__(self, channels: int, dtype, eps: float = 1e-5,
                  momentum: float = 0.1):
         super().__init__()
-        self.channels = channels
         self.eps = eps
         self.momentum = momentum
         self.gamma = ones_param((channels,), dtype)
         self.beta = zeros_param((channels,), dtype)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
-
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        # on its own, the norm of a unit per-channel 1x1 convolution
-        c = self.channels
-        unit = Tensor(np.ones((c, 1, 1, 1), dtype=x.dtype))
-        return self.after_conv(x, unit, ConvSpec(c, c, 1, groups=c), ctx)
-
-    def after_conv(self, x: Tensor, w: Tensor, spec: ConvSpec,
-                   ctx: Context | None = None) -> Tensor:
-        """This norm applied to conv2d(x, w), as one conv2d_bn op: with batch
-        statistics in training, else with the running statistics."""
-        return conv2d_bn(x, w, self.gamma, self.beta, self.running_mean,
-                         self.running_var, spec, self.eps,
-                         training=ctx is not None and ctx.training,
-                         momentum=self.momentum)
 
 
 class Identity(Module):
@@ -372,9 +367,9 @@ class MicroBlockBC(Module):
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
-        t = self.act2(self.pointwise.compress(t, self.norm2, ctx), ctx)
+        t = self.act2(self.pointwise.compress(t, ctx, self.norm2), ctx)
         t = self.pointwise.shuffle(t)
-        t = self.act3(self.pointwise.expand(t, self.norm3, ctx), ctx)
+        t = self.act3(self.pointwise.expand(t, ctx, self.norm3), ctx)
         if self.skip:
             t = add(t, x)
         return t

@@ -1,6 +1,5 @@
 """Tiny layer base: parameter, buffer and child registration by attribute,
-and conv_norm, which runs a bias-free convolution and the batch norm after
-it as one op in both modes."""
+and the per-call Context that carries the training flag."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import ConvSpec, Tensor, conv2d
+from .tensor import Tensor
 
 
 @dataclass
@@ -72,15 +71,6 @@ class Module:
         out = self.forward(x, ctx or Context(), **kwargs)
         tape.modules.pop()
         return out
-
-
-def conv_norm(x: Tensor, w: Tensor, spec: ConvSpec, norm: Module | None = None,
-              ctx: Context | None = None) -> Tensor:
-    """conv2d(x, w) without bias, followed by norm (a models.BatchNorm2d)
-    when one is given: then the pair is one op, norm.after_conv."""
-    if norm is None:
-        return conv2d(x, w, None, spec)
-    return norm.after_conv(x, w, spec, ctx)
 
 
 def he_normal(shape, fan_in: int, rng: np.random.Generator, dtype) -> Tensor:

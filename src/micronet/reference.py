@@ -98,11 +98,11 @@ def network_forward(net, x: np.ndarray, training: bool = False,
     forward is compared on a network built with dropout 0."""
     # imported here: dyshiftmax, and through it models, import this module
     from .dyshiftmax import DyShiftMax, reference_eval
-    from .models import BatchNorm2d, ReLU
+    from .models import ReLU
 
     def conv(t, w, spec, norm=None):
         y = conv2d_naive(t, w.data, None, spec, counter)
-        if not isinstance(norm, BatchNorm2d):
+        if norm is None:
             return y
         if training:
             mean, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))

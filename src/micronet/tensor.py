@@ -183,7 +183,7 @@ def _pair(v):
 # vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
 # out may be a strided view of a buffer the kernel owns, never of x or w;
 # _output makes it C-ordered with at most one copy and adds the bias, and
-# training conv2d_bn then overwrites it with xhat.
+# conv2d's training norm then overwrites it with xhat.
 
 def _output(view: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """A kernel's output as a C-ordered array plus a per-channel bias.
@@ -477,42 +477,24 @@ def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
     return _conv_im2col
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped 2-d convolution (cross-correlation) of x with w.
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
+           norm=None, training: bool = False) -> Tensor:
+    """Grouped 2-d convolution (cross-correlation) of x with w, followed by
+    norm, the per-channel batch normalization after it, when one is given.
 
-    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or None.
-    Unpadded stride-1 1x1 kernels and depthwise kernels (one input channel
-    per group) take specialized paths, and a batch of short 1-D depthwise
-    filters runs as banded matrix products; everything else, expanding and
-    short strided depthwise filters included, unfolds windows.
-    """
-    out, vjp = _conv_kernel(x, w, spec)(x.data, w.data, spec)
-    out = _output(out, None if bias is None else bias.data)
+    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or
+    None. Unpadded stride-1 1x1 kernels and depthwise kernels (one input
+    channel per group) take specialized paths, and a batch of short 1-D
+    depthwise filters runs as banded matrix products; everything else,
+    expanding and short strided depthwise filters included, unfolds windows.
 
-    parents = [x, w] if bias is None else [x, w, bias]
-
-    def backward(gout):
-        gx, gw = vjp(gout, x.requires_grad, w.requires_grad)
-        if gw is not None:
-            _accumulate(w, gw)
-        if gx is not None:
-            _accumulate(x, gx)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, gout.sum(axis=(0, 2, 3)))
-
-    return _result(out, parents, backward)
-
-
-def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
-              running_mean: np.ndarray, running_var: np.ndarray, spec: ConvSpec,
-              eps: float = 1e-5, training: bool = False,
-              momentum: float = 0.1) -> Tensor:
-    """conv2d(x, w) followed by per-channel batch normalization, as one op.
-
-    At eval time the norm uses the running statistics: it is the map
-    y -> a*y + b with a = gamma / sqrt(var + eps) and b = beta - mean * a,
-    so it folds into the convolution, conv2d(x, w * a) + b, with b added in
-    place on the kernel's C-ordered output.
+    norm holds the batch-norm state (a models.BatchNorm2d): gamma and beta
+    Tensors, running_mean and running_var arrays, eps and momentum. A
+    convolution with a norm takes no bias. At eval time the norm uses the
+    running statistics: it is the map y -> a*y + b with
+    a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
+    the convolution, conv2d(x, w * a) + b, with b added in place on the
+    kernel's C-ordered output.
 
     In training it uses this batch's statistics over (N, H, W), computed
     once (channel sums as matrix-vector products over the contiguous H*W
@@ -523,6 +505,26 @@ def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     and sum(g * xhat), and hands the norm's gradient to the kernel's vjp.
     """
     kernel = _conv_kernel(x, w, spec)
+    if norm is None:
+        out, vjp = kernel(x.data, w.data, spec)
+        out = _output(out, None if bias is None else bias.data)
+        parents = [x, w] if bias is None else [x, w, bias]
+
+        def backward(gout):
+            gx, gw = vjp(gout, x.requires_grad, w.requires_grad)
+            if gw is not None:
+                _accumulate(w, gw)
+            if gx is not None:
+                _accumulate(x, gx)
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+
+        return _result(out, parents, backward)
+
+    if bias is not None:
+        raise ValueError("a convolution followed by a norm takes no bias")
+    gamma, beta = norm.gamma, norm.beta
+    running_mean, running_var = norm.running_mean, norm.running_var
     if training:
         out, vjp = kernel(x.data, w.data, spec)
         y = _output(out, None)
@@ -543,14 +545,14 @@ def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
         xhat -= per_element(mean)
         xv = xhat.reshape(n, c, hw)
         var = np.einsum("ncl,ncl->c", xv, xv) / m
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + norm.eps)
         xhat *= per_element(inv)
         out = xhat * per_element(gamma.data)
         out += per_element(beta.data)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - norm.momentum
+        running_mean += norm.momentum * mean
+        running_var *= 1.0 - norm.momentum
+        running_var += norm.momentum * var
 
         def backward(g):
             sg = channel_sum(g)
@@ -572,7 +574,7 @@ def conv2d_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
 
         return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
 
-    inv = 1.0 / np.sqrt(running_var + eps)
+    inv = 1.0 / np.sqrt(running_var + norm.eps)
     a = gamma.data * inv
     b = beta.data - running_mean * a
     out, vjp = kernel(x.data, w.data * a[:, None, None, None], spec)

@@ -176,12 +176,12 @@ def restore_state(net: Network, state: dict) -> None:
 def load_model(path) -> Network:
     """Rebuild the archived model and restore its weights."""
     config, state = load_archive(path)
-    try:
-        spec = ModelSpec.from_config(config)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ArchiveError(f"bad model config: {e}") from None
     dtypes = {v.dtype for v in state.values() if v.dtype.kind == "f"}
     dtype = np.float64 if np.dtype("float64") in dtypes else np.float32
-    net = Network(spec, rng=np.random.default_rng(0), dtype=dtype)
+    try:
+        net = Network(ModelSpec.from_config(config), rng=np.random.default_rng(0),
+                      dtype=dtype)
+    except (KeyError, OverflowError, TypeError, ValueError) as e:
+        raise ArchiveError(f"bad model config: {e}") from None
     restore_state(net, state)
     return net

@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import json
 import struct
 import zlib
 
@@ -86,3 +87,17 @@ def tensor_record(name: bytes, tag: int, dims, payload=b"") -> bytes:
     """One raw archive record: name, dtype tag, rank, dims, payload."""
     return (struct.pack("<I", len(name)) + name + struct.pack("<II", tag, len(dims))
             + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+def with_config(archive: bytes, path, value) -> bytes:
+    """archive with one field of its model config replaced and the checksum
+    redone; path is the keys and list indices down to the field."""
+    (size,) = struct.unpack_from("<I", archive, 8)
+    config = json.loads(archive[12:12 + size])
+    owner = config
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    blob = json.dumps(config).encode()
+    return reseal(archive[:8] + struct.pack("<I", len(blob)) + blob
+                  + archive[12 + size:-4])

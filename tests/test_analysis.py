@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micronet.analysis import (BUDGETS, check_budget, count_costs,
-                               format_json, format_sweep, rank_law_holds,
+from micronet.analysis import (BUDGETS, MAX_SWEEP_ROWS, _OP_COSTS, check_budget,
+                               count_costs, format_json, format_sweep, rank_law_holds,
                                sweep_tradeoff, verify_connectivity,
                                verify_factorization, verify_model,
                                verify_rank)
@@ -163,6 +163,15 @@ def test_tape_keeps_no_arrays():
     assert traced <= 2 * forward, (traced, forward)
 
 
+def test_op_costs_name_live_ops():
+    # a deleted or renamed op cannot leave a cost entry behind: each key is
+    # a tensor op, a function of micronet.tensor that returns a Tensor
+    for op in _OP_COSTS:
+        fn = getattr(tensor, op, None)
+        assert callable(fn) and fn.__module__ == tensor.__name__, op
+        assert fn.__annotations__.get("return") == "Tensor", op
+
+
 def test_cost_json_and_table_formats():
     report = count_costs(build_model("tiny", seed=0), 32)
     payload = report.to_json()
@@ -248,5 +257,12 @@ def test_sweep_validation_and_format():
         sweep_tradeoff(0, 2)
     with pytest.raises(ValueError):
         sweep_tradeoff(108, 0)
+    for budget in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_tradeoff(budget, 2)
+    with pytest.raises(ValueError, match="--max-groups"):
+        sweep_tradeoff(108, 2, max_groups=MAX_SWEEP_ROWS + 1)
+    rows = sweep_tradeoff(108, 2, max_groups=MAX_SWEEP_ROWS)["rows"]
+    assert len(rows) == MAX_SWEEP_ROWS
     text = format_sweep(sweep_tradeoff(108, 2))
     assert "balance point" in text and "G=3" in text

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import reseal, seal_archive
+from helpers import reseal, seal_archive, with_config
 
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, main)
@@ -164,6 +164,24 @@ def _tiny_archive(tmp_path):
     return weights
 
 
+@pytest.mark.parametrize("path, value", [
+    (("blocks", 0, "kernel"), "3"), (("num_classes",), "2"), (("group_lam",), "a"),
+    (("head_width",), 0), (("dyshiftmax", "reduction"), 0),
+    (("blocks", 0, "kernel"), 4), (("blocks", 0, "width"), 5), (("stem", "width"), 0),
+    (("blocks", 0, "hidden"), 0), (("dyshiftmax", "num_shifts"), 0),
+])
+def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
+    # a sealed archive whose config cannot build a model is malformed (exit 4)
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    weights = _tiny_archive(tmp_path)
+    weights.write_bytes(with_config(weights.read_bytes(), path, value))
+    code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert "bad model config" in err
+
+
 def test_exit_code_dataset_dims_overflow(tmp_path, capsys):
     # count 0 makes the expected payload 0 bytes, so only the shape is wrong
     ds = tmp_path / "ds"
@@ -305,6 +323,8 @@ def test_seed_env_variable(monkeypatch, capsys):
     (["verify", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
     (["bench", "--variant", "tiny", "--resolution", "0"], "--resolution"),
     (["bench", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
+    (["sweep", "--budget", "100", "--reduction", "4", "--max-groups", "4097"],
+     "--max-groups"),
 ])
 def test_counts_are_validated(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -313,6 +333,24 @@ def test_counts_are_validated(argv, flag, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert flag in err
+
+
+@pytest.mark.parametrize("budget, reduction, message", [
+    ("inf", "4", "finite"), ("nan", "4", "finite"), ("0", "4", "positive"),
+    ("1e300", "1", "--max-groups"), ("1e12", "1", "7940 rows"),
+])
+def test_sweep_rejects_unusable_budgets(budget, reduction, message, capsys):
+    # 1e300 would make about 8e99 rows by default
+    code, out, err = run(capsys, "sweep", "--budget", budget, "--reduction", reduction)
+    one_line_error(code, out, err, EXIT_USAGE)
+    assert message in err
+
+
+def test_sweep_huge_budget_with_max_groups(capsys):
+    code, out, _ = run(capsys, "sweep", "--budget", "1e300", "--reduction", "1",
+                       "--max-groups", "3", "--json")
+    assert code == EXIT_OK
+    assert [r["groups"] for r in json.loads(out)["rows"]] == [1, 2, 3]
 
 
 def test_bench_without_warmup(pinned, capsys):

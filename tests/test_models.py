@@ -10,13 +10,13 @@ import pytest
 
 from micronet.analysis import count_costs
 from micronet.dyshiftmax import DyShiftMax
-from micronet import models
+from micronet import microfac, models
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
                              MicroBlockBC, ModelSpec, Network, ReLU, VARIANTS,
                              build_model, model_spec)
 from micronet.module import Context
 from micronet.reference import MAddCounter, network_forward
-from micronet.tensor import ConvSpec, Tensor, no_grad
+from micronet.tensor import ConvSpec, Tensor, conv2d, no_grad
 
 
 def test_variant_table_shape():
@@ -122,20 +122,24 @@ def test_norm_after_conv_folds_at_eval_only():
     folded_bn.running_var[:] = rng.uniform(0.2, 2.0, 6)
     plain_bn = copy.deepcopy(folded_bn)
     x = Tensor(rng.standard_normal((3, 4, 6, 5)))
+    # the norm on its own: conv2d with it after a unit per-channel 1x1 conv
+    unit, unit_spec = Tensor(np.ones((6, 1, 1, 1))), ConvSpec(6, 6, 1, groups=6)
 
     ev = Context(training=False)
-    y = conv(x, ev).data
+    y = conv(x, ev)
     a = plain_bn.gamma.data / np.sqrt(plain_bn.running_var + plain_bn.eps)
-    want = (y - plain_bn.running_mean[:, None, None]) * a[:, None, None] \
+    want = (y.data - plain_bn.running_mean[:, None, None]) * a[:, None, None] \
         + plain_bn.beta.data[:, None, None]
     np.testing.assert_allclose(conv(x, ev, norm=folded_bn).data, want, atol=1e-12)
-    np.testing.assert_allclose(plain_bn(Tensor(y), ev).data, want, atol=1e-12)
+    np.testing.assert_allclose(conv2d(y, unit, None, unit_spec, plain_bn, False).data,
+                               want, atol=1e-12)
 
     # training runs the pair as one op with batch statistics: bitwise equal to
     # the norm on its own after the convolution, statistics updated once
     tr = Context(training=True)
-    np.testing.assert_array_equal(conv(x, tr, norm=folded_bn).data,
-                                  plain_bn(conv(x, tr), tr).data)
+    np.testing.assert_array_equal(
+        conv(x, tr, norm=folded_bn).data,
+        conv2d(conv(x, tr), unit, None, unit_spec, plain_bn, True).data)
     np.testing.assert_array_equal(folded_bn.running_mean, plain_bn.running_mean)
     np.testing.assert_array_equal(folded_bn.running_var, plain_bn.running_var)
 
@@ -145,23 +149,24 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
     net = build_model("tiny", seed=0, dtype=np.float64)
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
     want = net(x, Context(training=training)).data
-    calls = []
-    fold = models.conv2d_bn
+    calls = []                      # (weight, norm) of each convolution
+    real = models.conv2d
 
-    def counted(x, w, gamma, *args, **kwargs):
-        calls.append(id(gamma))
-        return fold(x, w, gamma, *args, **kwargs)
+    def counted(x, w, bias, spec, norm=None, training=False):
+        calls.append((id(w), norm))
+        return real(x, w, bias, spec, norm, training)
 
-    def unfused(self, x, ctx=None):
-        raise AssertionError("a norm ran on its own")
-
-    monkeypatch.setattr(models, "conv2d_bn", counted)
-    monkeypatch.setattr(BatchNorm2d, "forward", unfused)
+    monkeypatch.setattr(models, "conv2d", counted)
+    monkeypatch.setattr(microfac, "conv2d", counted)
     # a training Context's default rng is seeded, so its dropout repeats too
     np.testing.assert_array_equal(net(x, Context(training=training)).data, want)
-    # each of the 6 norms folded into its convolution exactly once
-    gammas = {id(m.gamma) for _, m in net.named_buffers() if isinstance(m, BatchNorm2d)}
-    assert sorted(calls) == sorted(gammas) and len(gammas) == 6
+    # one call per convolution weight of the network, so no norm ran on a
+    # convolution of its own; each of the 6 norms ran in one of them, once
+    weights = [id(p) for _, p in net.named_params() if p.data.ndim == 4]
+    assert sorted(w for w, _ in calls) == sorted(weights)
+    norms = [id(m) for _, m in net.named_modules() if isinstance(m, BatchNorm2d)]
+    assert sorted(id(n) for _, n in calls if n is not None) == sorted(norms)
+    assert len(norms) == 6
 
 
 def test_eval_batch_composition_invariance():
@@ -298,6 +303,13 @@ def test_model_spec_validation():
         dataclasses.replace(base, norm="layer")
     with pytest.raises(ValueError):
         dataclasses.replace(base, dropout=1.5)
+    # each would divide by zero while building the network
+    for field in ("head_width", "hyper_reduction"):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(base, **{field: 0})
+    for scale in ("1", None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="coeff_scale"):
+            dataclasses.replace(base, coeff_scale=scale)
     with pytest.raises(ValueError):
         dataclasses.replace(base, blocks=(BlockSpec("B", 3, 16, 8),
                                           BlockSpec("B", 3, 32, 8)))

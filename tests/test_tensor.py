@@ -1,6 +1,8 @@
 """Kernel correctness against the naive reference loops, and gradient
 checks for every differentiable operation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import assert_grads, away_from_zero
@@ -13,13 +15,19 @@ from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
 from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_im2col, add, conv2d,
-                             conv2d_bn, dropout, global_avg_pool, linear, no_grad,
+                             dropout, global_avg_pool, linear, no_grad,
                              permute_channels, relu, shift_max, softmax,
                              softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
     return rng.standard_normal(shape)
+
+
+def norm_state(gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.1):
+    """The batch-norm state conv2d reads from its norm argument."""
+    return SimpleNamespace(gamma=gamma, beta=beta, running_mean=running_mean,
+                           running_var=running_var, eps=eps, momentum=momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,7 @@ def test_depthwise_kernel_dispatch(monkeypatch):
 @given(st.one_of(pointwise_specs(), depthwise_specs(), dense_specs()),
        st.integers(1, 2), st.integers(5, 7), st.integers(5, 7), st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
-def test_conv2d_bn_matches_conv_then_batch_norm(spec, n, h, w, seed):
+def test_conv2d_folded_norm_matches_conv_then_batch_norm(spec, n, h, w, seed):
     rng = np.random.default_rng(seed)
     c, eps = spec.out_channels, 1e-3
     x = Tensor(rnd(rng, n, spec.in_channels, h, w), requires_grad=True)
@@ -296,8 +304,11 @@ def test_conv2d_bn_matches_conv_then_batch_norm(spec, n, h, w, seed):
     gamma = Tensor(1.0 + 0.3 * rnd(rng, c), requires_grad=True)
     beta = Tensor(rnd(rng, c), requires_grad=True)
     mean, var = rnd(rng, c), rng.uniform(0.1, 2.0, c)
-    out = conv2d_bn(x, wt, gamma, beta, mean, var, spec, eps)
+    bn = norm_state(gamma, beta, mean, var, eps)
+    out = conv2d(x, wt, None, spec, bn)
     assert out.data.flags.c_contiguous
+    with pytest.raises(ValueError, match="no bias"):
+        conv2d(x, wt, beta, spec, bn)
 
     # the reference: conv2d, then y * a + b with the running statistics
     xr = Tensor(x.data, requires_grad=True)
@@ -530,7 +541,8 @@ def test_dropout_scales_survivors():
 
 
 def unit_conv(c):
-    """A unit per-channel 1x1 convolution: conv2d_bn on it is the norm alone."""
+    """A unit per-channel 1x1 convolution: conv2d on it with a norm is the
+    norm alone."""
     return Tensor(np.ones((c, 1, 1, 1))), ConvSpec(c, c, 1, groups=c)
 
 
@@ -542,8 +554,8 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
     unit, spec = unit_conv(3)
     # momentum 1 makes the running statistics this batch's
     running = (np.zeros(3), np.ones(3))
-    out = conv2d_bn(Tensor(x), unit, gamma, beta, *running, spec,
-                    training=True, momentum=1.0).data
+    bn = norm_state(gamma, beta, *running, momentum=1.0)
+    out = conv2d(Tensor(x), unit, None, spec, bn, training=True).data
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
     np.testing.assert_allclose(running[0], x.mean(axis=(0, 2, 3)), atol=1e-12)
@@ -551,7 +563,7 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
 
     # with the batch statistics as running statistics, eval normalizes the
     # same way
-    inf = conv2d_bn(Tensor(x), unit, gamma, beta, *running, spec).data
+    inf = conv2d(Tensor(x), unit, None, spec, bn).data
     np.testing.assert_allclose(inf, out, atol=1e-10)
 
 
@@ -584,8 +596,8 @@ def batch_norm_oracle(x, gamma, beta, g, eps):
 @example(ConvSpec(2, 2, (1, 3), padding=(0, 1), groups=2), 1, 5, 6, np.float64, 0.7, 0)
 @settings(max_examples=150, deadline=None)
 def test_batch_norm_matches_formula(spec, n, h, w, dtype, momentum, seed):
-    """Training conv2d_bn on every conv kernel against the naive convolution
-    and the textbook norm, through the chain to x and w."""
+    """Training conv2d with a norm on every conv kernel against the naive
+    convolution and the textbook norm, through the chain to x and w."""
     rng = np.random.default_rng(seed)
     c = spec.out_channels
     wd = rnd(rng, *spec.weight_shape)
@@ -604,8 +616,8 @@ def test_batch_norm_matches_formula(spec, n, h, w, dtype, momentum, seed):
     # channel of near-zero variance by up to 1/sqrt(eps)
     assume(dtype == np.float64 or ((var64 == 0) | (var64 > 1e-2)).all())
 
-    out = conv2d_bn(x, wt, gamma, beta, *running, spec, 1e-5,
-                    training=True, momentum=momentum)
+    out = conv2d(x, wt, None, spec, norm_state(gamma, beta, *running, 1e-5, momentum),
+                 training=True)
     assert out.dtype == dtype and running[0].dtype == dtype
     # xhat is made in the kernel's own output buffer, not in x's
     np.testing.assert_array_equal(x.data, x64.astype(dtype))
@@ -716,8 +728,8 @@ def test_batch_norm_gradients():
     running = (np.zeros(3), np.ones(3))
 
     def loss():
-        z = global_avg_pool(conv2d_bn(x, unit, gamma, beta, *running, spec,
-                                      training=True))
+        z = global_avg_pool(conv2d(x, unit, None, spec,
+                                   norm_state(gamma, beta, *running), training=True))
         return softmax_cross_entropy(z, np.array([0, 1, 2, 0]))
 
     assert_grads(loss, [("x", x), ("gamma", gamma), ("beta", beta)],
@@ -725,7 +737,7 @@ def test_batch_norm_gradients():
 
 
 def test_batch_norm_inference_gradients():
-    # the folded conv2d_bn on the pointwise, depthwise and im2col kernels
+    # conv2d with a folded norm on the pointwise, depthwise and im2col kernels
     rng = np.random.default_rng(11)
     for spec in (ConvSpec(4, 6, 1, groups=2),
                  ConvSpec(3, 6, (3, 1), stride=(2, 1), padding=(1, 0), groups=3),
@@ -736,11 +748,12 @@ def test_batch_norm_inference_gradients():
         gamma = Tensor(1.0 + 0.1 * rnd(rng, c), requires_grad=True)
         beta = Tensor(0.1 * rnd(rng, c), requires_grad=True)
         mean, var = rnd(rng, c) * 0.1, np.abs(rnd(rng, c)) + 0.5
-        out = conv2d_bn(x, w, gamma, beta, mean, var, spec).data
+        bn = norm_state(gamma, beta, mean, var)
+        out = conv2d(x, w, None, spec, bn).data
         assert np.abs(out).min() > 1e-3
 
         def loss():
-            z = relu(conv2d_bn(x, w, gamma, beta, mean, var, spec))
+            z = relu(conv2d(x, w, None, spec, bn))
             return softmax_cross_entropy(global_avg_pool(z), np.array([1, 2]))
 
         assert_grads(loss, [("x", x), ("w", w), ("gamma", gamma), ("beta", beta)])

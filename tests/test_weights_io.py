@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reseal, seal_archive, tensor_record
+from helpers import reseal, seal_archive, tensor_record, with_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micronet.models import build_model
+from micronet.module import Context
+from micronet.tensor import no_grad
 from micronet.weights_io import (ArchiveError, collect_state, load_archive,
                                  load_model, restore_state, save_weights)
 
@@ -172,6 +174,37 @@ def test_sealed_random_records_raise_only_archive_errors(tmp_path_factory, confi
         load_archive(path)
     except ArchiveError:
         pass
+
+
+def config_fields(config, path=()):
+    """The paths of every leaf of a model config, list items included."""
+    items = config.items() if isinstance(config, dict) else enumerate(config)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from config_fields(value, path + (key,))
+        yield path + (key,)
+
+
+TINY = build_model("tiny", seed=0)
+TINY_FIELDS = list(config_fields(TINY.spec.to_config()))
+
+
+@given(st.sampled_from(TINY_FIELDS), st.sampled_from(
+    ["3", "a", None, 0.5, 2.5, -1, 0, 2, 4, float("nan"), float("inf")]))
+@settings(max_examples=200, deadline=None)
+def test_hostile_model_config_raises_only_archive_errors(tmp_path_factory, path, value):
+    # a correctly sealed archive of tiny with one config field replaced: the
+    # model either loads and gives finite logits, or load_model raises
+    # ArchiveError
+    archive = tmp_path_factory.mktemp("cfg") / "w.mnwt"
+    save_weights(archive, TINY)
+    archive.write_bytes(with_config(archive.read_bytes(), path, value))
+    try:
+        net = load_model(archive)
+    except ArchiveError:
+        return
+    with no_grad():
+        assert np.isfinite(net(np.zeros((1, 3, 8, 8)), Context()).data).all()
 
 
 def test_trained_weights_round_trip_predictions(tmp_path):
