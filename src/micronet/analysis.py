@@ -336,8 +336,13 @@ def sweep_tradeoff(budget: float, reduction: int,
     curves cross at G* = (O/(2R))^(1/3), where E = C = R*G*^2; widths
     beyond that point lose connectivity faster than they gain channels.
     """
-    if not (math.isfinite(budget) and budget > 0) or reduction <= 0:
-        raise ValueError("budget must be finite and positive, and reduction positive")
+    try:
+        usable = (math.isfinite(budget) and budget > 0
+                  and math.isfinite(reduction) and reduction > 0)
+    except OverflowError:       # an int beyond float range
+        usable = False
+    if not usable:
+        raise ValueError("budget and reduction must be finite and positive")
     g_star = (budget / (2.0 * reduction)) ** (1.0 / 3.0)
     if max_groups is None:
         max_groups = max(8, math.ceil(g_star) + 2)

@@ -231,8 +231,6 @@ def _bench_env() -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.threads != 1:
-        raise ValueError("only --threads 1 is supported")
     env = _bench_env()
     running = env["threads_running"]
     if running is not None and running > 1:
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_resolution, default=224)
     p.add_argument("--repeats", type=_positive, default=200)
     p.add_argument("--warmup", type=_non_negative, default=50)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_bench)

@@ -421,8 +421,8 @@ class Network(Module):
 
     def forward(self, x, ctx: Context | None = None) -> Tensor:
         ctx = ctx or Context()
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
+        if x.dtype != self.dtype:
+            x = Tensor(x.data.astype(self.dtype))
         if x.data.ndim != 4 or x.shape[1] != 3:
             raise ValueError(f"expected input (N, 3, H, W), got {x.shape}")
         if not np.isfinite(x.data).all():

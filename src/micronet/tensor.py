@@ -227,86 +227,43 @@ def _phase_axis(a: int, s: int, p: int, size: int, grid: int):
 
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
-    """One input channel per group, each feeding og = C_out / C outputs.
+    """A depthwise 1-D filter with one output per channel and no padding
+    across it (_banded_axis(spec) is not None, C_out == C), forward only.
 
-    The padded input is split by stride phase (rows a::sh, columns b::sw)
-    and each phase is stored flat on an (hq, wq) grid. Tap (i, j) then
-    reads one contiguous run of phase (i % sh, j % sw), and the taps of a
-    phase are the windows of one strided view, contracted by one einsum.
-    Grid columns past OW are computed and dropped.
+    Along the filtered axis the padded input is split by stride phase a::s,
+    each phase stored on an (hq, across) grid. Tap i then reads one
+    contiguous run of phase i % s, and the taps of a phase are the windows
+    of one strided view, contracted by one einsum. A row filter runs on the
+    transposed map: einsum is fast when taps lie whole grid rows apart, slow
+    when one element apart. The vjp is im2col's, on columns rebuilt from x.
     """
-    kh, kw = spec.kernel
-    if kh == 1 < kw:
-        # a row filter is the column filter of the transposed map: einsum is
-        # fast when taps lie whole grid rows apart, slow when one element apart
-        t = ConvSpec(spec.in_channels, spec.out_channels, (kw, kh),
-                     spec.stride[::-1], spec.padding[::-1], spec.groups)
-        out, vjp_t = _conv_depthwise(xd.swapaxes(2, 3), wd.swapaxes(2, 3), t)
-
-        def vjp(gout, need_x, need_w):
-            grads = vjp_t(gout.swapaxes(2, 3), need_x, need_w)
-            return tuple(None if g is None else g.swapaxes(2, 3) for g in grads)
-
-        return out.swapaxes(2, 3), vjp
-    n, c, h, wdt = xd.shape
-    sh, sw = spec.stride
-    ph, pw = spec.padding
-    og = spec.out_channels // c
-    oh, ow = spec.out_size(h, wdt)
-    hq, wq = (kh - 1) // sh + oh, (kw - 1) // sw + ow
-    size = hq * wq + (kw - 1) // sw                        # end of the last run
-    run = oh * wq
-    w4 = wd.reshape(c, og, kh, kw)
-    # phase -> ((grid rows, input rows), (grid columns, input columns))
-    phases = {(a, b): (_phase_axis(a, sh, ph, h, hq), _phase_axis(b, sw, pw, wdt, wq))
-              for a in range(min(sh, kh)) for b in range(min(sw, kw))}
-
-    def grid(flat):
-        return flat[..., :hq * wq].reshape(flat.shape[:-1] + (hq, wq))
-
-    xq = {}
-    for key, ((gr, xr), (gc, xc)) in phases.items():
-        xq[key] = np.zeros((n, c, size), dtype=xd.dtype)
-        grid(xq[key])[:, :, gr, gc] = xd[:, :, xr, xc]
-
-    def windows(a, b):
-        """Phase (a, b) as (N, C, taps down, taps across, OH * wq) windows."""
-        buf = xq[a, b]
-        s0, s1, s2 = buf.strides
-        return np.ndarray((n, c, len(range(a, kh, sh)), len(range(b, kw, sw)), run),
-                          buf.dtype, buf, strides=(s0, s1, wq * s2, s2, s2))
-
-    parts = (np.einsum("nctul,cotu->ncol", windows(a, b), w4[:, :, a::sh, b::sw])
-             for a, b in phases)
-    out = next(parts)
-    for part in parts:
-        out += part
-    out = out.reshape(n, c, og, oh, wq)[..., :ow].reshape(n, spec.out_channels, oh, ow)
+    row = _banded_axis(spec) == 3
+    ax = 1 if row else 0
+    k, s, p = spec.kernel[ax], spec.stride[ax], spec.padding[ax]
+    olen = spec.out_size(*xd.shape[2:])[ax]
+    xt = xd.swapaxes(2, 3) if row else xd
+    n, c, length, across = xt.shape
+    hq = (k - 1) // s + olen
+    wk = wd.reshape(c, k)
+    out = None
+    for a in range(min(s, k)):
+        gr, xr = _phase_axis(a, s, p, length, hq)
+        xq = np.zeros((n, c, hq, across), dtype=xd.dtype)
+        xq[:, :, gr] = xt[:, :, xr]
+        # (N, C, taps, OL * across): tap t of the phase starts t grid rows down
+        windows = np.ndarray((n, c, len(range(a, k, s)), olen * across),
+                             xq.dtype, xq, strides=xq.strides)
+        part = np.einsum("nctl,ct->ncl", windows, wk[:, a::s])
+        if out is None:
+            out = part
+        else:
+            out += part
+    out = out.reshape(n, c, olen, across)
 
     def vjp(gout, need_x, need_w):
-        gq = gout.reshape(n, c, og, oh, ow)
-        if wq != ow:
-            gq = np.zeros((n, c, og, oh, wq), dtype=gout.dtype)
-            gq[..., :ow] = gout.reshape(n, c, og, oh, ow)
-        gq = gq.reshape(n, c, og, run)
-        dtype = np.result_type(gout, xd, wd)
-        gw = np.empty(w4.shape, dtype) if need_w else None
-        gxq = {key: np.zeros((n, c, size), dtype) for key in phases} if need_x else None
-        for i in range(kh):
-            for j in range(kw):
-                key, off = (i % sh, j % sw), (i // sh) * wq + j // sw
-                if need_w:
-                    gw[:, :, i, j] = np.einsum("ncol,ncl->co", gq, xq[key][..., off:off + run])
-                if need_x:
-                    gxq[key][..., off:off + run] += np.einsum("ncol,co->ncl", gq, w4[:, :, i, j])
-        gx = None
-        if need_x:
-            gx = np.zeros(xd.shape, dtype)
-            for key, ((gr, xr), (gc, xc)) in phases.items():
-                gx[:, :, xr, xc] = grid(gxq[key])[:, :, gr, gc]
-        return gx, None if gw is None else gw.reshape(wd.shape)
+        return _conv_im2col(xd, wd, spec)[1](gout, need_x, need_w)
 
-    return out, vjp
+    return (out.swapaxes(2, 3) if row else out), vjp
 
 
 # The longest filtered axis _conv_kernel gives _conv_banded: the band
@@ -315,8 +272,8 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
 _BANDED_MAX_LENGTH = 32
 
 
-# The most taps a strided depthwise filter with one output per channel may
-# have for _conv_kernel to give it _conv_im2col: with more, its one column
+# The most taps a strided depthwise 1-D filter with one output per channel
+# may have for _conv_kernel to give it _conv_im2col: with more, its one column
 # copy per tap costs more than the phase-grid einsum.
 _IM2COL_MAX_TAPS = 3
 
@@ -464,16 +421,16 @@ def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
     if spec.kernel == (1, 1) and spec.stride == (1, 1) and spec.padding == (0, 0):
         return _conv_pointwise
     if spec.groups == spec.in_channels:
-        # banded for a batch of short 1-D filters, im2col for expanding or
-        # short strided filters; README "Kernels" has the tables
+        # banded for a batch of short 1-D filters, the phase-grid einsum for
+        # other 1-D filters with one output per channel unless they stride
+        # with few taps, im2col for the rest; README "Kernels" has the tables
         axis = _banded_axis(spec)
         if axis is not None and x.shape[0] > 1 and x.shape[axis] <= _BANDED_MAX_LENGTH:
             return _conv_banded
         kh, kw = spec.kernel
-        if spec.out_channels > spec.in_channels or (
-                spec.stride != (1, 1) and kh * kw <= _IM2COL_MAX_TAPS):
-            return _conv_im2col
-        return _conv_depthwise
+        if axis is not None and spec.out_channels == spec.in_channels and (
+                spec.stride == (1, 1) or kh * kw > _IM2COL_MAX_TAPS):
+            return _conv_depthwise
     return _conv_im2col
 
 
@@ -483,9 +440,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     norm, the per-channel batch normalization after it, when one is given.
 
     x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or
-    None. Unpadded stride-1 1x1 kernels and depthwise kernels (one input
-    channel per group) take specialized paths, and a batch of short 1-D
-    depthwise filters runs as banded matrix products; everything else,
+    None. Unpadded stride-1 1x1 kernels and depthwise 1-D filters (one
+    input channel per group) take specialized paths, and a batch of short
+    1-D filters runs as banded matrix products; everything else, k x k,
     expanding and short strided depthwise filters included, unfolds windows.
 
     norm holds the batch-norm state (a models.BatchNorm2d): gamma and beta

@@ -119,9 +119,11 @@ def test_bench_reports_percentiles(pinned, capsys):
 
 
 def test_bench_rejects_multithreading(capsys):
-    code, _, err = run(capsys, "bench", "--variant", "tiny", "--threads", "2")
-    assert code == EXIT_USAGE
-    assert "threads" in err
+    # bench times one thread only: there is no --threads option to ask for more
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--variant", "tiny", "--threads", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(tmp_path, capsys):
@@ -338,9 +340,10 @@ def test_counts_are_validated(argv, flag, capsys):
 @pytest.mark.parametrize("budget, reduction, message", [
     ("inf", "4", "finite"), ("nan", "4", "finite"), ("0", "4", "positive"),
     ("1e300", "1", "--max-groups"), ("1e12", "1", "7940 rows"),
+    pytest.param("100", "1" + "0" * 400, "finite", id="reduction-1e400"),
 ])
 def test_sweep_rejects_unusable_budgets(budget, reduction, message, capsys):
-    # 1e300 would make about 8e99 rows by default
+    # 1e300 would make about 8e99 rows by default; 1e400 is beyond float range
     code, out, err = run(capsys, "sweep", "--budget", budget, "--reduction", reduction)
     one_line_error(code, out, err, EXIT_USAGE)
     assert message in err

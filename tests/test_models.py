@@ -84,6 +84,16 @@ def test_forward_shapes(variant):
     assert np.isfinite(out.data).all()
 
 
+def test_forward_casts_input_to_network_dtype():
+    net = build_model("M0", seed=0, dtype=np.float32)
+    x = np.random.default_rng(0).standard_normal((1, 3, 64, 64))
+    with no_grad():
+        got = net(x).data
+        want = net(x.astype(np.float32)).data
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, want)
+
+
 def test_forward_rejects_bad_inputs():
     net = build_model("tiny", seed=0)
     with pytest.raises(ValueError):

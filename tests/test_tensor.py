@@ -14,8 +14,8 @@ from micronet.models import build_model
 from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_im2col, add, conv2d,
-                             dropout, global_avg_pool, linear, no_grad,
+from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_depthwise, _conv_im2col,
+                             add, conv2d, dropout, global_avg_pool, linear, no_grad,
                              permute_channels, relu, shift_max, softmax,
                              softmax_cross_entropy)
 
@@ -178,14 +178,12 @@ def im2col_cases(draw):
     return spec, (draw(st.integers(1, 3)), spec.in_channels, h, w)
 
 
-@given(im2col_cases(), st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
-@settings(max_examples=200, deadline=None)
-def test_conv_im2col_matches_naive(case, dtype, seed):
-    spec, shape = case
+def assert_kernel_matches_naive(kernel, spec, shape, dtype, seed):
+    """kernel's forward and vjp against conv2d_naive and conv2d_naive_grads."""
     rng = np.random.default_rng(seed)
     x = rnd(rng, *shape).astype(dtype)
     wt = rnd(rng, *spec.weight_shape).astype(dtype)
-    out, vjp = _conv_im2col(x, wt, spec)
+    out, vjp = kernel(x, wt, spec)
     gout = rnd(rng, *out.shape).astype(dtype)
     gx, gw = vjp(gout, True, True)
     assert out.dtype == gx.dtype == gw.dtype == dtype
@@ -199,6 +197,33 @@ def test_conv_im2col_matches_naive(case, dtype, seed):
     np.testing.assert_allclose(out, conv2d_naive(x64, w64, None, spec), **tol)
     np.testing.assert_allclose(gx, want_gx, **tol)
     np.testing.assert_allclose(gw, want_gw, **tol)
+
+
+@given(im2col_cases(), st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_conv_im2col_matches_naive(case, dtype, seed):
+    assert_kernel_matches_naive(_conv_im2col, *case, dtype, seed)
+
+
+@st.composite
+def einsum_cases(draw):
+    """A spec _conv_depthwise takes (a k x 1 or 1 x k filter with og 1, k 1-5,
+    stride 1-3 and padding 0 to k + 1 along the filter, so that some taps
+    read only padding) and an input it fits: the filtered axis 1-8 long, the
+    other 1-5."""
+    c, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    s, p = draw(st.integers(1, 3)), draw(st.integers(0, k + 1))
+    length = draw(st.integers(max(1, k - 2 * p), 8))     # the filtered axis
+    across, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return ConvSpec(c, c, (k, 1), (s, 1), (p, 0), groups=c), (n, c, length, across)
+    return ConvSpec(c, c, (1, k), (1, s), (0, p), groups=c), (n, c, across, length)
+
+
+@given(einsum_cases(), st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_conv_depthwise_matches_naive(case, dtype, seed):
+    assert_kernel_matches_naive(_conv_depthwise, *case, dtype, seed)
 
 
 @st.composite
@@ -279,16 +304,22 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     assert ((16, 256, 2, 2), (3, 1), "_conv_banded") in stages
 
     # batch 16 at 224x224: banded up to a filtered axis of 32; past it,
-    # im2col when expanding or strided with at most 3 taps, else einsum
-    for shape, kernel, stride, og, want in [
-            ((16, 8, 56, 56), (3, 1), (2, 1), 4, "_conv_im2col"),
-            ((16, 32, 28, 56), (1, 3), (1, 2), 1, "_conv_im2col"),
-            ((16, 12, 28, 28), (5, 1), (2, 1), 1, "_conv_banded"),
-            ((16, 12, 56, 56), (5, 1), (2, 1), 1, "_conv_depthwise"),
-            ((16, 32, 56, 56), (3, 1), (1, 1), 1, "_conv_depthwise"),
-            ((16, 32, 56, 56), (3, 1), (1, 1), 2, "_conv_im2col")]:
+    # im2col when expanding or strided with at most 3 taps, else einsum. At
+    # batch 1 the einsum takes only 1-D filters with og 1 and no padding
+    # across them
+    for shape, kernel, stride, padding, og, want in [
+            ((16, 8, 56, 56), (3, 1), (2, 1), (1, 0), 4, "_conv_im2col"),
+            ((16, 32, 28, 56), (1, 3), (1, 2), (0, 1), 1, "_conv_im2col"),
+            ((16, 12, 28, 28), (5, 1), (2, 1), (2, 0), 1, "_conv_banded"),
+            ((16, 12, 56, 56), (5, 1), (2, 1), (2, 0), 1, "_conv_depthwise"),
+            ((16, 32, 56, 56), (3, 1), (1, 1), (1, 0), 1, "_conv_depthwise"),
+            ((16, 32, 56, 56), (3, 1), (1, 1), (1, 0), 2, "_conv_im2col"),
+            ((1, 16, 28, 28), (3, 3), (1, 1), (1, 1), 1, "_conv_im2col"),
+            ((1, 16, 28, 28), (3, 1), (1, 1), (1, 1), 1, "_conv_im2col"),
+            ((1, 16, 28, 28), (3, 1), (1, 1), (1, 0), 2, "_conv_im2col"),
+            ((1, 16, 28, 28), (1, 5), (1, 1), (0, 2), 1, "_conv_depthwise")]:
         c = shape[1]
-        spec = ConvSpec(c, c * og, kernel, stride, tuple(k // 2 for k in kernel), groups=c)
+        spec = ConvSpec(c, c * og, kernel, stride, padding, groups=c)
         x, w = Tensor(np.zeros(shape)), Tensor(np.zeros(spec.weight_shape))
         assert real(x, w, spec).__name__ == want
 
