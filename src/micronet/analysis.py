@@ -112,6 +112,9 @@ class CostReport:
 # the operand shapes); ops not listed (relu, add, permute_channels, ...) are free
 _OP_COSTS = {
     "conv2d": ("conv", lambda out, x, w, *_: math.prod(out[1:]) * math.prod(w[1:])),
+    # the column stage makes (C_out, OH, W), the row stage (C_out, OH, OW)
+    "conv2d_composed": ("conv", lambda out, x, col, row, *_:
+                        out[1] * out[2] * (x[3] * col[2] + out[3] * row[3])),
     "linear": ("linear", lambda out, x, w, *_: math.prod(w)),
     "global_avg_pool": ("pool", lambda out, x: math.prod(x[1:])),
     "coefficient_head": ("dysm", lambda out, x, w1, b1, w2, b2:
@@ -125,9 +128,10 @@ def trace_costs(module: Module, x) -> list[LayerCost]:
     """The cost records of one eval forward of module on x, read off a Tape.
 
     A record is named by the innermost module whose call ran the op, plus a
-    leaf for the pooling op ("pool") and for a linear op or an op whose
-    weight (second operand) another module holds: the weight's attribute
-    without "_w" (head.fc1, blocks.3.compress). Ops of one name add up and
+    leaf for the pooling op ("pool") and for a linear op, an op whose weight
+    (second operand) another module holds, or an op the root module runs
+    itself: the weight's attribute without "_w" (head.fc1, blocks.3.compress,
+    and compress for a bare MicroFacPointwise). Ops of one name add up and
     keep the last output shape. A parameter counts toward the op that reads
     it, a folded norm's toward "<parent>.norm". Records are ordered by the
     top-level unit they ran in, then convolutions, pooling and linear
@@ -151,7 +155,7 @@ def trace_costs(module: Module, x) -> list[LayerCost]:
         unit = units.setdefault(paths[id(stack[:2][-1])], len(units))
         weight = owners.get(operands[1][0]) if len(operands) > 1 else None
         leaf = "pool" if kind == "pool" else None
-        if weight and (op == "linear" or weight[0] != top):
+        if weight and (op == "linear" or weight[0] != top or not top):
             leaf = weight[1].removesuffix("_w")
         name = ".".join(filter(None, (top, leaf)))
         rec = records.setdefault(name, [kind, 0, 0, None, unit])
@@ -365,6 +369,11 @@ def sweep_tradeoff(budget: float, reduction: int,
         "channels": reduction * g_star * g_star,
         "exact": abs(g_star - round(g_star)) <= 1e-9,
     }
+    # the widest row is the last; 2 * reduction overflowing makes g_star 0
+    if not (math.isfinite(rows[-1].channels) and g_star > 0
+            and math.isfinite(crossing["channels"])):
+        raise ValueError(f"reduction {reduction:.4g} is too large for budget {budget:g}: "
+                         "the channel widths are not finite")
     return {
         "schema": SWEEP_SCHEMA,
         "budget": budget,

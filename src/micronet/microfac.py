@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .module import Context, Module, he_normal
-from .tensor import ConvSpec, Tensor, conv2d, permute_channels
+from .tensor import ConvSpec, Tensor, conv2d, conv2d_composed, permute_channels
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +224,18 @@ class MicroFacDepthwise(Module):
         self.row_w = he_normal(self.row_spec.weight_shape, kernel, rng, dtype)
 
     def forward(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
-        """The column then the row stage; norm, if given, follows the row stage."""
+        """The column then the row stage; norm, if given, follows the row stage.
+
+        At eval a pair that expands and strides runs as its one k x k
+        convolution, dense_kernel() under dense_spec() (README "Kernels")."""
+        if not ctx.training and self.out_channels > self.channels and self.stride > 1:
+            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm)
         return conv2d(conv2d(x, self.col_w, None, self.col_spec),
                       self.row_w, None, self.row_spec, norm, ctx.training)
 
     def dense_kernel(self) -> np.ndarray:
         """Outer-product k x k kernels, shape (C*expansion, 1, k, k)."""
-        col = self.col_w.data[:, 0, :, 0]
-        row = self.row_w.data[:, 0, 0, :]
-        return (col[:, :, None] * row[:, None, :])[:, None]
+        return self.col_w.data * self.row_w.data
 
     def dense_spec(self) -> ConvSpec:
         pad = (self.kernel - 1) // 2

@@ -261,7 +261,7 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     out = out.reshape(n, c, olen, across)
 
     def vjp(gout, need_x, need_w):
-        return _conv_im2col(xd, wd, spec)[1](gout, need_x, need_w)
+        return _im2col_vjp(xd, wd, spec, *_im2col(xd, spec))(gout, need_x, need_w)
 
     return (out.swapaxes(2, 3) if row else out), vjp
 
@@ -364,23 +364,35 @@ def _tap_range(t: int, s: int, p: int, size: int, olen: int):
     return o0, o1, slice(x0, x0 + s * (o1 - o0), s)
 
 
-def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
-    """Any geometry: copy each tap's window of the unpadded input into
-    (N, C, kh, kw, OH, OW) columns, zeroing only the strips where the tap
-    reads padding, then one matmul per (image, group) gives NCHW directly.
-    The backward scatters each tap's column gradient straight into gx."""
+def _im2col(xd: np.ndarray, spec: ConvSpec):
+    """Copy each tap's window of the unpadded input into (N, C, kh, kw, OH, OW)
+    columns, zeroing only the strips where the tap reads padding. Returns
+    them as (N, g, cg*kh*kw, OH*OW), a view, with each axis's tap ranges."""
     n, c, h, wdt = xd.shape
     kh, kw = spec.kernel
     sh, sw = spec.stride
     ph, pw = spec.padding
-    g = spec.groups
     oh, ow = spec.out_size(h, wdt)
 
     row_taps = [_tap_range(i, sh, ph, h, oh) for i in range(kh)]
     col_taps = [_tap_range(j, sw, pw, wdt, ow) for j in range(kw)]
+    # (source, column slice) per column tap. A window with several rows and a
+    # horizontal stride reads each column phase b::sw kh times or more, so
+    # each phase is copied once and every tap's copy then runs over
+    # contiguous rows: on block A's composed 3x3 at batch 16 (16, 4, 112, 112)
+    # this gather took 1.8 ms against 2.2 ms with every tap read strided
+    # (float32, one thread)
+    sources = [(xd, xs) for _, _, xs in col_taps]
+    if kh > 1 and sw > 1:
+        phases = {}
+        for j, (c0, c1, xs) in enumerate(col_taps):
+            b, q = xs.start % sw, xs.start // sw
+            if b not in phases:
+                phases[b] = np.ascontiguousarray(xd[:, :, :, b::sw])
+            sources[j] = (phases[b], slice(q, q + c1 - c0))
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
     for i, (r0, r1, ys) in enumerate(row_taps):
-        for j, (c0, c1, xs) in enumerate(col_taps):
+        for j, (c0, c1, _) in enumerate(col_taps):
             dst = cols[:, :, i, j]
             if r0:
                 dst[:, :, :r0] = 0
@@ -390,10 +402,20 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
                 dst[:, :, r0:r1, :c0] = 0
             if c1 < ow:
                 dst[:, :, r0:r1, c1:] = 0
-            dst[:, :, r0:r1, c0:c1] = xd[:, :, ys, xs]
-    cols = cols.reshape(n, g, -1, oh * ow)                 # (N, g, cg*kh*kw, OH*OW)
+            src, xs = sources[j]
+            dst[:, :, r0:r1, c0:c1] = src[:, :, ys, xs]
+    return cols.reshape(n, spec.groups, -1, oh * ow), row_taps, col_taps
+
+
+def _im2col_vjp(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec, cols, row_taps, col_taps):
+    """im2col's vjp from _im2col's columns and tap ranges: one matmul for gw
+    (summed over N), one for the column gradient, and a slice-add of each
+    tap's column gradient straight into gx."""
+    n, c, h, wdt = xd.shape
+    kh, kw = spec.kernel
+    g = spec.groups
+    oh, ow = spec.out_size(h, wdt)
     wmat = wd.reshape(g, spec.out_channels // g, -1)       # (g, og, cg*kh*kw)
-    out = np.matmul(wmat, cols).reshape(n, spec.out_channels, oh, ow)
 
     def vjp(gout, need_x, need_w):
         gv = gout.reshape(n, g, -1, oh * ow)               # (N, g, og, OH*OW)
@@ -408,11 +430,21 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
                     gx[:, :, ys, xs] += gcols[:, :, i, j, r0:r1, c0:c1]
         return gx, gw
 
-    return out, vjp
+    return vjp
 
 
-def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
-    """Check the operands against spec and pick the kernel that runs it."""
+def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
+    """Any geometry: _im2col's columns, then one matmul per (image, group)
+    gives NCHW directly."""
+    cols, row_taps, col_taps = _im2col(xd, spec)
+    oh, ow = spec.out_size(*xd.shape[2:])
+    wmat = wd.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    out = np.matmul(wmat, cols).reshape(xd.shape[0], spec.out_channels, oh, ow)
+    return out, _im2col_vjp(xd, wd, spec, cols, row_taps, col_taps)
+
+
+def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
+    """Check the operands' shapes against spec and pick the kernel that runs it."""
     _, c, _, _ = x.shape
     if c != spec.in_channels:
         raise ValueError(f"expected {spec.in_channels} input channels, got {c}")
@@ -432,6 +464,52 @@ def _conv_kernel(x: Tensor, w: Tensor, spec: ConvSpec):
                 spec.stride == (1, 1) or kh * kw > _IM2COL_MAX_TAPS):
             return _conv_depthwise
     return _conv_im2col
+
+
+def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
+                 bias: Tensor | None, norm, need_w: bool):
+    """kernel on x and the weights wd, then a per-channel bias or norm's eval
+    map y -> a*y + b, with a = gamma / sqrt(var + eps) and b = beta - mean * a,
+    folded into the convolution: conv(x, wd * a) + b, b added in place on
+    the kernel's C-ordered output.
+
+    Returns the output, the parents after x and the weights (bias, or gamma
+    and beta) and backward(gout), which accumulates the gradients of x and
+    of those parents and returns the gradient of wd (None unless need_w)."""
+    if norm is None:
+        out, vjp = kernel(x.data, wd, spec)
+
+        def backward(gout):
+            gx, gw = vjp(gout, x.requires_grad, need_w)
+            if gx is not None:
+                _accumulate(x, gx)
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+            return gw
+
+        return (_output(out, None if bias is None else bias.data),
+                [] if bias is None else [bias], backward)
+
+    gamma, beta = norm.gamma, norm.beta
+    inv = 1.0 / np.sqrt(norm.running_var + norm.eps)
+    a = gamma.data * inv
+    b = beta.data - norm.running_mean * a
+    out, vjp = kernel(x.data, wd * a[:, None, None, None], spec)
+
+    def backward(gout):
+        need_gamma = gamma.requires_grad
+        gx, gw = vjp(gout, x.requires_grad, need_w or need_gamma)
+        if gx is not None:
+            _accumulate(x, gx)
+        gb = gout.sum(axis=(0, 2, 3))
+        if need_gamma:
+            ga = (gw * wd).sum(axis=(1, 2, 3)) - norm.running_mean * gb
+            _accumulate(gamma, ga * inv)
+        if beta.requires_grad:
+            _accumulate(beta, gb)
+        return gw * a[:, None, None, None] if need_w else None
+
+    return _output(out, b), [gamma, beta], backward
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
@@ -462,96 +540,100 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     and sum(g * xhat), and hands the norm's gradient to the kernel's vjp.
     """
     kernel = _conv_kernel(x, w, spec)
-    if norm is None:
-        out, vjp = kernel(x.data, w.data, spec)
-        out = _output(out, None if bias is None else bias.data)
-        parents = [x, w] if bias is None else [x, w, bias]
+    if norm is not None and bias is not None:
+        raise ValueError("a convolution followed by a norm takes no bias")
+    if norm is None or not training:
+        out, tail, affine_backward = _conv_affine(x, w.data, spec, kernel, bias, norm,
+                                                  w.requires_grad)
 
         def backward(gout):
-            gx, gw = vjp(gout, x.requires_grad, w.requires_grad)
+            gw = affine_backward(gout)
             if gw is not None:
                 _accumulate(w, gw)
-            if gx is not None:
-                _accumulate(x, gx)
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, gout.sum(axis=(0, 2, 3)))
 
-        return _result(out, parents, backward)
+        return _result(out, [x, w, *tail], backward)
 
-    if bias is not None:
-        raise ValueError("a convolution followed by a norm takes no bias")
     gamma, beta = norm.gamma, norm.beta
     running_mean, running_var = norm.running_mean, norm.running_var
-    if training:
-        out, vjp = kernel(x.data, w.data, spec)
-        y = _output(out, None)
-        n, c, h, wdt = y.shape
-        hw = h * wdt
-        m = n * hw
-        ones = np.ones(hw, y.dtype)
+    out, vjp = kernel(x.data, w.data, spec)
+    y = _output(out, None)
+    n, c, h, wdt = y.shape
+    hw = h * wdt
+    m = n * hw
+    ones = np.ones(hw, y.dtype)
 
-        def channel_sum(a):
-            return (a.reshape(n, c, hw) @ ones).sum(axis=0)
+    def channel_sum(a):
+        return (a.reshape(n, c, hw) @ ones).sum(axis=0)
 
-        def per_element(v):
-            # factors repeated over H*W: elementwise passes run on (N, C*H*W)
-            return np.repeat(v, hw)
+    def per_element(v):
+        # factors repeated over H*W: elementwise passes run on (N, C*H*W)
+        return np.repeat(v, hw)
 
-        mean = channel_sum(y) / m
-        xhat = y.reshape(n, c * hw)                         # y centred, then scaled
-        xhat -= per_element(mean)
-        xv = xhat.reshape(n, c, hw)
-        var = np.einsum("ncl,ncl->c", xv, xv) / m
-        inv = 1.0 / np.sqrt(var + norm.eps)
-        xhat *= per_element(inv)
-        out = xhat * per_element(gamma.data)
-        out += per_element(beta.data)
-        running_mean *= 1.0 - norm.momentum
-        running_mean += norm.momentum * mean
-        running_var *= 1.0 - norm.momentum
-        running_var += norm.momentum * var
+    mean = channel_sum(y) / m
+    xhat = y.reshape(n, c * hw)                         # y centred, then scaled
+    xhat -= per_element(mean)
+    xv = xhat.reshape(n, c, hw)
+    var = np.einsum("ncl,ncl->c", xv, xv) / m
+    inv = 1.0 / np.sqrt(var + norm.eps)
+    xhat *= per_element(inv)
+    out = xhat * per_element(gamma.data)
+    out += per_element(beta.data)
+    running_mean *= 1.0 - norm.momentum
+    running_mean += norm.momentum * mean
+    running_var *= 1.0 - norm.momentum
+    running_var += norm.momentum * var
 
-        def backward(g):
-            sg = channel_sum(g)
-            sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
-            if gamma.requires_grad:
-                _accumulate(gamma, sgx)
-            if beta.requires_grad:
-                _accumulate(beta, sg)
-            # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
-            gy = xhat * per_element(-sgx / m)
-            gy -= per_element(sg / m)
-            gy += g.reshape(n, c * hw)
-            gy *= per_element(gamma.data * inv)
-            gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, w.requires_grad)
-            if gw is not None:
-                _accumulate(w, gw)
-            if gx is not None:
-                _accumulate(x, gx)
-
-        return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
-
-    inv = 1.0 / np.sqrt(running_var + norm.eps)
-    a = gamma.data * inv
-    b = beta.data - running_mean * a
-    out, vjp = kernel(x.data, w.data * a[:, None, None, None], spec)
-    out = _output(out, b)
-
-    def backward(gout):
-        need_gamma = gamma.requires_grad
-        gx, gw = vjp(gout, x.requires_grad, w.requires_grad or need_gamma)
+    def backward(g):
+        sg = channel_sum(g)
+        sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
+        if gamma.requires_grad:
+            _accumulate(gamma, sgx)
+        if beta.requires_grad:
+            _accumulate(beta, sg)
+        # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
+        gy = xhat * per_element(-sgx / m)
+        gy -= per_element(sg / m)
+        gy += g.reshape(n, c * hw)
+        gy *= per_element(gamma.data * inv)
+        gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, w.requires_grad)
+        if gw is not None:
+            _accumulate(w, gw)
         if gx is not None:
             _accumulate(x, gx)
-        if w.requires_grad:
-            _accumulate(w, gw * a[:, None, None, None])
-        gb = gout.sum(axis=(0, 2, 3))
-        if need_gamma:
-            ga = (gw * w.data).sum(axis=(1, 2, 3)) - running_mean * gb
-            _accumulate(gamma, ga * inv)
-        if beta.requires_grad:
-            _accumulate(beta, gb)
 
-    return _result(out, [x, w, gamma, beta], backward)
+    return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
+
+
+def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
+                    norm=None) -> Tensor:
+    """A depthwise kh x 1 column stage, then a 1 x kw row stage, with nothing
+    between them, run as one kh x kw depthwise convolution whose kernel is
+    their outer product, followed by norm's eval map (see conv2d). An eval
+    op: a norm always uses its running statistics.
+
+    spec is the composed convolution (groups == C_in): its vertical stride
+    and padding are the column stage's, its horizontal ones the row stage's.
+    col_w: (C_out, 1, kh, 1); row_w: (C_out, 1, 1, kw). The gradient gW of
+    the composed weight maps back onto the factors: gcol = sum_j gW * row,
+    grow = sum_i gW * col. The tape records one op, which analysis prices
+    as the two factorized stages."""
+    o, _, kh, kw = spec.weight_shape
+    if (spec.groups != spec.in_channels or col_w.shape != (o, 1, kh, 1)
+            or row_w.shape != (o, 1, 1, kw)):
+        raise ValueError(f"factors {col_w.shape} and {row_w.shape} do not compose "
+                         f"to the depthwise weight {spec.weight_shape}")
+    wd = col_w.data * row_w.data                            # (C_out, 1, kh, kw)
+    out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), None,
+                                              norm, col_w.requires_grad or row_w.requires_grad)
+
+    def backward(gout):
+        gw = affine_backward(gout)
+        if col_w.requires_grad:
+            _accumulate(col_w, (gw * row_w.data).sum(axis=3, keepdims=True))
+        if row_w.requires_grad:
+            _accumulate(row_w, (gw * col_w.data).sum(axis=2, keepdims=True))
+
+    return _result(out, [x, col_w, row_w, *tail], backward)
 
 
 # ---------------------------------------------------------------------------

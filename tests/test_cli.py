@@ -341,9 +341,11 @@ def test_counts_are_validated(argv, flag, capsys):
     ("inf", "4", "finite"), ("nan", "4", "finite"), ("0", "4", "positive"),
     ("1e300", "1", "--max-groups"), ("1e12", "1", "7940 rows"),
     pytest.param("100", "1" + "0" * 400, "finite", id="reduction-1e400"),
+    pytest.param("100", "1" + "0" * 308, "widths are not finite", id="reduction-1e308"),
 ])
 def test_sweep_rejects_unusable_budgets(budget, reduction, message, capsys):
-    # 1e300 would make about 8e99 rows by default; 1e400 is beyond float range
+    # 1e300 would make about 8e99 rows by default; 1e400 is beyond float
+    # range; 1e308 is within it, but its channel widths overflow to inf
     code, out, err = run(capsys, "sweep", "--budget", budget, "--reduction", reduction)
     one_line_error(code, out, err, EXIT_USAGE)
     assert message in err

@@ -150,6 +150,24 @@ def test_pointwise_madds_sum_of_stages():
     assert traced_madds(layer, np.zeros((2, 64, 7, 7))) == want
 
 
+def test_bare_layer_records_name_each_stage():
+    # ops a bare layer runs with its own weights are named by the weight
+    pointwise = MicroFacPointwise(64, 128, 32, rng=np.random.default_rng(0))
+    records = trace_costs(pointwise, np.zeros((1, 64, 7, 7)))
+    assert [(r.name, r.madds) for r in records] == [
+        ("compress", 7 * 7 * 32 * 64 // 4), ("expand", 7 * 7 * 128 * 32 // 8)]
+    depthwise = MicroFacDepthwise(4, 3, rng=np.random.default_rng(0))
+    records = trace_costs(depthwise, np.zeros((1, 4, 7, 7)))
+    assert [(r.name, r.madds) for r in records] == [("col", 7 * 7 * 4 * 3),
+                                                    ("row", 7 * 7 * 4 * 3)]
+    # an expanding strided pair is one composed op at eval, named by its
+    # first weight and priced as both stages: (8, 4, 7) then (8, 4, 4)
+    depthwise = MicroFacDepthwise(4, 3, 2, expansion=2, rng=np.random.default_rng(0))
+    records = trace_costs(depthwise, np.zeros((1, 4, 7, 7)))
+    assert [(r.name, r.madds, r.params) for r in records] == [
+        ("col", 8 * 4 * 7 * 3 + 8 * 4 * 4 * 3, 2 * 8 * 3)]
+
+
 def test_pointwise_gradients():
     rng = np.random.default_rng(4)
     layer = MicroFacPointwise(8, 12, 4, rng=rng)

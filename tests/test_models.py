@@ -159,21 +159,28 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
     net = build_model("tiny", seed=0, dtype=np.float64)
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
     want = net(x, Context(training=training)).data
-    calls = []                      # (weight, norm) of each convolution
-    real = models.conv2d
+    calls = []                      # (weights, norm) of each convolution op
+    real, real_composed = models.conv2d, microfac.conv2d_composed
 
     def counted(x, w, bias, spec, norm=None, training=False):
-        calls.append((id(w), norm))
+        calls.append(((id(w),), norm))
         return real(x, w, bias, spec, norm, training)
+
+    def counted_composed(x, col_w, row_w, spec, norm=None):
+        calls.append(((id(col_w), id(row_w)), norm))
+        return real_composed(x, col_w, row_w, spec, norm)
 
     monkeypatch.setattr(models, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d", counted)
+    monkeypatch.setattr(microfac, "conv2d_composed", counted_composed)
     # a training Context's default rng is seeded, so its dropout repeats too
     np.testing.assert_array_equal(net(x, Context(training=training)).data, want)
-    # one call per convolution weight of the network, so no norm ran on a
-    # convolution of its own; each of the 6 norms ran in one of them, once
+    # block 0's expanding strided depthwise pair is one composed op at eval
+    assert sum(len(ws) == 2 for ws, _ in calls) == (0 if training else 1)
+    # each convolution weight of the network is read by one op, so no norm
+    # ran on a convolution of its own; each of the 6 norms ran in one, once
     weights = [id(p) for _, p in net.named_params() if p.data.ndim == 4]
-    assert sorted(w for w, _ in calls) == sorted(weights)
+    assert sorted(w for ws, _ in calls for w in ws) == sorted(weights)
     norms = [id(m) for _, m in net.named_modules() if isinstance(m, BatchNorm2d)]
     assert sorted(id(n) for _, n in calls if n is not None) == sorted(norms)
     assert len(norms) == 6
@@ -248,6 +255,39 @@ def test_network_matches_naive_reference(variant):
             got = net(x, Context(training=training)).data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
         assert counter.count == 2 * madds
+
+
+@pytest.mark.parametrize("resolution", [9, 15, 33])
+def test_composed_block_a_costs_match_reference(resolution, monkeypatch):
+    # a kernel-5 block A at odd sizes: the eval forward runs its depthwise
+    # pair as one 5x5 convolution, priced as the two factorized stages the
+    # loop-based reference runs, not as 25 taps
+    spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
+        BlockSpec("A", 5, 16, 8, 2), BlockSpec("B", 3, 8, 4, 2)))
+    net = build_model(spec, dtype=np.float64, seed=0)
+    composed = []
+    real = microfac.conv2d_composed
+
+    def counted(x, *args):
+        composed.append(x.shape)
+        return real(x, *args)
+
+    monkeypatch.setattr(microfac, "conv2d_composed", counted)
+    report = count_costs(net, resolution)
+    assert len(composed) == 1
+    _, _, h, w = composed[0]
+    dw = net.blocks[0].depthwise
+    oh, ow = dw.dense_spec().out_size(h, w)
+    record = {r.name: r for r in report.records}["blocks.0.depthwise"]
+    assert record.madds == dw.col_spec.madds(h, w) + dw.row_spec.madds(oh, w)
+    assert record.madds != dw.dense_spec().madds(h, w)
+    x = np.random.default_rng(1).standard_normal((2, 3, resolution, resolution))
+    counter = MAddCounter()
+    want = network_forward(net, x, False, counter)
+    with no_grad():
+        got = net(x, Context(training=False)).data
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert counter.count == 2 * report.total_madds
 
 
 def test_num_classes_override():

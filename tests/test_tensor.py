@@ -15,8 +15,8 @@ from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
 from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_depthwise, _conv_im2col,
-                             add, conv2d, dropout, global_avg_pool, linear, no_grad,
-                             permute_channels, relu, shift_max, softmax,
+                             add, conv2d, conv2d_composed, dropout, global_avg_pool,
+                             linear, no_grad, permute_channels, relu, shift_max, softmax,
                              softmax_cross_entropy)
 
 
@@ -273,10 +273,11 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
 
 def test_depthwise_kernel_dispatch(monkeypatch):
     """The kernel each M0 depthwise stage gets, as in README "Kernels": for
-    one image at 224x224, im2col for the expanding and the strided 3-tap
-    stages and the phase-grid einsum for the rest; at batch 16 and 64x64
-    the banded kernel, except for the stem's grouped 1x3 (two outputs per
-    channel), which is im2col."""
+    one image at 224x224, im2col for the stem's 1x3 and for blocks 0-1,
+    whose expanding strided pairs run composed as one 3x3 convolution at
+    eval, and the phase-grid einsum for the rest; in training at batch 16
+    and 64x64 the banded kernel, except for the stem's grouped 1x3 (two
+    outputs per channel), which is im2col."""
     import micronet.tensor as tensor_mod
     picked = []
     real = tensor_mod._conv_kernel
@@ -292,8 +293,8 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     with no_grad():
         net(np.zeros((1, 3, 224, 224), np.float32), Context(training=False))
     names = [name for _, _, name in picked]
-    assert names == ["_conv_im2col"] * 5 + ["_conv_depthwise"] * 8
-    assert ((1, 8, 56, 56), (3, 1), "_conv_im2col") in picked
+    assert names == ["_conv_im2col"] * 3 + ["_conv_depthwise"] * 8
+    assert ((1, 8, 56, 56), (3, 3), "_conv_im2col") in picked
     assert ((1, 128, 14, 14), (5, 1), "_conv_depthwise") in picked
 
     picked.clear()
@@ -309,6 +310,8 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     # across them
     for shape, kernel, stride, padding, og, want in [
             ((16, 8, 56, 56), (3, 1), (2, 1), (1, 0), 4, "_conv_im2col"),
+            ((16, 8, 56, 56), (3, 3), (2, 2), (1, 1), 4, "_conv_im2col"),
+            ((1, 8, 56, 56), (3, 1), (2, 1), (1, 0), 4, "_conv_im2col"),
             ((16, 32, 28, 56), (1, 3), (1, 2), (0, 1), 1, "_conv_im2col"),
             ((16, 12, 28, 28), (5, 1), (2, 1), (2, 0), 1, "_conv_banded"),
             ((16, 12, 56, 56), (5, 1), (2, 1), (2, 0), 1, "_conv_depthwise"),
@@ -359,6 +362,61 @@ def test_conv2d_folded_norm_matches_conv_then_batch_norm(spec, n, h, w, seed):
     for got, want in ((x.grad, xr.grad), (wt.grad, wr.grad), (gamma.grad, ggamma),
                       (beta.grad, gout.sum(axis=(0, 2, 3)))):
         np.testing.assert_allclose(got, want, atol=1e-11, rtol=1e-10)
+
+
+@given(st.sampled_from([1, 3, 5, 7]), st.integers(1, 3), st.integers(2, 4),
+       st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+       st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_conv2d_composed_matches_factorized_pair(k, c, og, n, h, w, normed, seed):
+    # the k x 1 stride-(2, 1) column stage with og outputs per channel, then
+    # the 1 x k stride-(1, 2) row stage, against the one composed op, in
+    # eval mode with and without the norm after it
+    rng = np.random.default_rng(seed)
+    p, o = (k - 1) // 2, c * og
+    col_spec = ConvSpec(c, o, (k, 1), (2, 1), (p, 0), groups=c)
+    row_spec = ConvSpec(o, o, (1, k), (1, 2), (0, p), groups=o)
+    spec = ConvSpec(c, o, k, 2, p, groups=c)
+    data = [rnd(rng, n, c, h, w), rnd(rng, o, 1, k, 1), rnd(rng, o, 1, 1, k),
+            1.0 + 0.3 * rnd(rng, o), rnd(rng, o)]
+    mean, var = rnd(rng, o), rng.uniform(0.1, 2.0, o)
+
+    def leaves():
+        x, col, row, gamma, beta = (Tensor(a, requires_grad=True) for a in data)
+        bn = norm_state(gamma, beta, mean, var, 1e-3) if normed else None
+        return x, col, row, gamma, beta, bn
+
+    x, col, row, gamma, beta, bn = leaves()
+    out = conv2d_composed(x, col, row, spec, bn)
+    xr, colr, rowr, gammar, betar, bnr = leaves()
+    mid = conv2d(xr, colr, None, col_spec)
+    ref = conv2d(mid, rowr, None, row_spec, bnr)
+    assert out.shape == ref.shape and out.data.flags.c_contiguous
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert_close(out.data, ref.data)
+    gout = rnd(rng, *out.shape)
+    out._backward(gout)
+    ref._backward(gout)
+    mid._backward(mid.grad)
+    pairs = [(x, xr), (col, colr), (row, rowr)]
+    for got, want in pairs + ([(gamma, gammar), (beta, betar)] if normed else []):
+        assert_close(got.grad, want.grad)
+
+
+def test_conv2d_composed_validation():
+    x = Tensor(np.zeros((1, 2, 5, 5)))
+    spec = ConvSpec(2, 4, 3, 2, 1, groups=2)
+    col, row = Tensor(np.zeros((4, 1, 3, 1))), Tensor(np.zeros((4, 1, 1, 3)))
+    assert conv2d_composed(x, col, row, spec).shape == (1, 4, 3, 3)
+    with pytest.raises(ValueError, match="do not compose"):
+        conv2d_composed(x, row, col, spec)
+    with pytest.raises(ValueError, match="do not compose"):
+        conv2d_composed(x, col, row, ConvSpec(2, 4, 3, 2, 1, groups=1))
+    with pytest.raises(ValueError, match="input channels"):
+        conv2d_composed(Tensor(np.zeros((1, 3, 5, 5))), col, row, spec)
 
 
 def test_linear_and_pool_match_naive():
