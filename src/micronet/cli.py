@@ -3,8 +3,8 @@
 Subcommands: analyze, verify, infer, train, bench, sweep. Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
 3 missing or unreadable input file, 4 malformed archive or dataset. An
-output path that cannot be written, and a request too large to allocate
-(out of memory), are usage errors (2). Every error ends
+output path that cannot be written, a closed stdout, and a request too
+large to allocate (out of memory), are usage errors (2). Every error ends
 with one line on stderr. The MICRONET_SEED environment variable supplies
 the default seed where --seed is omitted.
 """
@@ -65,13 +65,26 @@ def _writing(path):
         raise OutputError(f"cannot write {e.filename or path}: {e.strerror or e}") from e
 
 
+def _print(text: str) -> None:
+    """Print text to stdout now; a failed write is an OutputError."""
+    with _writing("<stdout>"):
+        try:
+            print(text, flush=True)
+        except OSError:
+            # else the interpreter's own flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+
+
 def _emit(args, payload: dict, text: str) -> None:
+    """Print the report, as JSON with --json, or write it to the --output
+    file of a report command."""
     out = analysis.format_json(payload) if args.json else text
-    if getattr(args, "output", None):
-        with _writing(args.output), open(args.output, "w") as fh:
+    if getattr(args, "report", None):
+        with _writing(args.report), open(args.report, "w") as fh:
             fh.write(out + "\n")
     else:
-        print(out)
+        _print(out)
 
 
 def _load_nonempty(directory):
@@ -174,7 +187,7 @@ def cmd_train(args) -> int:
             batch_size=args.batch_size, momentum=args.momentum,
             weight_decay=args.weight_decay, seed=seed,
             target_accuracy=args.target_accuracy,
-            log=None if args.json else lambda s: print(
+            log=None if args.json else lambda s: _print(
                 f"epoch {s.epoch:3d}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
                 f"acc {s.accuracy:.4f}  {s.seconds:.2f}s"))
         eval_loss, eval_acc = evaluate(net, images, labels)
@@ -200,7 +213,7 @@ def cmd_train(args) -> int:
     text = (f"trained {args.variant} for {len(history)} epochs: "
             f"train acc {history[-1].accuracy:.4f}, eval acc {eval_acc:.4f}"
             + (f"\nsaved weights to {args.output}" if args.output else ""))
-    print(analysis.format_json(payload) if args.json else text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -282,8 +295,7 @@ def cmd_dataset(args) -> int:
         save_dataset(args.output, images, labels)
     payload = {"schema": "micronet.dataset/1", "count": args.count,
                "size": args.size, "directory": args.output}
-    print(analysis.format_json(payload) if args.json else
-          f"wrote {args.count} synthetic images to {args.output}")
+    _emit(args, payload, f"wrote {args.count} synthetic images to {args.output}")
     return EXIT_OK
 
 
@@ -326,11 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "for micro-factorized networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
-        if output:
-            p.add_argument("--output", help="write the report to a file")
+        p.add_argument("--output", dest="report", help="write the report to a file")
 
     p = sub.add_parser("analyze", help="per-layer madds/params table")
     p.add_argument("--variant", choices=VARIANTS, required=True)

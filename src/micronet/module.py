@@ -45,8 +45,8 @@ class Module:
             yield from child.named_params(f"{prefix}{cname}.")
 
     def named_buffers(self, prefix=""):
-        for name in self._buffers:
-            yield prefix + name, self
+        for name, array in self._buffers.items():
+            yield prefix + name, array
         for cname, child in self._children.items():
             yield from child.named_buffers(f"{prefix}{cname}.")
 

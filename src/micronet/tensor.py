@@ -217,15 +217,6 @@ def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     return out, vjp
 
 
-def _phase_axis(a: int, s: int, p: int, size: int, grid: int):
-    """Input indices y of one axis whose padded index y + p is a + s * r with
-    r < grid, as (slice of r, slice of y)."""
-    y0 = (a - p) % s
-    r0 = (y0 + p - a) // s
-    count = max(0, min(grid - r0, len(range(y0, size, s))))
-    return slice(r0, r0 + count), slice(y0, y0 + s * count, s)
-
-
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     """A depthwise 1-D filter with one output per channel and no padding
     across it (_banded_axis(spec) is not None, C_out == C), forward only.
@@ -247,9 +238,10 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     wk = wd.reshape(c, k)
     out = None
     for a in range(min(s, k)):
-        gr, xr = _phase_axis(a, s, p, length, hq)
+        # grid row r holds padded index a + s * r, which tap a of output r reads
+        r0, r1, xr = _tap_range(a, s, p, length, hq)
         xq = np.zeros((n, c, hq, across), dtype=xd.dtype)
-        xq[:, :, gr] = xt[:, :, xr]
+        xq[:, :, r0:r1] = xt[:, :, xr]
         # (N, C, taps, OL * across): tap t of the phase starts t grid rows down
         windows = np.ndarray((n, c, len(range(a, k, s)), olen * across),
                              xq.dtype, xq, strides=xq.strides)

@@ -1,15 +1,18 @@
-"""Binary weight archives.
+"""Binary weight archives, and the sealed container they share with
+datasets (data.py).
 
-Layout (all integers little-endian):
+A sealed file is a 4-byte magic, a body, and a u32 CRC-32 of every byte
+before it; the checksum is verified before any field of the body is
+parsed. An array in a body is a u32 dtype tag (DTYPE_TAGS), shape fields
+whose layout is the format's own, and the raw little-endian payload. All
+integers are little-endian. An archive is magic "MNWT" and the body
 
-  magic "MNWT" | u32 version | u32 config_len | config JSON |
-  u32 tensor_count | records... | u32 crc32
+  u32 version | u32 config_len | config JSON | u32 tensor_count | records...
 
 Each record is u32 name_len, name bytes, u32 dtype tag, u32 rank,
-rank * u64 dims, then the raw little-endian payload. The checksum covers
-every preceding byte and is verified before any parsing. Tensor names
-are the model's parameter and buffer names; an archive restores only
-into a model with exactly the same name set, shapes and dtypes.
+rank * u64 dims, then the payload. Tensor names are the model's
+parameter and buffer names; an archive restores only into a model with
+exactly the same name set, shapes and dtypes.
 """
 
 from __future__ import annotations
@@ -40,82 +43,104 @@ class ArchiveError(Exception):
     """Raised for malformed, corrupted or mismatched archives."""
 
 
+def _seal(path: Path, buf: bytearray) -> None:
+    """Append the CRC-32 of buf to it and write it to path."""
+    buf += struct.pack("<I", zlib.crc32(buf))
+    path.write_bytes(buf)
+
+
+def _unseal(path: Path, magic: bytes, header: int,
+            error: type[Exception]) -> memoryview:
+    """The body of the sealed file at path after its magic, checked in this
+    order: room for a header of that many bytes, the CRC-32, the magic."""
+    raw = memoryview(path.read_bytes())
+    if len(raw) < len(magic) + header + 4:
+        raise error(f"{path.name}: truncated file")
+    if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:
+        raise error(f"{path.name}: checksum mismatch")
+    if raw[:len(magic)] != magic:
+        raise error(f"{path.name}: bad magic")
+    return raw[len(magic):-4]
+
+
+def _encode_array(arr: np.ndarray, error: type[Exception],
+                  what: str) -> tuple[int, memoryview]:
+    """The dtype tag of arr and its little-endian payload; an unsupported
+    dtype raises error naming what."""
+    tag = DTYPE_TAGS.get(arr.dtype)
+    if tag is None:
+        raise error(f"{what}: unsupported dtype {arr.dtype}")
+    return tag, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
+
+
+def _decode_array(body: memoryview, tag: int, shape: tuple, error: type[Exception],
+                  what: str, whole: bool = False) -> tuple[np.ndarray, memoryview]:
+    """Decode the array of dtype tag and shape at the start of body; returns
+    it and the rest of body. A bad tag or shape, a body too short for the
+    payload, or with whole any byte after it, raises error naming what."""
+    dtype = TAG_DTYPES.get(tag)
+    if dtype is None:
+        raise error(f"{what}: unknown dtype tag {tag}")
+    # a Python int: an int64 product of untrusted dims can overflow
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > len(body):
+        raise error(f"{what}: shape {shape} needs {nbytes} bytes, "
+                    f"{len(body)} remain")
+    if whole and nbytes < len(body):
+        raise error(f"{what}: {len(body) - nbytes} trailing bytes after the payload")
+    arr = np.frombuffer(body[:nbytes], dtype=dtype.newbyteorder("<"))
+    try:
+        return arr.astype(dtype).reshape(shape), body[nbytes:]
+    except ValueError as e:                            # empty, but dims too large
+        raise error(f"{what}: bad shape {shape}: {e}") from None
+
+
 def collect_state(net: Network) -> dict:
     """Parameters and buffers by qualified name, in traversal order."""
-    state = {}
-    for name, p in net.named_params():
-        state[name] = p.data
-    for name, owner in net.named_buffers():
-        state[name] = owner._buffers[name.rsplit(".", 1)[-1]]
+    state = {name: p.data for name, p in net.named_params()}
+    state.update(net.named_buffers())
     return state
 
 
 class _Cursor:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
+    def __init__(self, rest: memoryview):
+        self.rest = rest
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+    def take(self, n: int) -> memoryview:
+        if n > len(self.rest):
             raise ArchiveError("truncated archive")
-        out = self.raw[self.pos:self.pos + n]
-        self.pos += n
+        out, self.rest = self.rest[:n], self.rest[n:]
         return out
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64s(self, n: int) -> tuple:
-        return struct.unpack(f"<{n}Q", self.take(8 * n)) if n else ()
-
-
-def _encode_array(name: str, arr: np.ndarray) -> bytes:
-    dtype = np.dtype(arr.dtype)
-    tag = DTYPE_TAGS.get(dtype)
-    if tag is None:
-        raise ArchiveError(f"unsupported dtype {dtype} for tensor {name!r}")
-    nb = name.encode("utf-8")
-    head = struct.pack("<I", len(nb)) + nb
-    head += struct.pack("<II", tag, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=dtype.newbyteorder("<")).tobytes()
-    return head + payload
-
 
 def save_weights(path, net: Network) -> None:
     state = collect_state(net)
     config = json.dumps(net.spec.to_config(), sort_keys=True).encode("utf-8")
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<I", len(config))
-    buf += config
+    buf = bytearray(MAGIC)
+    buf += struct.pack("<II", VERSION, len(config)) + config
     buf += struct.pack("<I", len(state))
     for name, arr in state.items():
-        buf += _encode_array(name, arr)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+        tag, payload = _encode_array(arr, ArchiveError, f"tensor {name!r}")
+        nb = name.encode("utf-8")
+        buf += struct.pack("<I", len(nb)) + nb
+        buf += struct.pack(f"<II{arr.ndim}Q", tag, arr.ndim, *arr.shape)
+        buf += payload
+    _seal(Path(path), buf)
 
 
 def load_archive(path) -> tuple[dict, dict]:
     """Read and checksum an archive. Returns (model config, state dict)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 16:
-        raise ArchiveError("truncated archive")
-    body, tail = raw[:-4], raw[-4:]
-    stored = struct.unpack("<I", tail)[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored:
-        raise ArchiveError("checksum mismatch")
-
-    cur = _Cursor(body)
-    if cur.take(4) != MAGIC:
-        raise ArchiveError("bad magic")
+    path = Path(path)
+    cur = _Cursor(_unseal(path, MAGIC, 12, ArchiveError))
     version = cur.u32()
     if version != VERSION:
         raise ArchiveError(f"unsupported archive version {version}")
     config_len = cur.u32()
     try:
-        config = json.loads(cur.take(config_len).decode("utf-8"))
+        config = json.loads(str(cur.take(config_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ArchiveError(f"bad config blob: {e}") from None
     if not isinstance(config, dict):
@@ -126,29 +151,18 @@ def load_archive(path) -> tuple[dict, dict]:
     state = {}
     for _ in range(count):
         try:
-            name = cur.take(cur.u32()).decode("utf-8")
+            name = str(cur.take(cur.u32()), "utf-8")
         except UnicodeDecodeError as e:
             raise ArchiveError(f"tensor name is not UTF-8: {e}") from None
-        tag = cur.u32()
-        dtype = TAG_DTYPES.get(tag)
-        if dtype is None:
-            raise ArchiveError(f"unknown dtype tag {tag} for tensor {name!r}")
-        rank = cur.u32()
+        tag, rank = cur.u32(), cur.u32()
         if rank > 8:
             raise ArchiveError(f"implausible rank {rank} for tensor {name!r}")
-        shape = cur.u64s(rank)
-        # a Python int: an int64 product of untrusted dims can overflow
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes > len(body) - cur.pos:
-            raise ArchiveError(f"tensor {name!r} of shape {shape} needs {nbytes} "
-                               f"bytes, {len(body) - cur.pos} remain")
-        arr = np.frombuffer(cur.take(nbytes), dtype=dtype.newbyteorder("<"))
-        try:
-            state[name] = arr.astype(dtype).reshape(shape)
-        except ValueError as e:                        # empty, but dims too large
-            raise ArchiveError(f"bad shape {shape} for tensor {name!r}: {e}") from None
-    if cur.pos != len(body):
-        raise ArchiveError("trailing bytes after last tensor")
+        shape = struct.unpack(f"<{rank}Q", cur.take(8 * rank))
+        state[name], cur.rest = _decode_array(cur.rest, tag, shape, ArchiveError,
+                                              f"tensor {name!r}")
+    if len(cur.rest):
+        raise ArchiveError(f"{path.name}: {len(cur.rest)} trailing bytes after "
+                           f"the last tensor")
     return config, state
 
 

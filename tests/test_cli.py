@@ -4,11 +4,15 @@ variable."""
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import reseal, seal_archive, with_config
 
+import micronet
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
                           EXIT_VERIFY, main)
 from micronet.data import IMAGES_NAME, save_dataset
@@ -427,6 +431,31 @@ def test_dataset_over_existing_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "dataset", "--count", "4", "--output", str(target))
     one_line_error(code, out, err, EXIT_USAGE)
     assert f"cannot write {target}" in err and target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--variant", "tiny"],
+    ["sweep", "--budget", "100", "--reduction", "4", "--json"],
+])
+def test_closed_stdout_is_a_usage_error(argv):
+    # the report cannot be written, so this is unwritable output (2), not an
+    # unreadable input (3); the read end of the pipe is closed before the
+    # command starts, so the write fails whatever the timing. stdout stays
+    # buffered, as by default, so that the interpreter's flush at exit would
+    # fail too and print a second error if the first one left the stream open
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(micronet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "micronet.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: cannot write <stdout>: Broken pipe\n"
 
 
 def test_unreadable_weights_exit_like_missing_ones(tmp_path, capsys):

@@ -6,14 +6,14 @@ import zlib
 
 import numpy as np
 import pytest
-from helpers import reseal
+from helpers import reseal, seal_archive, tensor_record
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micronet.data import (DatasetError, IMAGES_NAME, LABELS_NAME,
                            load_dataset, save_dataset)
 from micronet.train import make_synthetic
-from micronet.weights_io import TAG_DTYPES
+from micronet.weights_io import TAG_DTYPES, ArchiveError, load_archive
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
@@ -92,6 +92,34 @@ def test_zero_count_with_huge_dims_rejected(tmp_path):
     (tmp_path / LABELS_NAME).write_bytes(labels_file(0))
     with pytest.raises(DatasetError, match="bad shape"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("tag, dims, payload, match", [
+    (9, (1, 1, 1, 2), bytes(8), "unknown dtype tag 9"),
+    (2, (2**32 - 1,) * 4, b"", "needs"),
+    (1, (1, 1, 1, 3), bytes(8), "needs"),
+    (1, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1), b"", "bad shape"),
+    (1, (1, 1, 1, 2), bytes(12), "4 trailing bytes"),
+], ids=["unknown-tag", "dims-past-int64", "short-payload", "empty-huge-dims",
+        "trailing-bytes"])
+@pytest.mark.parametrize("container", ["archive", "dataset"])
+def test_malformed_array_header_rejected_by_both_containers(
+        tmp_path, container, tag, dims, payload, match):
+    # archives and datasets share one array codec: the same dtype tag, dims
+    # and payload fail in both, each with its own error naming the tensor or
+    # the file
+    if container == "archive":
+        path = tmp_path / "w.mnwt"
+        path.write_bytes(seal_archive(b"{}", [tensor_record(b"w", tag, dims, payload)]))
+        error, names, load = ArchiveError, ("'w'", "w.mnwt"), load_archive
+    else:
+        (tmp_path / IMAGES_NAME).write_bytes(images_file(dims, tag, payload))
+        (tmp_path / LABELS_NAME).write_bytes(labels_file(dims[0]))
+        path, error, names, load = tmp_path, DatasetError, (IMAGES_NAME,), load_dataset
+    with pytest.raises(error, match=match) as exc:
+        load(path)
+    message = str(exc.value)
+    assert "\n" not in message and any(name in message for name in names)
 
 
 def test_empty_dataset_loads(tmp_path):

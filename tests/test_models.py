@@ -242,8 +242,7 @@ def test_network_matches_naive_reference(variant):
     for _, p in net.named_params():
         # moves the norms off (1, 0) and the zero-initialized shift-max heads
         p.data += 0.2 * rng.standard_normal(p.shape)
-    for name, owner in net.named_buffers():
-        buf = getattr(owner, name.rsplit(".", 1)[-1])
+    for name, buf in net.named_buffers():
         buf[:] = rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var") \
             else 0.1 * rng.standard_normal(buf.shape)
     madds = count_costs(net, 32).total_madds
