@@ -65,15 +65,27 @@ def _writing(path):
         raise OutputError(f"cannot write {e.filename or path}: {e.strerror or e}") from e
 
 
-def _print(text: str) -> None:
-    """Print text to stdout now; a failed write is an OutputError."""
+@contextmanager
+def _stdout():
+    """Flush stdout when the block ends, even by an exception (argparse's
+    --help exits after a write it does not flush); a failed write is an
+    OutputError."""
     with _writing("<stdout>"):
         try:
-            print(text, flush=True)
+            try:
+                yield
+            finally:
+                sys.stdout.flush()
         except OSError:
             # else the interpreter's own flush at exit fails again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
+
+
+def _print(text: str) -> None:
+    """Print text to stdout now; a failed write is an OutputError."""
+    with _stdout():
+        print(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -412,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        with _stdout():
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except OutputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -102,13 +102,22 @@ def _result(data, parents, backward):
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g to t.grad, which later gradients are added to in place.
+
+    A first gradient becomes t.grad as a C-ordered copy of t's dtype: the
+    same g may be handed to several parents (add), or be a view (the
+    broadcast gx of coefficient_head, the banded kernel's transposed gx).
+    owned says that g is a fresh buffer the caller built for t alone and
+    no longer reads; it is kept without a copy when it already is C-ordered
+    and of t's dtype."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a C-ordered copy: the same g may be handed to several parents (see
-        # add), and g may be a transposed view
-        t.grad = g.astype(t.data.dtype, order="C", copy=True)
+        if owned and g.dtype == t.data.dtype and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = g.astype(t.data.dtype, order="C", copy=True)
     else:
         t.grad += g
 
@@ -474,9 +483,9 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
         def backward(gout):
             gx, gw = vjp(gout, x.requires_grad, need_w)
             if gx is not None:
-                _accumulate(x, gx)
+                _accumulate(x, gx, owned=True)
             if bias is not None and bias.requires_grad:
-                _accumulate(bias, gout.sum(axis=(0, 2, 3)))
+                _accumulate(bias, gout.sum(axis=(0, 2, 3)), owned=True)
             return gw
 
         return (_output(out, None if bias is None else bias.data),
@@ -492,13 +501,13 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
         need_gamma = gamma.requires_grad
         gx, gw = vjp(gout, x.requires_grad, need_w or need_gamma)
         if gx is not None:
-            _accumulate(x, gx)
+            _accumulate(x, gx, owned=True)
         gb = gout.sum(axis=(0, 2, 3))
         if need_gamma:
             ga = (gw * wd).sum(axis=(1, 2, 3)) - norm.running_mean * gb
-            _accumulate(gamma, ga * inv)
+            _accumulate(gamma, ga * inv, owned=True)
         if beta.requires_grad:
-            _accumulate(beta, gb)
+            _accumulate(beta, gb, owned=True)
         return gw * a[:, None, None, None] if need_w else None
 
     return _output(out, b), [gamma, beta], backward
@@ -541,7 +550,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
         def backward(gout):
             gw = affine_backward(gout)
             if gw is not None:
-                _accumulate(w, gw)
+                _accumulate(w, gw, owned=True)
 
         return _result(out, [x, w, *tail], backward)
 
@@ -578,20 +587,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     def backward(g):
         sg = channel_sum(g)
         sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
-        if gamma.requires_grad:
-            _accumulate(gamma, sgx)
-        if beta.requires_grad:
-            _accumulate(beta, sg)
         # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
         gy = xhat * per_element(-sgx / m)
         gy -= per_element(sg / m)
         gy += g.reshape(n, c * hw)
         gy *= per_element(gamma.data * inv)
+        if gamma.requires_grad:
+            _accumulate(gamma, sgx, owned=True)
+        if beta.requires_grad:
+            _accumulate(beta, sg, owned=True)
         gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, w.requires_grad)
         if gw is not None:
-            _accumulate(w, gw)
+            _accumulate(w, gw, owned=True)
         if gx is not None:
-            _accumulate(x, gx)
+            _accumulate(x, gx, owned=True)
 
     return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
 
@@ -621,9 +630,9 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
     def backward(gout):
         gw = affine_backward(gout)
         if col_w.requires_grad:
-            _accumulate(col_w, (gw * row_w.data).sum(axis=3, keepdims=True))
+            _accumulate(col_w, (gw * row_w.data).sum(axis=3, keepdims=True), owned=True)
         if row_w.requires_grad:
-            _accumulate(row_w, (gw * col_w.data).sum(axis=2, keepdims=True))
+            _accumulate(row_w, (gw * col_w.data).sum(axis=2, keepdims=True), owned=True)
 
     return _result(out, [x, col_w, row_w, *tail], backward)
 
@@ -640,11 +649,11 @@ def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data)
+            _accumulate(x, g @ w.data, owned=True)
         if w.requires_grad:
-            _accumulate(w, g.T @ x.data)
+            _accumulate(w, g.T @ x.data, owned=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(bias, g.sum(axis=0), owned=True)
 
     return _result(out, parents, backward)
 
@@ -656,7 +665,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())
+            _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),
+                        owned=True)
 
     return _result(out, [x], backward)
 
@@ -666,7 +676,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * (x.data > 0))
+            _accumulate(x, g * (x.data > 0), owned=True)
 
     return _result(out, [x], backward)
 
@@ -690,9 +700,122 @@ def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g[:, inv])
+            # np.take, unlike g[:, inv], gives a C-ordered array
+            _accumulate(x, np.take(g, inv, axis=1), owned=True)
 
     return _result(out, [x], backward)
+
+
+# The largest map, in H*W positions, on which shift_max runs its fusions as
+# elementwise passes: a batched matmul pays a fixed cost per (image, channel),
+# which a 2x2 map does not repay. On 4x4 the two are about even, and from
+# 8x8 up the matmul is faster (README "Kernels").
+_SHIFT_MAX_SMALL_MAP = 16
+
+
+def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
+    """The K fusions of x, as (N, C, H*W), as one batched matmul of the
+    transposed coefficients ad with a strided (N, C, J, H*W) view whose
+    slice j is x shifted by j*s: a view of one copy of x extended by its
+    first (J-1)*s channels, wrapping as often as needed.
+
+    Returns the (N, C, K, H*W) fusions, their K axis and vjp(gf, need_a,
+    need_x) -> (da, dx terms) for the routed gradient gf laid out like the
+    fusions: da is one matmul of the view with gf; dx term j, the gradient
+    of shifted copy j as (N, C, H*W), a slice of one matmul of ad with gf."""
+    n, c, hw = xv.shape
+    jn = ad.shape[2]
+    if jn == 1:
+        view = xv[:, :, None]
+    else:
+        xx = np.take(xv, np.arange(c + (jn - 1) * s), axis=1, mode="wrap")
+        b0, b1, b2 = xx.strides
+        view = np.ndarray((n, c, jn, hw), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
+    view.flags.writeable = False
+    fus = np.matmul(ad.transpose(0, 1, 3, 2), view)
+
+    def vjp(gf, need_a, need_x):
+        da = np.matmul(view, gf.transpose(0, 1, 3, 2)) if need_a else None
+        terms = _along(np.matmul(ad, gf), 2) if need_x else None
+        return da, terms
+
+    return fus, 2, vjp
+
+
+def _fusions_elementwise(xv: np.ndarray, ad: np.ndarray, s: int):
+    """The K fusions as elementwise passes over contiguous (N, C*H*W)
+    arrays: x shifted by j*s copied whole, and each coefficient repeated
+    over its channel's H*W positions, as conv2d's training norm repeats its
+    factors, so every pass runs over whole images however small the map.
+
+    Returns the (K, N, C*H*W) fusions, their K axis and a vjp like
+    _fusions_matmul's, whose da sums each channel's positions with one
+    matrix-vector product per coefficient."""
+    n, c, hw = xv.shape
+    _, _, jn, kn = ad.shape
+    xs = [xv.reshape(n, c * hw)] + [
+        np.take(xv, (np.arange(c) + j * s) % c, axis=1).reshape(n, c * hw)
+        for j in range(1, jn)]
+    ar = np.repeat(ad.transpose(2, 3, 0, 1), hw, axis=3)   # (J, K, N, C*H*W)
+
+    def combine(dst, pairs):
+        """dst = the sum of the products of pairs, with one scratch buffer."""
+        (u, v), *rest = pairs
+        np.multiply(u, v, out=dst)
+        tmp = np.empty_like(dst) if rest else None
+        for u, v in rest:
+            dst += np.multiply(u, v, out=tmp)
+
+    fus = np.empty((kn, n, c * hw), np.result_type(ar, xv))
+    for k in range(kn):
+        combine(fus[k], [(ar[j, k], xs[j]) for j in range(jn)])
+
+    def vjp(gf, need_a, need_x):
+        da = terms = None
+        if need_a:
+            dat = np.empty((jn, kn, n, c), np.result_type(gf, xv))
+            prod = np.empty((n, c, hw), dat.dtype)
+            ones = np.ones(hw, dat.dtype)
+            for j in range(jn):
+                for k in range(kn):
+                    np.multiply(gf[k], xs[j], out=prod.reshape(n, c * hw))
+                    np.matmul(prod, ones, out=dat[j, k])
+            da = np.ascontiguousarray(dat.transpose(2, 3, 0, 1))
+        if need_x:
+            gs = np.empty((jn, n, c * hw), np.result_type(gf, ar))
+            for j in range(jn):
+                combine(gs[j], [(ar[j, k], gf[k]) for k in range(kn)])
+            terms = [t.reshape(n, c, hw) for t in gs]
+        return da, terms
+
+    return fus, 0, vjp
+
+
+def _along(arr: np.ndarray, axis: int) -> list:
+    """The views of arr at each index of axis: the K fusions or their
+    gradients, or the J terms of dx."""
+    head = (slice(None),) * axis
+    return [arr[head + (i,)] for i in range(arr.shape[axis])]
+
+
+def _route(g: np.ndarray, out: np.ndarray, parts: list, dst: list):
+    """Write into dst[k] the share of g that fusion parts[k] wins: each
+    element's gradient goes to the earliest fusion equal to the maximum out,
+    or, where out is NaN, to the first NaN fusion (np.argmax's rule). For
+    K = 2 that is one test of fusion 0 and its negation."""
+    free = None
+    for part, d in zip(parts[:-1], dst):
+        # NaN never equals the maximum; np.maximum makes every output with a
+        # NaN fusion NaN, so a NaN part marks exactly those
+        win = (part == out) | np.isnan(part)
+        if free is None:
+            free = ~win
+        else:
+            win &= free
+            free &= ~win
+        np.multiply(g, win, out=d)
+    # every output equals one of the fusions, so the last wins the rest
+    np.multiply(g, free, out=dst[-1])
 
 
 def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
@@ -700,10 +823,11 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
 
     x: (N, C, H, W); a: (N, C, J, K) per-sample coefficients, and groups
     must divide C. Term j of output channel i reads input channel
-    (i + j*C/G) mod C. The J shifted copies are one strided view of x
-    extended by its wrapped channels, so the K fusions are one batched
-    matmul. Ties route the gradient to the earliest winning fusion, and
-    an output that is NaN routes it to the first NaN fusion.
+    (i + j*C/G) mod C. On maps of at most _SHIFT_MAX_SMALL_MAP positions
+    the fusions, da and dx are elementwise passes over (N, C*H*W)
+    (_fusions_elementwise); on larger ones they are batched matmuls
+    (_fusions_matmul). Ties route the gradient to the earliest winning
+    fusion, and an output that is NaN routes it to the first NaN fusion.
     """
     n, c, h, w = x.shape
     if c % groups:
@@ -712,49 +836,39 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
         raise ValueError(f"coefficients {a.shape} do not match input {x.shape}")
     _, _, jn, kn = a.shape
     s = c // groups
-    xv = x.data.reshape(n, c, h * w)
-    if jn == 1:
-        view = xv[:, :, None]
-    else:
-        # x extended by its first (J-1)*s channels, wrapping as often as needed;
-        # view[:, i, j] is channel i + j*s of it, which is input channel (i + j*s) mod C
-        xx = np.take(xv, np.arange(c + (jn - 1) * s), axis=1, mode="wrap")
-        b0, b1, b2 = xx.strides
-        view = np.ndarray((n, c, jn, h * w), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
-    view.flags.writeable = False
-    fus = np.matmul(a.data.transpose(0, 1, 3, 2), view)    # (N, C, K, HW)
+    fusions = _fusions_elementwise if h * w <= _SHIFT_MAX_SMALL_MAP else _fusions_matmul
+    fus, kaxis, vjp = fusions(x.data.reshape(n, c, h * w), a.data, s)
+    parts = _along(fus, kaxis)
     # on equal inputs np.maximum returns its second operand, so the earlier
     # fusion (and its sign, for -0.0 against 0.0) is kept
-    out = np.maximum(fus[:, :, 1], fus[:, :, 0]) if kn > 1 else fus[:, :, 0]
-    for k in range(2, kn):
-        np.maximum(fus[:, :, k], out, out=out)
+    out = np.maximum(parts[1], parts[0]) if kn > 1 else parts[0]
+    for part in parts[2:]:
+        np.maximum(part, out, out=out)
 
     def backward(g):
         g = g.reshape(out.shape)
-        gf = g[:, :, None]                                  # gradient per fusion
-        if kn > 1:
+        if kn == 1:
+            gf = np.expand_dims(g, kaxis)
+        else:
             gf = np.empty(fus.shape, np.result_type(g, fus))
-            free = np.ones(out.shape, dtype=bool)
-            for k in range(kn - 1):
-                part = fus[:, :, k]
-                # NaN never equals the maximum; np.maximum makes every output
-                # with a NaN fusion NaN, so a NaN part marks exactly those
-                win = (part == out) | np.isnan(part)
-                win &= free
-                free &= ~win
-                np.multiply(g, win, out=gf[:, :, k])
-            # every output equals one of the fusions, so the last wins the rest
-            np.multiply(g, free, out=gf[:, :, -1])
-        if a.requires_grad:
-            _accumulate(a, np.matmul(view, gf.transpose(0, 1, 3, 2)))
-        if x.requires_grad:
-            gs = np.matmul(a.data, gf)                      # (N, C, J, HW)
-            gx = gs[:, :, 0].copy()
-            for j in range(1, jn):
+            _route(g, out, parts, _along(gf, kaxis))
+        da, terms = vjp(gf, a.requires_grad, x.requires_grad)
+        if da is not None:
+            _accumulate(a, da, owned=True)
+        if terms is not None:
+            # term j of channel i is the gradient of input channel
+            # (i + j*s) mod C: the J terms are summed into one fresh buffer
+            gx = terms[0]
+            if jn > 1:
+                gx = np.empty(terms[0].shape, terms[0].dtype)
+                r = s % c
+                np.add(terms[0][:, r:], terms[1][:, :c - r], out=gx[:, r:])
+                np.add(terms[0][:, :r], terms[1][:, c - r:], out=gx[:, :r])
+            for j in range(2, jn):
                 r = j * s % c
-                gx[:, r:] += gs[:, :c - r, j]
-                gx[:, :r] += gs[:, c - r:, j]
-            _accumulate(x, gx.reshape(x.shape))
+                gx[:, r:] += terms[j][:, :c - r]
+                gx[:, :r] += terms[j][:, c - r:]
+            _accumulate(x, gx.reshape(x.shape), owned=True)
 
     return _result(out.reshape(x.shape), [x, a], backward)
 
@@ -779,14 +893,14 @@ def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     def backward(g):
         graw = g.reshape(n, -1) * (0.5 * scale) * ((1.0 - t) * (1.0 + t))
         if w2.requires_grad:
-            _accumulate(w2, graw.T @ hid)
+            _accumulate(w2, graw.T @ hid, owned=True)
         if b2.requires_grad:
-            _accumulate(b2, graw.sum(axis=0))
+            _accumulate(b2, graw.sum(axis=0), owned=True)
         ghid = (graw @ w2.data) * (hid > 0)
         if w1.requires_grad:
-            _accumulate(w1, ghid.T @ z)
+            _accumulate(w1, ghid.T @ z, owned=True)
         if b1.requires_grad:
-            _accumulate(b1, ghid.sum(axis=0))
+            _accumulate(b1, ghid.sum(axis=0), owned=True)
         if x.requires_grad:
             gz = (ghid @ w1.data) / (h * w)
             _accumulate(x, np.broadcast_to(gz[:, :, None, None], x.shape))
@@ -805,7 +919,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * mask)
+            _accumulate(x, g * mask, owned=True)
 
     return _result(x.data * mask, [x], backward)
 
@@ -830,6 +944,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         if logits.requires_grad:
             p = softmax(logits.data, axis=1)
             p[np.arange(n), labels] -= 1.0
-            _accumulate(logits, g * p / n)
+            _accumulate(logits, g * p / n, owned=True)
 
     return _result(np.asarray(loss), [logits], backward)

@@ -436,13 +436,16 @@ def test_dataset_over_existing_file_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--variant", "tiny"],
     ["sweep", "--budget", "100", "--reduction", "4", "--json"],
+    ["--help"],
+    ["analyze", "--help"],
 ])
 def test_closed_stdout_is_a_usage_error(argv):
     # the report cannot be written, so this is unwritable output (2), not an
     # unreadable input (3); the read end of the pipe is closed before the
     # command starts, so the write fails whatever the timing. stdout stays
     # buffered, as by default, so that the interpreter's flush at exit would
-    # fail too and print a second error if the first one left the stream open
+    # fail too and print a second error if the first one left the stream open.
+    # argparse prints --help into the buffer and exits without a flush
     read, write = os.pipe()
     os.close(read)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -456,6 +459,15 @@ def test_closed_stdout_is_a_usage_error(argv):
         os.close(write)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == "error: cannot write <stdout>: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: micronet") and out.err == ""
 
 
 def test_unreadable_weights_exit_like_missing_ones(tmp_path, capsys):

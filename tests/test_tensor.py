@@ -9,15 +9,16 @@ from helpers import assert_grads, away_from_zero
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from micronet.dyshiftmax import circular_shift
+from micronet import tensor
+from micronet.dyshiftmax import DyShiftMax, circular_shift
 from micronet.models import build_model
 from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
-from micronet.tensor import (ConvSpec, Tensor, _conv_banded, _conv_depthwise, _conv_im2col,
-                             add, conv2d, conv2d_composed, dropout, global_avg_pool,
-                             linear, no_grad, permute_channels, relu, shift_max, softmax,
-                             softmax_cross_entropy)
+from micronet.tensor import (ConvSpec, Tensor, _accumulate, _conv_banded, _conv_depthwise,
+                             _conv_im2col, add, coefficient_head, conv2d, conv2d_composed,
+                             dropout, global_avg_pool, linear, no_grad, permute_channels,
+                             relu, shift_max, softmax, softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
@@ -463,11 +464,12 @@ def shift_max_oracle_grads(x, a, groups, g, win):
 
 
 @given(st.sampled_from([1, 3]), st.sampled_from([1, 2, 4]), st.integers(1, 3),
-       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
        st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_shift_max_matches_oracle(n, groups, m, jn, kn, h, w, dtype, seed):
-    # J > G wraps the shift past C at least once
+    # J > G wraps the shift past C at least once; maps up to 6x6 run both
+    # the elementwise route and the batched matmul
     rng = np.random.default_rng(seed)
     c = groups * m
     x = Tensor(rnd(rng, n, c, h, w).astype(dtype), requires_grad=True)
@@ -566,6 +568,64 @@ def test_shift_max_single_fusion_is_a_copy():
     assert not np.shares_memory(out.data, x.data)
 
 
+# 1x1 to 4x4 take the elementwise route, 5x5 and 8x8 the batched matmul
+ROUTE_MAPS = [(1, 1), (2, 2), (4, 4), (5, 5), (8, 8)]
+
+
+def test_shift_max_route_threshold():
+    small = [hw for hw in ROUTE_MAPS if hw[0] * hw[1] <= tensor._SHIFT_MAX_SMALL_MAP]
+    assert small == [(1, 1), (2, 2), (4, 4)]
+
+
+def route_case(case, h, w, seed):
+    """J = K = 2 inputs on an h x w map. Every value is a small multiple of
+    1/2, so both routes and the oracle compute the fusions and gradients
+    exactly, and ties between fusions are common.
+
+    tie: equal coefficient columns, so the fusions are equal everywhere;
+    zeros: most of x is +0.0 or -0.0; nonfinite: NaN, inf and -inf in x
+    and in the coefficients."""
+    rng = np.random.default_rng(seed)
+    n, c = 2, 8
+    x = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], (n, c, h, w))
+    a = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (n, c, 2, 2))
+    if case == "tie":
+        a[..., 1] = a[..., 0]
+    elif case == "zeros":
+        zero = rng.random(x.shape) < 0.7
+        x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    elif case == "nonfinite":
+        special = [np.nan, np.inf, -np.inf]
+        hit = rng.random(x.shape) < 0.15
+        x[hit] = rng.choice(special, hit.sum())
+        hit = rng.random(a.shape) < 0.1
+        a[hit] = rng.choice(special, hit.sum())
+    g = rng.choice([-2.0, -1.0, 1.0, 3.0], x.shape)
+    return x, a, g
+
+
+@pytest.mark.parametrize("case", ["random", "tie", "zeros", "nonfinite"])
+@pytest.mark.parametrize("hw", ROUTE_MAPS)
+def test_shift_max_routes_match_oracle(hw, case, monkeypatch):
+    x, a, g = route_case(case, *hw, seed=hw[0] * 10 + len(case))
+    tape = tensor.Tape()
+    monkeypatch.setattr(tensor, "_tape", tape)
+    xt, at = Tensor(x, requires_grad=True), Tensor(a, requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        out = shift_max(xt, at, 2)
+        out._backward(g)
+        want, _, win = shift_max_oracle(x, a, 2)
+        gx, ga = shift_max_oracle_grads(x, a, 2, g, win)
+    # both routes record the op under one name
+    assert [op[0] for op in tape.ops] == ["shift_max"]
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(xt.grad, gx)
+    np.testing.assert_array_equal(at.grad, ga)
+    if case == "tie":
+        assert (win == 0).all()
+        np.testing.assert_array_equal(at.grad[..., 1], 0.0)
+
+
 def test_shift_max_validation():
     x = Tensor(np.zeros((1, 4, 2, 2)))
     with pytest.raises(ValueError, match="groups"):
@@ -592,6 +652,8 @@ def test_first_gradient_is_not_shared_between_parents():
     out = add(a, b)
     g = np.array([1.0, 2.0, 3.0])
     out._backward(g)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not (np.shares_memory(a.grad, g) or np.shares_memory(b.grad, g))
     a.grad += 10.0
     np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
@@ -600,6 +662,65 @@ def test_first_gradient_is_not_shared_between_parents():
     add(x, x)._backward(np.ones(2))
     assert x.grad.dtype == np.float32
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_owned_gradient_is_kept_only_when_it_fits():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    g = np.ones((2, 3))
+    _accumulate(t, g, owned=True)
+    assert t.grad is g
+    # a view that is not C-ordered, or another dtype, is still copied
+    for t, g in ((Tensor(np.zeros((3, 2)), requires_grad=True), np.ones((2, 3)).T),
+                 (Tensor(np.zeros(3, np.float32), requires_grad=True), np.ones(3))):
+        _accumulate(t, g, owned=True)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.flags.c_contiguous and t.grad.dtype == t.data.dtype
+
+
+def test_coefficient_head_broadcast_gradient_is_an_array_of_its_own():
+    rng = np.random.default_rng(3)
+    layer = DyShiftMax(8, 2, rng=rng)
+    x = Tensor(rnd(rng, 2, 8, 3, 3), requires_grad=True)
+    a = coefficient_head(x, layer.fc1_w, layer.fc1_b, layer.fc2_w, layer.fc2_b,
+                         layer.coeff_scale, layer.init_bias)
+    a._backward(rnd(rng, *a.shape))
+    assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+    assert x.grad.shape == x.shape
+
+
+def test_dyshiftmax_input_gets_both_gradients():
+    # x reaches the output through the coefficient head and through
+    # shift_max; its gradient is the sum of the two paths
+    rng = np.random.default_rng(4)
+    layer = DyShiftMax(8, 2, rng=rng)
+    layer.fc2_w.data[:] = 0.5 * rnd(rng, *layer.fc2_w.shape)
+    xd, labels = rnd(rng, 2, 8, 3, 3), np.array([1, 6])
+
+    def loss_of(out):
+        return softmax_cross_entropy(global_avg_pool(out), labels)
+
+    x = Tensor(xd, requires_grad=True)
+    a = layer.coefficients(x)
+    loss_of(shift_max(x, a, 2)).backward()
+
+    direct = Tensor(xd, requires_grad=True)
+    loss_of(shift_max(direct, Tensor(a.data), 2)).backward()
+    via_head = Tensor(xd, requires_grad=True)
+    layer.coefficients(via_head)._backward(a.grad)
+    assert np.abs(direct.grad).min() > 0 and np.abs(via_head.grad).min() > 0
+    np.testing.assert_array_equal(x.grad, direct.grad + via_head.grad)
+
+
+def test_training_backward_leaves_parameter_gradients_unshared():
+    net = build_model("M0", dtype=np.float64, seed=0)
+    x = np.random.default_rng(5).standard_normal((2, 3, 64, 64))
+    logits = net(x, Context(training=True))
+    softmax_cross_entropy(logits, np.array([0, 1])).backward()
+    grads = [(name, p.grad) for name, p in net.named_params()]
+    assert all(g is not None for _, g in grads)
+    for i, (name, g) in enumerate(grads):
+        for other, h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), (name, other)
 
 
 def test_softmax_rows_normalize():
