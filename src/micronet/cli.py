@@ -320,6 +320,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; --help into a closed stdout must
+        # raise, or an unbuffered stdout (PYTHONUNBUFFERED) exits 0 silently
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _at_least(minimum: int, maximum: int | None = None):
     """argparse type: an integer from minimum up to maximum, if given."""

@@ -123,17 +123,22 @@ class MicroFacPointwise(Module):
         self.expand_w = he_normal(self.expand_spec.weight_shape,
                                   hidden // g2, rng, dtype)
 
-    def compress(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
-        return conv2d(x, self.compress_w, None, self.compress_spec, norm, ctx.training)
+    def compress(self, x: Tensor, ctx: Context, norm: Module | None = None,
+                 act: str | None = None, shuffled: bool = False) -> Tensor:
+        """The compress convolution, then norm and act; shuffled applies
+        self.perm as conv2d's epilogue, after act."""
+        return conv2d(x, self.compress_w, None, self.compress_spec, norm, ctx.training,
+                      act, self.perm if shuffled else None)
 
     def shuffle(self, x: Tensor) -> Tensor:
         return permute_channels(x, self.perm)
 
-    def expand(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
-        return conv2d(x, self.expand_w, None, self.expand_spec, norm, ctx.training)
+    def expand(self, x: Tensor, ctx: Context, norm: Module | None = None,
+               act: str | None = None) -> Tensor:
+        return conv2d(x, self.expand_w, None, self.expand_spec, norm, ctx.training, act)
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
-        return self.expand(self.shuffle(self.compress(x, ctx)), ctx)
+        return self.expand(self.compress(x, ctx, shuffled=True), ctx)
 
     def expand_dense(self) -> np.ndarray:
         """Multiply the three factors out to the dense (C_out, C_in) matrix."""
@@ -223,15 +228,17 @@ class MicroFacDepthwise(Module):
         self.col_w = he_normal(self.col_spec.weight_shape, kernel, rng, dtype)
         self.row_w = he_normal(self.row_spec.weight_shape, kernel, rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context, norm: Module | None = None) -> Tensor:
-        """The column then the row stage; norm, if given, follows the row stage.
+    def forward(self, x: Tensor, ctx: Context, norm: Module | None = None,
+                act: str | None = None) -> Tensor:
+        """The column then the row stage; norm and then act, if given, follow
+        the row stage.
 
         At eval a pair that expands and strides runs as its one k x k
         convolution, dense_kernel() under dense_spec() (README "Kernels")."""
         if not ctx.training and self.out_channels > self.channels and self.stride > 1:
-            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm)
+            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm, act)
         return conv2d(conv2d(x, self.col_w, None, self.col_spec),
-                      self.row_w, None, self.row_spec, norm, ctx.training)
+                      self.row_w, None, self.row_spec, norm, ctx.training, act)
 
     def dense_kernel(self) -> np.ndarray:
         """Outer-product k x k kernels, shape (C*expansion, 1, k, k)."""

@@ -13,7 +13,10 @@ Batch normalization follows every convolution stage and precedes its
 activation. A BatchNorm2d is only the norm's state: each convolution runs
 with the norm after it as one `conv2d` op, with batch statistics in
 training, and at eval time with the running statistics folded into the
-convolution. Stage-leading blocks carry stride 2 in the depthwise stage.
+convolution. A ReLU after a convolution runs inside that op as its
+epilogue, and so does the shuffle after a ReLU compress; other activation
+slots run as modules of their own. Stage-leading blocks carry stride 2 in
+the depthwise stage.
 """
 
 from __future__ import annotations
@@ -244,9 +247,9 @@ class Conv2dLayer(Module):
         self.spec = spec
         self.weight = he_normal(spec.weight_shape, spec.fan_in(), rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context,
-                norm: BatchNorm2d | None = None) -> Tensor:
-        return conv2d(x, self.weight, None, self.spec, norm, ctx.training)
+    def forward(self, x: Tensor, ctx: Context, norm: BatchNorm2d | None = None,
+                act: str | None = None) -> Tensor:
+        return conv2d(x, self.weight, None, self.spec, norm, ctx.training, act)
 
 
 class BatchNorm2d(Module):
@@ -277,6 +280,15 @@ class ReLU(Module):
 
 def _make_norm(spec: ModelSpec, channels: int, dtype) -> BatchNorm2d | None:
     return BatchNorm2d(channels, dtype) if spec.norm == "bn" else None
+
+
+def _stage(conv, act: Module, x: Tensor, ctx: Context,
+           norm: BatchNorm2d | None) -> Tensor:
+    """conv(x, ctx, norm=norm), then the slot's activation act: a ReLU runs
+    as conv2d's epilogue, any other slot as a module of its own."""
+    if isinstance(act, ReLU):
+        return conv(x, ctx, norm=norm, act="relu")
+    return act(conv(x, ctx, norm=norm), ctx)
 
 
 def _make_activation(kind: str, channels: int, groups: int, spec: ModelSpec,
@@ -315,7 +327,7 @@ class Stem(Module):
         self.out_channels = c
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return relu(self.conv2(self.conv1(x, ctx), ctx, norm=self.norm))
+        return self.conv2(self.conv1(x, ctx), ctx, norm=self.norm, act="relu")
 
 
 class MicroBlockA(Module):
@@ -340,8 +352,8 @@ class MicroBlockA(Module):
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g, spec, rng, dtype)
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
-        return self.act2(self.squeeze(t, ctx, norm=self.norm2), ctx)
+        t = _stage(self.depthwise, self.act1, x, ctx, self.norm1)
+        return _stage(self.squeeze, self.act2, t, ctx, self.norm2)
 
 
 class MicroBlockBC(Module):
@@ -366,10 +378,14 @@ class MicroBlockBC(Module):
         self.skip = bs.kind == "C" and bs.stride == 1 and c_in == bs.width
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        t = self.act1(self.depthwise(x, ctx, norm=self.norm1), ctx)
-        t = self.act2(self.pointwise.compress(t, ctx, self.norm2), ctx)
-        t = self.pointwise.shuffle(t)
-        t = self.act3(self.pointwise.expand(t, ctx, self.norm3), ctx)
+        pw = self.pointwise
+        t = _stage(self.depthwise, self.act1, x, ctx, self.norm1)
+        if isinstance(self.act2, ReLU):
+            # the ReLU and the shuffle run as the compress convolution's epilogue
+            t = pw.compress(t, ctx, self.norm2, act="relu", shuffled=True)
+        else:
+            t = pw.shuffle(self.act2(pw.compress(t, ctx, self.norm2), ctx))
+        t = _stage(pw.expand, self.act3, t, ctx, self.norm3)
         if self.skip:
             t = add(t, x)
         return t

@@ -190,9 +190,10 @@ def _pair(v):
 
 # Each kernel below maps (x, w, spec) arrays to (out, vjp), where
 # vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
-# out may be a strided view of a buffer the kernel owns, never of x or w;
-# _output makes it C-ordered with at most one copy and adds the bias, and
-# conv2d's training norm then overwrites it with xhat.
+# out may be a strided view of a buffer the kernel owns, never of x or w, and
+# vjp never reads it; _output makes it C-ordered with at most one copy and
+# adds the bias, conv2d's training norm then overwrites it with xhat, and
+# _epilogue's ReLU runs on it in place.
 
 def _output(view: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """A kernel's output as a C-ordered array plus a per-channel bias.
@@ -200,11 +201,44 @@ def _output(view: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     The bias is added in place after the copy, not in it: np.add from a
     strided view runs one short inner loop per row, which on the models'
     maps measured 1.1-1.7x slower than the copy and the in-place add
-    together (README "Kernels")."""
+    together. With several images it is one pass over (N, C*H*W), the bias
+    repeated over H*W as the training norm repeats its factors, rather than
+    rows of W = 7-56; for one image the repeat costs more than it saves
+    (README "Kernels")."""
     out = np.ascontiguousarray(view)
     if bias is not None:
-        out += bias[:, None, None]
+        n, _, h, w = out.shape
+        if n > 1:
+            flat = out.reshape(n, -1)
+            flat += np.repeat(bias, h * w)
+        else:
+            out += bias[:, None, None]
     return out
+
+
+def _epilogue(y: np.ndarray, act: str | None, perm: np.ndarray | None):
+    """conv2d's activation and channel permutation on its C-ordered output
+    y: a ReLU in place, then output channel i is channel perm[i] of y, in
+    one fresh C-ordered buffer.
+
+    Returns the output and grad(g), which maps the output's gradient to y's:
+    unpermuted, and masked where the output is not positive, as in-place
+    ABN's backward reads its output (arXiv:1712.02616). Both are exact, so
+    the result equals conv2d, relu and permute_channels run one by one."""
+    if act == "relu":
+        np.maximum(y, 0, out=y)
+    elif act is not None:
+        raise ValueError(f"unknown conv2d activation {act!r}")
+    out = y if perm is None else np.take(y, perm, axis=1)
+
+    def grad(g):
+        if act is not None:
+            g = g * (out > 0)
+        if perm is not None:
+            g = np.take(g, np.argsort(perm), axis=1)
+        return g
+
+    return out, grad
 
 
 def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
@@ -444,6 +478,48 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     return out, _im2col_vjp(xd, wd, spec, cols, row_taps, col_taps)
 
 
+def _conv_rows(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
+    """A dense (groups 1) k x 1 filter with stride 1 and no padding across
+    it, one matmul per output row.
+
+    x is copied once to rows-major (N, H + 2p, C, W) with zero pad rows, so
+    output row y reads one contiguous (k*C, W) block, padded rows y*s to
+    y*s + k - 1: the windows are a strided view of that copy. One np.matmul
+    of the tap-major (O, k*C) weights with them writes, through out=, into
+    the transposed view of an NCHW buffer. gw is one batched matmul of the
+    gradient with the windows, summed over (N, OH); gx is scattered per tap.
+    """
+    n, c, h, wdt = xd.shape
+    k, s, p = spec.kernel[0], spec.stride[0], spec.padding[0]
+    o = spec.out_channels
+    oh, _ = spec.out_size(h, wdt)
+    xr = np.empty((n, h + 2 * p, c, wdt), xd.dtype)
+    xr[:, :p] = 0
+    xr[:, p + h:] = 0
+    xr[:, p:p + h] = xd.transpose(0, 2, 1, 3)
+    b0, b1, b2, b3 = xr.strides
+    windows = np.ndarray((n, oh, k * c, wdt), xr.dtype, xr, strides=(b0, s * b1, b2, b3))
+    wt = wd[:, :, :, 0].transpose(0, 2, 1).reshape(o, k * c)   # column t*C + c is w[:, c, t]
+    out = np.empty((n, o, oh, wdt), np.result_type(xd, wd))
+    np.matmul(wt, windows, out=out.transpose(0, 2, 1, 3))
+
+    def vjp(gout, need_x, need_w):
+        gt = gout.transpose(0, 2, 1, 3)                    # (N, OH, O, W)
+        gx = gw = None
+        if need_w:
+            gwt = np.matmul(gt, windows.transpose(0, 1, 3, 2)).sum(axis=(0, 1))
+            gw = np.ascontiguousarray(gwt.reshape(o, k, c).transpose(0, 2, 1)[..., None])
+        if need_x:
+            gcols = np.matmul(wt.T, gt)                    # (N, OH, k*C, W)
+            gx = np.zeros(xd.shape, gcols.dtype)
+            for t in range(k):
+                o0, o1, ys = _tap_range(t, s, p, h, oh)
+                gx[:, :, ys] += gcols[:, o0:o1, t * c:(t + 1) * c].transpose(0, 2, 1, 3)
+        return gx, gw
+
+    return out, vjp
+
+
 def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
     """Check the operands' shapes against spec and pick the kernel that runs it."""
     _, c, _, _ = x.shape
@@ -464,6 +540,9 @@ def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
         if axis is not None and spec.out_channels == spec.in_channels and (
                 spec.stride == (1, 1) or kh * kw > _IM2COL_MAX_TAPS):
             return _conv_depthwise
+    if (spec.groups == 1 and spec.kernel[1] == 1 and spec.stride[1] == 1
+            and spec.padding[1] == 0):
+        return _conv_rows
     return _conv_im2col
 
 
@@ -514,15 +593,19 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
-           norm=None, training: bool = False) -> Tensor:
+           norm=None, training: bool = False, act: str | None = None,
+           perm: np.ndarray | None = None) -> Tensor:
     """Grouped 2-d convolution (cross-correlation) of x with w, followed by
-    norm, the per-channel batch normalization after it, when one is given.
+    norm, the per-channel batch normalization after it, when one is given,
+    then by the epilogue: act ("relu" or None) and the channel permutation
+    perm (output channel i is channel perm[i]), see _epilogue.
 
     x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or
     None. Unpadded stride-1 1x1 kernels and depthwise 1-D filters (one
-    input channel per group) take specialized paths, and a batch of short
-    1-D filters runs as banded matrix products; everything else, k x k,
-    expanding and short strided depthwise filters included, unfolds windows.
+    input channel per group) take specialized paths, a batch of short
+    1-D filters runs as banded matrix products, and a dense k x 1 filter
+    runs on row windows; everything else, k x k, expanding and short
+    strided depthwise filters included, unfolds windows.
 
     norm holds the batch-norm state (a models.BatchNorm2d): gamma and beta
     Tensors, running_mean and running_var arrays, eps and momentum. A
@@ -530,7 +613,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     running statistics: it is the map y -> a*y + b with
     a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
     the convolution, conv2d(x, w * a) + b, with b added in place on the
-    kernel's C-ordered output.
+    kernel's C-ordered output, and the ReLU runs in place on that buffer.
 
     In training it uses this batch's statistics over (N, H, W), computed
     once (channel sums as matrix-vector products over the contiguous H*W
@@ -539,6 +622,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     The kernel's output buffer becomes xhat in place, so the backward keeps
     only the convolution's input and xhat. It needs two reductions, sum(g)
     and sum(g * xhat), and hands the norm's gradient to the kernel's vjp.
+    The ReLU runs in place on the norm's output, and the backward masks
+    with it.
     """
     kernel = _conv_kernel(x, w, spec)
     if norm is not None and bias is not None:
@@ -546,9 +631,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     if norm is None or not training:
         out, tail, affine_backward = _conv_affine(x, w.data, spec, kernel, bias, norm,
                                                   w.requires_grad)
+        out, grad = _epilogue(out, act, perm)
 
         def backward(gout):
-            gw = affine_backward(gout)
+            gw = affine_backward(grad(gout))
             if gw is not None:
                 _accumulate(w, gw, owned=True)
 
@@ -583,8 +669,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     running_mean += norm.momentum * mean
     running_var *= 1.0 - norm.momentum
     running_var += norm.momentum * var
+    out, grad = _epilogue(out.reshape(y.shape), act, perm)
 
     def backward(g):
+        g = grad(g)
         sg = channel_sum(g)
         sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
         # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
@@ -602,15 +690,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
         if gx is not None:
             _accumulate(x, gx, owned=True)
 
-    return _result(out.reshape(y.shape), [x, w, gamma, beta], backward)
+    return _result(out, [x, w, gamma, beta], backward)
 
 
 def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
-                    norm=None) -> Tensor:
+                    norm=None, act: str | None = None) -> Tensor:
     """A depthwise kh x 1 column stage, then a 1 x kw row stage, with nothing
     between them, run as one kh x kw depthwise convolution whose kernel is
-    their outer product, followed by norm's eval map (see conv2d). An eval
-    op: a norm always uses its running statistics.
+    their outer product, followed by norm's eval map and the activation act
+    (see conv2d). An eval op: a norm always uses its running statistics.
 
     spec is the composed convolution (groups == C_in): its vertical stride
     and padding are the column stage's, its horizontal ones the row stage's.
@@ -626,9 +714,10 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
     wd = col_w.data * row_w.data                            # (C_out, 1, kh, kw)
     out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), None,
                                               norm, col_w.requires_grad or row_w.requires_grad)
+    out, grad = _epilogue(out, act, None)
 
     def backward(gout):
-        gw = affine_backward(gout)
+        gw = affine_backward(grad(gout))
         if col_w.requires_grad:
             _accumulate(col_w, (gw * row_w.data).sum(axis=3, keepdims=True), owned=True)
         if row_w.requires_grad:
@@ -695,7 +784,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
     """Reorder channels: output channel i is input channel perm[i]."""
-    out = x.data[:, perm]
+    # np.take, unlike x.data[:, perm] at N > 1, gives a C-ordered array
+    out = np.take(x.data, perm, axis=1)
     inv = np.argsort(perm)
 
     def backward(g):
@@ -838,6 +928,12 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
     s = c // groups
     fusions = _fusions_elementwise if h * w <= _SHIFT_MAX_SMALL_MAP else _fusions_matmul
     fus, kaxis, vjp = fusions(x.data.reshape(n, c, h * w), a.data, s)
+    if not (_grad_enabled and (x.requires_grad or a.requires_grad)):
+        # no backward will run: free the shifted copies of x that vjp keeps
+        # before the maximum allocates the output. This lowers the peak of
+        # an eval forward (M0 at batch 16: 20.9 -> 17.7 MB), so that glibc
+        # does not trim the heap and fault it back in on every forward
+        vjp = None
     parts = _along(fus, kaxis)
     # on equal inputs np.maximum returns its second operand, so the earlier
     # fusion (and its sign, for -0.0 against 0.0) is kept

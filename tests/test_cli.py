@@ -433,6 +433,24 @@ def test_dataset_over_existing_file_is_a_usage_error(tmp_path, capsys):
     assert f"cannot write {target}" in err and target.read_bytes() == b""
 
 
+def closed_stdout_run(argv, unbuffered=False):
+    """Run the command with a stdout pipe whose read end is closed before
+    it starts, so that the write fails whatever the timing."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(micronet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run([sys.executable, "-m", "micronet.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--variant", "tiny"],
     ["sweep", "--budget", "100", "--reduction", "4", "--json"],
@@ -441,22 +459,24 @@ def test_dataset_over_existing_file_is_a_usage_error(tmp_path, capsys):
 ])
 def test_closed_stdout_is_a_usage_error(argv):
     # the report cannot be written, so this is unwritable output (2), not an
-    # unreadable input (3); the read end of the pipe is closed before the
-    # command starts, so the write fails whatever the timing. stdout stays
-    # buffered, as by default, so that the interpreter's flush at exit would
-    # fail too and print a second error if the first one left the stream open.
-    # argparse prints --help into the buffer and exits without a flush
-    read, write = os.pipe()
-    os.close(read)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(micronet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONUNBUFFERED", None)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "micronet.cli", *argv],
-                              stdout=write, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=120)
-    finally:
-        os.close(write)
+    # unreadable input (3). stdout stays buffered, as by default, so that the
+    # interpreter's flush at exit would fail too and print a second error if
+    # the first one left the stream open. argparse prints --help into the
+    # buffer and exits without a flush
+    proc = closed_stdout_run(argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: cannot write <stdout>: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--variant", "tiny"],
+    ["--help"],
+    ["analyze", "--help"],
+])
+def test_closed_unbuffered_stdout_is_a_usage_error(argv):
+    # with PYTHONUNBUFFERED the write itself fails, and for --help it fails
+    # inside argparse, which drops the error of a failed write
+    proc = closed_stdout_run(argv, unbuffered=True)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == "error: cannot write <stdout>: Broken pipe\n"
 

@@ -10,7 +10,7 @@ import pytest
 
 from micronet.analysis import count_costs
 from micronet.dyshiftmax import DyShiftMax
-from micronet import microfac, models
+from micronet import microfac, models, tensor
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
                              MicroBlockBC, ModelSpec, Network, ReLU, VARIANTS,
                              build_model, model_spec)
@@ -162,13 +162,13 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
     calls = []                      # (weights, norm) of each convolution op
     real, real_composed = models.conv2d, microfac.conv2d_composed
 
-    def counted(x, w, bias, spec, norm=None, training=False):
+    def counted(x, w, bias, spec, norm=None, training=False, *epilogue):
         calls.append(((id(w),), norm))
-        return real(x, w, bias, spec, norm, training)
+        return real(x, w, bias, spec, norm, training, *epilogue)
 
-    def counted_composed(x, col_w, row_w, spec, norm=None):
+    def counted_composed(x, col_w, row_w, spec, norm=None, *epilogue):
         calls.append(((id(col_w), id(row_w)), norm))
-        return real_composed(x, col_w, row_w, spec, norm)
+        return real_composed(x, col_w, row_w, spec, norm, *epilogue)
 
     monkeypatch.setattr(models, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d", counted)
@@ -254,6 +254,76 @@ def test_network_matches_naive_reference(variant):
             got = net(x, Context(training=training)).data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
         assert counter.count == 2 * madds
+
+
+def taped_ops(net, x, training):
+    """The names of the ops one forward of net on x records."""
+    tensor._tape = tape = tensor.Tape()
+    try:
+        net(x, Context(training=training))
+    finally:
+        tensor._tape = None
+    return [op for op, *_ in tape.ops]
+
+
+@pytest.mark.parametrize("acts", [
+    (("relu", "none"), ("none", "dysm", "none"), ("relu", "none", "dysm")),
+    (("none", "dysm"), ("dysm", "relu", "relu"), ("none", "none", "relu")),
+], ids=["A-relu", "A-dysm"])
+def test_slots_without_relu_run_as_their_own_ops(acts):
+    # a dysm or none slot keeps its own op after the convolution, and a
+    # compress slot that is not a ReLU keeps the shuffle op; the logits
+    # equal the loop-based reference in both modes
+    a, c1, c2 = acts
+    spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
+        BlockSpec("A", 3, 8, 4, 2, a), BlockSpec("C", 3, 8, 4, 1, c1),
+        BlockSpec("C", 3, 8, 4, 1, c2)))
+    net = build_model(spec, dtype=np.float64, seed=0)
+    rng = np.random.default_rng(1)
+    for _, p in net.named_params():
+        p.data += 0.2 * rng.standard_normal(p.shape)
+    x = rng.standard_normal((2, 3, 32, 32))
+    slots = [s for b in spec.blocks for s in b.activations]
+    for training in (False, True):
+        with no_grad():
+            got = net(x, Context(training=training)).data
+        want = network_forward(net, x, training)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
+        ops = taped_ops(net, x, training)
+        # the head's ReLU is the only relu op; one shift_max per dysm slot
+        assert ops.count("relu") == 1
+        assert ops.count("shift_max") == slots.count("dysm")
+        assert ops.count("permute_channels") == sum(b.activations[1] != "relu"
+                                                    for b in spec.blocks[1:])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_relus_and_shuffles_leave_the_graph(variant):
+    # in the models' own slots every ReLU after a convolution and every
+    # shuffle runs as a conv2d epilogue: the head's ReLU is the only relu op
+    net = build_model(variant, seed=0)
+    ops = taped_ops(net, np.zeros((1, 3, 32, 32), np.float32), False)
+    assert ops.count("relu") == 1 and "permute_channels" not in ops
+
+
+def test_row_window_kernel_takes_only_the_stem_conv1(monkeypatch):
+    # the stem's dense 3x1 is the only dense k x 1 filter of the models
+    picked = []
+    real = tensor._conv_kernel
+
+    def record(x, w, spec):
+        kernel = real(x, w, spec)
+        if kernel is tensor._conv_rows:
+            picked.append(spec)
+        return kernel
+
+    monkeypatch.setattr(tensor, "_conv_kernel", record)
+    for variant in VARIANTS:
+        net = build_model(variant, seed=0)
+        for n, training in ((1, False), (2, True)):
+            picked.clear()
+            net(np.zeros((n, 3, 32, 32), np.float32), Context(training=training))
+            assert picked == [net.stem.conv1.spec], (variant, training)
 
 
 @pytest.mark.parametrize("resolution", [9, 15, 33])

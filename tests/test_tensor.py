@@ -16,9 +16,9 @@ from micronet.module import Context
 from micronet.reference import (MAddCounter, conv2d_naive,
                                 global_avg_pool_naive, linear_naive)
 from micronet.tensor import (ConvSpec, Tensor, _accumulate, _conv_banded, _conv_depthwise,
-                             _conv_im2col, add, coefficient_head, conv2d, conv2d_composed,
-                             dropout, global_avg_pool, linear, no_grad, permute_channels,
-                             relu, shift_max, softmax, softmax_cross_entropy)
+                             _conv_im2col, _conv_rows, add, coefficient_head, conv2d,
+                             conv2d_composed, dropout, global_avg_pool, linear, no_grad,
+                             permute_channels, relu, shift_max, softmax, softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
@@ -407,6 +407,149 @@ def test_conv2d_composed_matches_factorized_pair(k, c, og, n, h, w, normed, seed
         assert_close(got.grad, want.grad)
 
 
+# ---------------------------------------------------------------------------
+# conv2d's epilogue: the ReLU and the channel permutation
+
+def backward_with(out, g):
+    """Backpropagate the gradient g of the non-scalar out through its graph."""
+    def seed(_):
+        _accumulate(out, g)
+
+    tensor._result(np.zeros(()), [out], seed).backward()
+
+
+EPILOGUE_SPECS = {
+    "pointwise": ConvSpec(4, 6, 1, groups=2),
+    "im2col": ConvSpec(3, 6, 3, stride=2, padding=1, groups=3),
+    # banded at N = 2, the phase-grid einsum at N = 1
+    "banded": ConvSpec(6, 6, (3, 1), padding=(1, 0), groups=6),
+    "rows": ConvSpec(3, 6, (3, 1), stride=(2, 1), padding=(1, 0)),
+}
+
+
+@pytest.mark.parametrize("kernel", list(EPILOGUE_SPECS))
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["eval-norm", "eval-bias", "train-norm"])
+@pytest.mark.parametrize("act", ["relu", None])
+@pytest.mark.parametrize("shuffle", ["identity", "random", None])
+def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
+    # conv2d with act and perm against conv2d, relu and permute_channels run
+    # one by one: bitwise-equal outputs, gradients and running buffers
+    spec = EPILOGUE_SPECS[kernel]
+    rng = np.random.default_rng(3)
+    c = spec.out_channels
+    perm = {"identity": np.arange(c), "random": rng.permutation(c), None: None}[shuffle]
+    data = [rnd(rng, n, spec.in_channels, 5, 6), rnd(rng, *spec.weight_shape),
+            1.0 + 0.3 * rnd(rng, c), rnd(rng, c)]
+    stats = rnd(rng, c), rng.uniform(0.1, 2.0, c)
+    training = mode.startswith("train")
+
+    def run(fused):
+        x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in data)
+        running = [a.copy() for a in stats]
+        bn = norm_state(gamma, beta, *running) if mode.endswith("norm") else None
+        bias = beta if bn is None else None
+        if fused:
+            out = conv2d(x, w, bias, spec, bn, training, act, perm)
+            assert out.data.flags.c_contiguous
+        else:
+            out = conv2d(x, w, bias, spec, bn, training)
+            out = relu(out) if act else out
+            out = out if perm is None else permute_channels(out, perm)
+        backward_with(out, rnd(np.random.default_rng(4), *out.shape))
+        grads = [t.grad for t in (x, w, beta) + ((gamma,) if bn else ())]
+        return [out.data, *grads, *running]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("normed", [True, False])
+def test_conv2d_composed_relu_equals_separate_ops(n, normed):
+    rng = np.random.default_rng(5)
+    spec = ConvSpec(2, 6, 3, stride=2, padding=1, groups=2)
+    data = [rnd(rng, n, 2, 7, 6), rnd(rng, 6, 1, 3, 1), rnd(rng, 6, 1, 1, 3),
+            1.0 + 0.3 * rnd(rng, 6), rnd(rng, 6)]
+    mean, var = rnd(rng, 6), rng.uniform(0.1, 2.0, 6)
+
+    def run(fused):
+        x, col, row, gamma, beta = (Tensor(a, requires_grad=True) for a in data)
+        bn = norm_state(gamma, beta, mean, var) if normed else None
+        out = (conv2d_composed(x, col, row, spec, bn, "relu") if fused
+               else relu(conv2d_composed(x, col, row, spec, bn)))
+        backward_with(out, rnd(np.random.default_rng(6), *out.shape))
+        return [out.data] + [t.grad for t in (x, col, row) + ((gamma, beta) if normed else ())]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv2d_epilogue_validation():
+    spec = ConvSpec(2, 2, 1)
+    x, w = Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((2, 2, 1, 1)))
+    with pytest.raises(ValueError, match="activation"):
+        conv2d(x, w, None, spec, act="tanh")
+
+
+# ---------------------------------------------------------------------------
+# the row-window kernel of dense k x 1 filters
+
+ROW_WINDOW_GEOMETRIES = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in range(k + 1)]
+
+
+@pytest.mark.parametrize("k,s,p", ROW_WINDOW_GEOMETRIES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_rows_matches_im2col_and_naive(k, s, p, dtype):
+    # every map of 1-33 rows and columns the filter fits, against im2col, and
+    # against the naive loops at two images of up to 7 x 7
+    rng = np.random.default_rng(100 * k + 10 * s + p)
+    spec = ConvSpec(3, 2, (k, 1), (s, 1), (p, 0))
+    tol = dict(atol=1e-12, rtol=1e-12) if dtype == np.float64 else dict(atol=1e-5, rtol=1e-5)
+    for n in (1, 2):
+        for h in (1, 2, 3, 7, 33):
+            if h + 2 * p < k:
+                continue
+            for w in (1, 2, 3, 7, 33):
+                x = rnd(rng, n, 3, h, w).astype(dtype)
+                wt = rnd(rng, *spec.weight_shape).astype(dtype)
+                out, vjp = _conv_rows(x, wt, spec)
+                gout = rnd(rng, *out.shape).astype(dtype)
+                gx, gw = vjp(gout, True, True)
+                assert out.flags.c_contiguous
+                assert out.dtype == gx.dtype == gw.dtype == dtype
+                assert gx.shape == x.shape and gw.shape == wt.shape
+                assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
+
+                x64, w64, g64 = (a.astype(np.float64) for a in (x, wt, gout))
+                ref, ref_vjp = _conv_im2col(x64, w64, spec)
+                wants = [(ref, *ref_vjp(g64, True, True))]
+                if n == 2 and h <= 7 and w <= 7:
+                    wants.append((conv2d_naive(x64, w64, None, spec),
+                                  *conv2d_naive_grads(x64, w64, spec, g64)))
+                for want in wants:
+                    for got, expect in zip((out, gx, gw), want):
+                        np.testing.assert_allclose(got, expect, **tol)
+
+
+def test_conv_rows_gradients():
+    # finite differences of gx and gw, with the ReLU epilogue making the
+    # upstream gradient differ per position
+    rng = np.random.default_rng(12)
+    for spec in (ConvSpec(3, 4, (3, 1), stride=(2, 1), padding=(1, 0)),
+                 ConvSpec(2, 3, (5, 1), padding=(2, 0))):
+        x = Tensor(rnd(rng, 2, spec.in_channels, 7, 4), requires_grad=True)
+        w = Tensor(rnd(rng, *spec.weight_shape) * 0.5, requires_grad=True)
+        assert tensor._conv_kernel(x, w, spec) is _conv_rows
+        assert np.abs(conv2d(x, w, None, spec).data).min() > 1e-3
+
+        def loss():
+            z = conv2d(x, w, None, spec, act="relu")
+            return softmax_cross_entropy(global_avg_pool(z), np.array([1, 2]))
+
+        assert_grads(loss, [("x", x), ("w", w)])
+
+
 def test_conv2d_composed_validation():
     x = Tensor(np.zeros((1, 2, 5, 5)))
     spec = ConvSpec(2, 4, 3, 2, 1, groups=2)
@@ -644,6 +787,8 @@ def test_permute_channels_semantics():
     perm = rng.permutation(6)
     out = permute_channels(Tensor(x), perm).data
     np.testing.assert_array_equal(out, x[:, perm])
+    # C-ordered at N > 1, so a convolution reads it without a copy
+    assert out.flags.c_contiguous
 
 
 def test_first_gradient_is_not_shared_between_parents():
@@ -947,7 +1092,7 @@ def test_batch_norm_gradients():
 
 
 def test_batch_norm_inference_gradients():
-    # conv2d with a folded norm on the pointwise, depthwise and im2col kernels
+    # conv2d with a folded norm on the pointwise, depthwise and row-window kernels
     rng = np.random.default_rng(11)
     for spec in (ConvSpec(4, 6, 1, groups=2),
                  ConvSpec(3, 6, (3, 1), stride=(2, 1), padding=(1, 0), groups=3),
