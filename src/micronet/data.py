@@ -48,7 +48,8 @@ def save_dataset(directory, images: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_dataset(directory) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dataset directory back into (images, labels) arrays."""
+    """Read a dataset directory back into (images, labels) arrays: on a
+    little-endian host, each is a writable view of its own file's buffer."""
     directory = Path(directory)
     body = _unseal(directory / IMAGES_NAME, IMAGES_MAGIC, 20, DatasetError)
     *shape, tag = struct.unpack("<5I", body[:20])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups)
-from .module import Context, Module, he_normal, ones_param, zeros_param
+from .module import _NO_DRAW, Context, Module, he_normal, zeros_param
 from .tensor import (ConvSpec, Tensor, add, conv2d, dropout, global_avg_pool,
                      linear, relu)
 
@@ -255,17 +255,19 @@ class Conv2dLayer(Module):
 class BatchNorm2d(Module):
     """The state of the batch norm after a convolution, which conv2d reads
     from its norm argument: gamma, beta, the running statistics, eps and
-    momentum."""
+    momentum. With rng _NO_DRAW (module.he_normal) every value starts at
+    zero."""
 
     def __init__(self, channels: int, dtype, eps: float = 1e-5,
-                 momentum: float = 0.1):
+                 momentum: float = 0.1, rng=None):
         super().__init__()
         self.eps = eps
         self.momentum = momentum
-        self.gamma = ones_param((channels,), dtype)
+        fill = np.zeros if rng is _NO_DRAW else np.ones
+        self.gamma = Tensor(fill(channels, dtype=dtype), requires_grad=True)
         self.beta = zeros_param((channels,), dtype)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.register_buffer("running_var", fill(channels, dtype=dtype))
 
 
 class Identity(Module):
@@ -278,8 +280,8 @@ class ReLU(Module):
         return relu(x)
 
 
-def _make_norm(spec: ModelSpec, channels: int, dtype) -> BatchNorm2d | None:
-    return BatchNorm2d(channels, dtype) if spec.norm == "bn" else None
+def _make_norm(spec: ModelSpec, channels: int, rng, dtype) -> BatchNorm2d | None:
+    return BatchNorm2d(channels, dtype, rng=rng) if spec.norm == "bn" else None
 
 
 def _stage(conv, act: Module, x: Tensor, ctx: Context,
@@ -323,7 +325,7 @@ class Stem(Module):
         self.conv2 = Conv2dLayer(
             ConvSpec(hid, c, (1, 3), stride=(1, 2), padding=(0, 1), groups=hid),
             rng, dtype)
-        self.norm = _make_norm(spec, c, dtype)
+        self.norm = _make_norm(spec, c, rng, dtype)
         self.out_channels = c
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
@@ -346,8 +348,8 @@ class MicroBlockA(Module):
         g = adaptive_groups(bs.width, bs.hidden, spec.group_lam)
         self.squeeze = Conv2dLayer(ConvSpec(bs.width, bs.hidden, 1, groups=g),
                                    rng, dtype)
-        self.norm1 = _make_norm(spec, bs.width, dtype)
-        self.norm2 = _make_norm(spec, bs.hidden, dtype)
+        self.norm1 = _make_norm(spec, bs.width, rng, dtype)
+        self.norm2 = _make_norm(spec, bs.hidden, rng, dtype)
         self.act1 = _make_activation(bs.activations[0], bs.width, g, spec, rng, dtype)
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g, spec, rng, dtype)
 
@@ -368,9 +370,9 @@ class MicroBlockBC(Module):
                                            rng=rng, dtype=dtype)
         self.pointwise = MicroFacPointwise(c_in, bs.width, bs.hidden,
                                            lam=spec.group_lam, rng=rng, dtype=dtype)
-        self.norm1 = _make_norm(spec, c_in, dtype)
-        self.norm2 = _make_norm(spec, bs.hidden, dtype)
-        self.norm3 = _make_norm(spec, bs.width, dtype)
+        self.norm1 = _make_norm(spec, c_in, rng, dtype)
+        self.norm2 = _make_norm(spec, bs.hidden, rng, dtype)
+        self.norm3 = _make_norm(spec, bs.width, rng, dtype)
         g1, g2 = self.pointwise.g1, self.pointwise.g2
         self.act1 = _make_activation(bs.activations[0], c_in, g1, spec, rng, dtype)
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g2, spec, rng, dtype)

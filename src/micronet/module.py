@@ -73,8 +73,17 @@ class Module:
         return out
 
 
+# Passed as the rng of a network whose values are all about to be copied
+# in (weights_io.load_model): he_normal then draws nothing and BatchNorm2d
+# sets no ones; both leave zeros, whose pages np.zeros (calloc) leaves
+# untouched until written.
+_NO_DRAW = object()
+
+
 def he_normal(shape, fan_in: int, rng: np.random.Generator, dtype) -> Tensor:
-    """Gaussian init with variance 2/fan_in."""
+    """Gaussian init with variance 2/fan_in; zeros when rng is _NO_DRAW."""
+    if rng is _NO_DRAW:
+        return zeros_param(shape, dtype)
     std = np.sqrt(2.0 / fan_in)
     return Tensor((rng.standard_normal(shape) * std).astype(dtype), requires_grad=True)
 
@@ -82,6 +91,3 @@ def he_normal(shape, fan_in: int, rng: np.random.Generator, dtype) -> Tensor:
 def zeros_param(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
-
-def ones_param(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)

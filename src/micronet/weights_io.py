@@ -4,8 +4,11 @@ datasets (data.py).
 A sealed file is a 4-byte magic, a body, and a u32 CRC-32 of every byte
 before it; the checksum is verified before any field of the body is
 parsed. An array in a body is a u32 dtype tag (DTYPE_TAGS), shape fields
-whose layout is the format's own, and the raw little-endian payload. All
-integers are little-endian. An archive is magic "MNWT" and the body
+whose layout is the format's own, and the raw little-endian payload. A
+sealed file is read once into a buffer of its own, and an array decoded
+from it is a view of that buffer wherever its payload is native-order and
+aligned. All integers are little-endian. An archive is magic "MNWT" and
+the body
 
   u32 version | u32 config_len | config JSON | u32 tensor_count | records...
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -26,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import ModelSpec, Network
+from .module import _NO_DRAW
 
 MAGIC = b"MNWT"
 VERSION = 1
@@ -49,11 +54,27 @@ def _seal(path: Path, buf: bytearray) -> None:
     path.write_bytes(buf)
 
 
+def _read(path: Path) -> np.ndarray:
+    """Every byte of the file at path, in a new writable buffer. Reads run
+    to EOF, so a file whose size changes after the stat is read as it ends."""
+    with open(path, "rb", buffering=0) as f:
+        buf = np.empty(os.fstat(f.fileno()).st_size, np.uint8)
+        view, got = memoryview(buf), 0
+        while got < len(buf):
+            n = f.readinto(view[got:])
+            if not n:
+                return buf[:got]
+            got += n
+        more = f.read()
+    return np.concatenate((buf, np.frombuffer(more, np.uint8))) if more else buf
+
+
 def _unseal(path: Path, magic: bytes, header: int,
             error: type[Exception]) -> memoryview:
     """The body of the sealed file at path after its magic, checked in this
-    order: room for a header of that many bytes, the CRC-32, the magic."""
-    raw = memoryview(path.read_bytes())
+    order: room for a header of that many bytes, the CRC-32, the magic. The
+    body is a view of a buffer that only this call's arrays share."""
+    raw = memoryview(_read(path))
     if len(raw) < len(magic) + header + 4:
         raise error(f"{path.name}: truncated file")
     if zlib.crc32(raw[:-4]) != struct.unpack("<I", raw[-4:])[0]:
@@ -76,8 +97,10 @@ def _encode_array(arr: np.ndarray, error: type[Exception],
 def _decode_array(body: memoryview, tag: int, shape: tuple, error: type[Exception],
                   what: str, whole: bool = False) -> tuple[np.ndarray, memoryview]:
     """Decode the array of dtype tag and shape at the start of body; returns
-    it and the rest of body. A bad tag or shape, a body too short for the
-    payload, or with whole any byte after it, raises error naming what."""
+    it and the rest of body. The array is a view of body when its payload is
+    native-order and aligned, else a copy. A bad tag or shape, a body too
+    short for the payload, or with whole any byte after it, raises error
+    naming what."""
     dtype = TAG_DTYPES.get(tag)
     if dtype is None:
         raise error(f"{what}: unknown dtype tag {tag}")
@@ -89,8 +112,10 @@ def _decode_array(body: memoryview, tag: int, shape: tuple, error: type[Exceptio
     if whole and nbytes < len(body):
         raise error(f"{what}: {len(body) - nbytes} trailing bytes after the payload")
     arr = np.frombuffer(body[:nbytes], dtype=dtype.newbyteorder("<"))
+    if not (arr.dtype.isnative and arr.flags.aligned):
+        arr = arr.astype(dtype)
     try:
-        return arr.astype(dtype).reshape(shape), body[nbytes:]
+        return arr.reshape(shape), body[nbytes:]
     except ValueError as e:                            # empty, but dims too large
         raise error(f"{what}: bad shape {shape}: {e}") from None
 
@@ -188,14 +213,17 @@ def restore_state(net: Network, state: dict) -> None:
 
 
 def load_model(path) -> Network:
-    """Rebuild the archived model and restore its weights."""
+    """Rebuild the archived model and restore its weights. The rebuild draws
+    no random numbers: its values are zeros until restore_state copies the
+    archive's in, so a config that claims shapes its records lack touches
+    no memory for them before the shape check rejects it, and one that
+    cannot be allocated at all is an ArchiveError too."""
     config, state = load_archive(path)
     dtypes = {v.dtype for v in state.values() if v.dtype.kind == "f"}
     dtype = np.float64 if np.dtype("float64") in dtypes else np.float32
     try:
-        net = Network(ModelSpec.from_config(config), rng=np.random.default_rng(0),
-                      dtype=dtype)
-    except (KeyError, OverflowError, TypeError, ValueError) as e:
+        net = Network(ModelSpec.from_config(config), rng=_NO_DRAW, dtype=dtype)
+    except (KeyError, MemoryError, OverflowError, TypeError, ValueError) as e:
         raise ArchiveError(f"bad model config: {e}") from None
     restore_state(net, state)
     return net

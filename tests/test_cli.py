@@ -188,6 +188,20 @@ def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     assert "bad model config" in err
 
 
+@pytest.mark.parametrize("path, value", [(("head_width",), 10**9),
+                                         (("num_classes",), 10**12)])
+def test_exit_code_config_claiming_huge_shapes(path, value, tmp_path, capsys):
+    # shapes that no record has are a malformed archive (exit 4), not a
+    # request for more memory than there is (exit 2)
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    weights = _tiny_archive(tmp_path)
+    weights.write_bytes(with_config(weights.read_bytes(), path, value))
+    code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_FORMAT)
+
+
 def test_exit_code_dataset_dims_overflow(tmp_path, capsys):
     # count 0 makes the expected payload 0 bytes, so only the shape is wrong
     ds = tmp_path / "ds"

@@ -25,10 +25,23 @@ def test_round_trip_preserves_dtype_and_bits(tmp_path, dtype):
         images = rng.standard_normal((5, 3, 4, 4)).astype(dtype)
     labels = rng.integers(0, 2, 5).astype(np.uint32)
     save_dataset(tmp_path, images, labels)
+    files = {name: (tmp_path / name).read_bytes() for name in (IMAGES_NAME, LABELS_NAME)}
     got_images, got_labels = load_dataset(tmp_path)
     assert got_images.dtype == dtype
     np.testing.assert_array_equal(got_images, images)
     np.testing.assert_array_equal(got_labels, labels)
+    # the arrays are views of the file's read buffer: each must be usable as
+    # an array the caller owns
+    for got in (got_images, got_labels):
+        assert got.flags.writeable and got.flags.aligned and got.flags.c_contiguous
+        assert got.dtype.isnative
+    again_images, again_labels = load_dataset(tmp_path)
+    got_images[...] = 7
+    got_labels[...] = 7
+    np.testing.assert_array_equal(again_images, images)
+    np.testing.assert_array_equal(again_labels, labels)
+    assert not np.shares_memory(got_images, got_labels)
+    assert all((tmp_path / name).read_bytes() == raw for name, raw in files.items())
 
 
 def test_synthetic_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -82,6 +83,21 @@ def test_forward_shapes(variant):
     out = net(x)
     assert out.shape == (2, net.spec.num_classes)
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("variant, dtype, digest", [
+    ("tiny", np.float64, "7608471b1ddccd7b33691c90c1b2f3cc"),
+    ("M0", np.float32, "e1db738439690dcf159bfbff0219f983"),
+])
+def test_seeded_build_draws_fixed_weights(variant, dtype, digest):
+    # a seed names one set of weights: the digest of every parameter and
+    # buffer, in order, of a build at seed 7
+    from micronet.weights_io import collect_state
+    h = hashlib.sha256()
+    for name, arr in collect_state(build_model(variant, seed=7, dtype=dtype)).items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest()[:32] == digest
 
 
 def test_forward_casts_input_to_network_dtype():

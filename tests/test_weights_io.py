@@ -1,7 +1,12 @@
 """Archive format: bitwise round trips, checksum screening, and strict
 state matching."""
 
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from helpers import reseal, seal_archive, tensor_record, with_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import micronet
+from micronet import weights_io
 from micronet.models import build_model
 from micronet.module import Context
 from micronet.tensor import no_grad
@@ -41,6 +48,47 @@ def test_round_trip_float32(tmp_path):
     loaded = load_model(path)
     assert loaded.dtype == np.float32
     assert states_equal(collect_state(net), collect_state(loaded))
+
+
+def _refuse_draw(*args, **kwargs):
+    raise AssertionError("random draw")
+
+
+class _NoDraws:
+    """A generator that refuses every use."""
+
+    def __getattr__(self, name):
+        _refuse_draw()
+
+
+def _forbid_draws(monkeypatch):
+    """Make numpy's random draws raise: every generator made from now on,
+    and the legacy module-level functions."""
+    for name in ("default_rng", "Generator", "RandomState"):
+        monkeypatch.setattr(np.random, name, lambda *a, **k: _NoDraws())
+    for name in ("standard_normal", "normal", "randn", "rand", "random",
+                 "random_sample", "uniform", "randint", "permutation",
+                 "shuffle", "choice"):
+        monkeypatch.setattr(np.random, name, _refuse_draw)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["tiny", "M0"])
+def test_load_model_draws_nothing(tmp_path, monkeypatch, variant, dtype):
+    # every value of the rebuilt network comes from the archive or the
+    # config: with every draw made to raise, the loaded network still equals
+    # the saved one bit for bit, in its state and in its eval logits
+    net = build_model(variant, seed=5, dtype=dtype)
+    path = tmp_path / "w.mnwt"
+    save_weights(path, net)
+    with monkeypatch.context() as m:
+        _forbid_draws(m)
+        loaded = load_model(path)
+    assert states_equal(collect_state(net), collect_state(loaded))
+    x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(dtype)
+    with no_grad():
+        want, got = (n(x, Context()).data for n in (net, loaded))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_state_includes_buffers(tmp_path):
@@ -205,6 +253,63 @@ def test_hostile_model_config_raises_only_archive_errors(tmp_path_factory, path,
         return
     with no_grad():
         assert np.isfinite(net(np.zeros((1, 3, 8, 8)), Context()).data).all()
+
+
+@pytest.mark.parametrize("path, value", [(("head_width",), 10**9),
+                                         (("num_classes",), 10**12)])
+def test_config_claiming_huge_shapes_rejected_at_once(tmp_path, path, value):
+    # the rebuild's weights are zeros that nothing touches before
+    # restore_state compares shapes, so a config claiming shapes no record
+    # has is an ArchiveError (the allocation fails, or the shape check
+    # does), never an out-of-memory error or a long draw
+    archive = tmp_path / "w.mnwt"
+    save_weights(archive, TINY)
+    archive.write_bytes(with_config(archive.read_bytes(), path, value))
+    start = time.perf_counter()
+    with pytest.raises(ArchiveError):
+        load_model(archive)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("path", [("head_width",), ("blocks", 1, "width")])
+def test_rebuild_touches_no_memory_for_claimed_shapes(tmp_path, path):
+    # a width of 10**7 that no record has: every weight and norm value of
+    # the rebuild is a zero whose pages stay untouched until restore_state
+    # rejects the shapes, so a fresh process's peak RSS barely moves (ones
+    # in the norms raise it by about 45 MB, drawing the head by 900 MB)
+    archive = tmp_path / "w.mnwt"
+    save_weights(archive, TINY)
+    archive.write_bytes(with_config(archive.read_bytes(), path, 10**7))
+    code = ("import resource, sys\n"
+            "from micronet.weights_io import ArchiveError, load_model\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_model(sys.argv[1])\n"
+            "except ArchiveError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(micronet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(archive)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 16 * 1024        # kB
+
+
+@pytest.mark.parametrize("delta", [-7, 7])
+def test_read_runs_to_eof_when_the_size_changes_after_stat(tmp_path, monkeypatch,
+                                                           delta):
+    # a file that grows (-7: the stat saw fewer bytes) or shrinks (+7: it saw
+    # more) between the stat and the read is read whole as it ends, with no
+    # byte of the unfilled buffer
+    path = tmp_path / "w.mnwt"
+    save_weights(path, TINY)
+    fstat = os.fstat
+    monkeypatch.setattr(weights_io.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + delta))
+    config, state = load_archive(path)
+    monkeypatch.undo()
+    assert config == TINY.spec.to_config()
+    assert states_equal(state, collect_state(TINY))
 
 
 def test_trained_weights_round_trip_predictions(tmp_path):
