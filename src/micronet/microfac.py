@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,18 +64,12 @@ def pick_group_pair(hidden: int, in_channels: int, out_channels: int,
     no divisor pair satisfies the channel constraints.
     """
     t = lam * math.sqrt(hidden)
-    best = None
-    for g1 in range(1, hidden + 1):
-        if hidden % g1:
-            continue
-        g2 = hidden // g1
-        if in_channels % g1 or out_channels % g2:
-            continue
-        key = (abs(g1 - t) + abs(g2 - t), g1)
-        if best is None or key < best[0]:
-            best = (key, g1, g2)
-    if best is not None:
-        return best[1], best[2]
+    # the divisor pairs of hidden, enumerated up to its square root
+    pairs = [(g1, g2) for d in range(1, math.isqrt(hidden) + 1) if hidden % d == 0
+             for g1, g2 in ((d, hidden // d), (hidden // d, d))
+             if in_channels % g1 == 0 and out_channels % g2 == 0]
+    if pairs:
+        return min(pairs, key=lambda p: (abs(p[0] - t) + abs(p[1] - t), p[0]))
     return (fit_groups(t, in_channels, hidden), fit_groups(t, hidden, out_channels))
 
 
@@ -117,11 +112,16 @@ class MicroFacPointwise(Module):
         self.g2 = g2
         self.compress_spec = ConvSpec(in_channels, hidden, 1, groups=g1)
         self.expand_spec = ConvSpec(hidden, out_channels, 1, groups=g2)
-        self.perm = shuffle_permutation(hidden, g1)
         self.compress_w = he_normal(self.compress_spec.weight_shape,
                                     in_channels // g1, rng, dtype)
         self.expand_w = he_normal(self.expand_spec.weight_shape,
                                   hidden // g2, rng, dtype)
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """The shuffle between compress and expand, made on first use, so a
+        rebuild that claims a hidden width its archive lacks never fills it."""
+        return shuffle_permutation(self.hidden, self.g1)
 
     def compress(self, x: Tensor, ctx: Context, norm: Module | None = None,
                  act: str | None = None, shuffled: bool = False) -> Tensor:
@@ -235,10 +235,16 @@ class MicroFacDepthwise(Module):
 
         At eval a pair that expands and strides runs as its one k x k
         convolution, dense_kernel() under dense_spec() (README "Kernels")."""
-        if not ctx.training and self.out_channels > self.channels and self.stride > 1:
+        if not ctx.training and self.composed:
             return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm, act)
         return conv2d(conv2d(x, self.col_w, None, self.col_spec),
                       self.row_w, None, self.row_spec, norm, ctx.training, act)
+
+    @property
+    def composed(self) -> bool:
+        """Whether the pair runs as one k x k convolution at eval: it
+        expands and strides."""
+        return self.out_channels > self.channels and self.stride > 1
 
     def dense_kernel(self) -> np.ndarray:
         """Outer-product k x k kernels, shape (C*expansion, 1, k, k)."""

@@ -3,20 +3,29 @@ and the per-call Context that carries the training flag."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor
 from .tensor import Tensor
 
 
-@dataclass
 class Context:
-    """Per-call state threaded through forward passes."""
-    training: bool = False
-    # seeded so that a training forward without an explicit rng is reproducible
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    """Per-call state threaded through forward passes: the training flag and
+    the rng that dropout draws from."""
+
+    __slots__ = ("training", "_rng")
+
+    def __init__(self, training: bool = False, rng: np.random.Generator | None = None):
+        self.training = training
+        self._rng = rng
+
+    @property
+    def rng(self) -> np.random.Generator:
+        # made on first read, which only a training forward's dropout does;
+        # seeded so that a training forward without an explicit rng repeats
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng
 
 
 class Module:

@@ -15,6 +15,10 @@ import numpy as np
 _grad_enabled = True
 # a Tape while analysis.trace_costs runs its forward, None otherwise
 _tape = None
+# while a network's eval forward runs under no_grad, the norm folds it
+# prepared for it ({norm: (weight, folded weight, shift)}, see
+# models.Network.forward), None otherwise
+_folds = None
 
 
 @contextmanager
@@ -546,12 +550,23 @@ def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
     return _conv_im2col
 
 
+def _norm_affine(gamma, beta, mean, var, eps, out=None):
+    """A norm's eval map y -> a*y + b as (inv, a, b): inv = 1/sqrt(var + eps),
+    a = gamma * inv and b = beta - mean * a, written into out if given.
+    The arrays are one norm's, or every norm of a network laid end to end
+    with eps repeated per channel; each value is the same either way."""
+    inv = 1.0 / np.sqrt(var + eps)
+    a = gamma * inv
+    return inv, a, np.subtract(beta, mean * a, out=out)
+
+
 def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
                  bias: Tensor | None, norm, need_w: bool):
     """kernel on x and the weights wd, then a per-channel bias or norm's eval
-    map y -> a*y + b, with a = gamma / sqrt(var + eps) and b = beta - mean * a,
-    folded into the convolution: conv(x, wd * a) + b, b added in place on
-    the kernel's C-ordered output.
+    map y -> a*y + b (_norm_affine) folded into the convolution:
+    conv(x, wd * a) + b, b added in place on the kernel's C-ordered output.
+    Under no_grad, a fold the running network forward prepared for norm
+    (_folds) is used instead of folding here, if it was made from wd.
 
     Returns the output, the parents after x and the weights (bias, or gamma
     and beta) and backward(gout), which accumulates the gradients of x and
@@ -571,9 +586,12 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
                 [] if bias is None else [bias], backward)
 
     gamma, beta = norm.gamma, norm.beta
-    inv = 1.0 / np.sqrt(norm.running_var + norm.eps)
-    a = gamma.data * inv
-    b = beta.data - norm.running_mean * a
+    fold = None if _folds is None or _grad_enabled else _folds.get(norm)
+    if fold is not None and fold[0] is wd:
+        out, _ = kernel(x.data, fold[1], spec)
+        return _output(out, fold[2]), [gamma, beta], None
+    inv, a, b = _norm_affine(gamma.data, beta.data, norm.running_mean,
+                             norm.running_var, norm.eps)
     out, vjp = kernel(x.data, wd * a[:, None, None, None], spec)
 
     def backward(gout):
@@ -614,6 +632,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
     the convolution, conv2d(x, w * a) + b, with b added in place on the
     kernel's C-ordered output, and the ReLU runs in place on that buffer.
+    When a network's eval forward runs under no_grad, w * a and b come
+    from the fold it computed for all of its norms at once
+    (models.Network.forward), bit for bit the same.
 
     In training it uses this batch's statistics over (N, H, W), computed
     once (channel sums as matrix-vector products over the contiguous H*W

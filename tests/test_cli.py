@@ -189,7 +189,8 @@ def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path, value", [(("head_width",), 10**9),
-                                         (("num_classes",), 10**12)])
+                                         (("num_classes",), 10**12),
+                                         (("blocks", 1, "hidden"), 10**9)])
 def test_exit_code_config_claiming_huge_shapes(path, value, tmp_path, capsys):
     # shapes that no record has are a malformed archive (exit 4), not a
     # request for more memory than there is (exit 2)

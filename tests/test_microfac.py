@@ -2,6 +2,7 @@
 rank structure, and connectivity counting."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,33 @@ def test_adaptive_groups_frozen_values():
 ])
 def test_pick_group_pair_frozen_values(hidden, cin, cout, expect):
     assert pick_group_pair(hidden, cin, cout) == expect
+
+
+def _scan_group_pair(hidden, cin, cout):
+    """pick_group_pair as a scan of every g1 in 1..hidden."""
+    t = math.sqrt(hidden)
+    best = None
+    for g1 in range(1, hidden + 1):
+        if hidden % g1:
+            continue
+        g2 = hidden // g1
+        if cin % g1 or cout % g2:
+            continue
+        key = (abs(g1 - t) + abs(g2 - t), g1)
+        if best is None or key < best[0]:
+            best = (key, g1, g2)
+    if best is not None:
+        return best[1], best[2]
+    return (fit_groups(t, cin, hidden), fit_groups(t, hidden, cout))
+
+
+@pytest.mark.parametrize("cin", [1, 6, 12, 64, 144, 720])
+@pytest.mark.parametrize("cout", [1, 8, 96, 480, 864])
+def test_pick_group_pair_matches_full_scan(cin, cout):
+    # enumerating the divisors up to sqrt(hidden) picks what the scan of
+    # every g1 picked, fallback included
+    for hidden in range(1, 513):
+        assert pick_group_pair(hidden, cin, cout) == _scan_group_pair(hidden, cin, cout)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),

@@ -256,12 +256,14 @@ def test_hostile_model_config_raises_only_archive_errors(tmp_path_factory, path,
 
 
 @pytest.mark.parametrize("path, value", [(("head_width",), 10**9),
-                                         (("num_classes",), 10**12)])
+                                         (("num_classes",), 10**12),
+                                         (("blocks", 1, "hidden"), 10**9)])
 def test_config_claiming_huge_shapes_rejected_at_once(tmp_path, path, value):
     # the rebuild's weights are zeros that nothing touches before
     # restore_state compares shapes, so a config claiming shapes no record
     # has is an ArchiveError (the allocation fails, or the shape check
-    # does), never an out-of-memory error or a long draw
+    # does), never an out-of-memory error or a long draw; a claimed hidden
+    # width costs neither a scan of its divisors nor a filled shuffle
     archive = tmp_path / "w.mnwt"
     save_weights(archive, TINY)
     archive.write_bytes(with_config(archive.read_bytes(), path, value))
