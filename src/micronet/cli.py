@@ -344,6 +344,20 @@ def _at_least(minimum: int, maximum: int | None = None):
     return parse
 
 
+def _real(accept, requirement: str):
+    """argparse type: a float for which accept holds, described by requirement
+    (every comparison with NaN is false, so a bound rejects it)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
 _positive = _at_least(1)
 _non_negative = _at_least(0)
 # analyze and verify run one forward at this size: M3 peaks at about 101 MB
@@ -392,11 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--synthetic", type=_positive, default=128, metavar="N",
                        help="train on N generated images")
     p.add_argument("--epochs", type=_positive, default=30)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_real(lambda v: 0 < v < np.inf, "finite and positive"),
+                   default=0.05)
     p.add_argument("--batch-size", type=_positive, default=16)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=3e-5)
-    p.add_argument("--target-accuracy", type=float, default=None)
+    p.add_argument("--momentum", type=_real(lambda v: 0 <= v < 1, "in [0, 1)"),
+                   default=0.9)
+    p.add_argument("--weight-decay", default=3e-5,
+                   type=_real(lambda v: 0 <= v < np.inf, "finite and non-negative"))
+    p.add_argument("--target-accuracy", type=_real(lambda v: not np.isnan(v), "a number"),
+                   default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", help="weight archive path")
     p.add_argument("--json", action="store_true")

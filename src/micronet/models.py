@@ -13,11 +13,12 @@ Batch normalization follows every convolution stage and precedes its
 activation. A BatchNorm2d is only the norm's state: each convolution runs
 with the norm after it as one `conv2d` op, with batch statistics in
 training, and at eval time with the running statistics folded into the
-convolution. The weights of those convolutions and their norms' values
-are views of flat buffers of the Network, so that an eval forward under
-no_grad folds every norm at once (_NormFolds). A ReLU after a convolution
-runs inside that op as its epilogue, and so does the shuffle after a ReLU
-compress; other activation slots run as modules of their own.
+convolution. The norms' values are views of a flat buffer of the Network,
+so that an eval forward under no_grad computes every norm's eval map at
+once (_NormFolds), and each convolution scales its own weight by it. A
+ReLU after a convolution runs inside that op as its epilogue, and so does
+the shuffle after a ReLU compress; other activation slots run as modules
+of their own.
 Stage-leading blocks carry stride 2 in the depthwise stage.
 """
 
@@ -260,7 +261,7 @@ class BatchNorm2d(Module):
     from its norm argument: gamma, beta, the running statistics, eps and
     momentum. With rng _NO_DRAW (module.he_normal) every value starts at
     zero. In a Network, gamma, beta and the running statistics are views
-    of the network's flat buffers (_NormFolds)."""
+    of the network's flat buffer (_NormFolds)."""
 
     def __init__(self, channels: int, dtype, eps: float = 1e-5,
                  momentum: float = 0.1, rng=None):
@@ -335,10 +336,6 @@ class Stem(Module):
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         return self.conv2(self.conv1(x, ctx), ctx, norm=self.norm, act="relu")
 
-    def folded_norms(self) -> list:
-        """(weight, norm) for each convolution weight a norm follows at eval."""
-        return [(self.conv2.weight, self.norm)]
-
 
 class MicroBlockA(Module):
     """Lite combination: factorized depthwise expansion, then one
@@ -364,11 +361,6 @@ class MicroBlockA(Module):
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         t = _stage(self.depthwise, self.act1, x, ctx, self.norm1)
         return _stage(self.squeeze, self.act2, t, ctx, self.norm2)
-
-    def folded_norms(self) -> list:
-        # a composed depthwise pair folds norm1 into the product of its factors
-        dw = [] if self.depthwise.composed else [(self.depthwise.row_w, self.norm1)]
-        return dw + [(self.squeeze.weight, self.norm2)]
 
 
 class MicroBlockBC(Module):
@@ -405,11 +397,6 @@ class MicroBlockBC(Module):
             t = add(t, x)
         return t
 
-    def folded_norms(self) -> list:
-        pw = self.pointwise
-        return [(self.depthwise.row_w, self.norm1), (pw.compress_w, self.norm2),
-                (pw.expand_w, self.norm3)]
-
 
 class Head(Module):
     """Global average pool into a two-layer classifier."""
@@ -435,95 +422,72 @@ class Head(Module):
 # ---------------------------------------------------------------------------
 # network
 
-def _adopt(flat: np.ndarray, offset: int, arr: np.ndarray, copy: bool) -> np.ndarray:
-    """The view of flat at offset shaped like arr, with arr's values if copy."""
-    view = flat[offset:offset + arr.size].reshape(arr.shape)
-    if copy:
-        view[...] = arr
-    return view
-
-
 class _NormFolds:
-    """Flat storage for every input of a network's eval norm folds, and the
-    pass that folds all of them at once.
+    """Flat storage for the values of every norm of a network, and the pass
+    that computes all of their eval maps at once.
 
-    pairs holds (weight, norm) for each convolution weight that a norm
-    follows at eval. The weight arrays become views of one flat buffer, and
-    the norms' gamma, beta, running_mean and running_var views of four
-    more, in the same order. With zeros (a network whose values are about
-    to be copied in) the buffers come from np.zeros and nothing is copied;
-    otherwise each value is copied into its view."""
+    The four rows of values hold the norms' gamma, beta, running_mean and
+    running_var, laid end to end in the order of norms, and each norm's
+    arrays become views of them. With zeros (a network whose values are
+    about to be copied in) the buffer comes from np.zeros and nothing is
+    copied; otherwise each value is copied into its view."""
 
-    def __init__(self, pairs: list, dtype, zeros: bool):
-        alloc = np.zeros if zeros else np.empty
-        channels = [w.shape[0] for w, _ in pairs]
-        self.weights = alloc(sum(w.data.size for w, _ in pairs), dtype)
-        self.gamma, self.beta, self.mean, self.var = (
-            alloc(sum(channels), dtype) for _ in range(4))
-        self.views = []     # (weight, norm, then the views and eps each must keep)
-        wo = co = 0
-        for (w, norm), c in zip(pairs, channels):
-            w.data = _adopt(self.weights, wo, w.data, not zeros)
-            norm.gamma.data = _adopt(self.gamma, co, norm.gamma.data, not zeros)
-            norm.beta.data = _adopt(self.beta, co, norm.beta.data, not zeros)
-            norm.register_buffer("running_mean",
-                                 _adopt(self.mean, co, norm.running_mean, not zeros))
-            norm.register_buffer("running_var",
-                                 _adopt(self.var, co, norm.running_var, not zeros))
-            self.views.append((w, norm, w.data, norm.gamma.data, norm.beta.data,
-                               norm.running_mean, norm.running_var, norm.eps))
-            wo += w.data.size
+    def __init__(self, norms: list, dtype, zeros: bool):
+        self.channels = [norm.gamma.shape[0] for norm in norms]
+        self.values = (np.zeros if zeros else np.empty)((4, sum(self.channels)), dtype)
+        self.views = []     # (norm, then the views and eps it must keep)
+        co = 0
+        for norm, c in zip(norms, self.channels):
+            view = self.values[:, co:co + c]
+            if not zeros:
+                view[...] = (norm.gamma.data, norm.beta.data, norm.running_mean,
+                             norm.running_var)
+            g, b, m, v = view
+            norm.gamma.data, norm.beta.data, norm.running_mean, norm.running_var = g, b, m, v
+            self.views.append((norm, g, b, m, v, norm.eps))
             co += c
-        self.channels = channels
         self.folds = None
 
     def __reduce__(self):
         # a copy of the network (copy.deepcopy, pickle) holds copies of the
         # views, not views of the copied buffers: it gets no fold pass
-        return _NormFolds, ([], self.weights.dtype, True)
+        return _NormFolds, ([], self.values.dtype, True)
 
     def _allocate(self):
-        """The fold's outputs, one view per norm, and its constants."""
-        self.folded = np.empty_like(self.weights)
-        self.shift = np.empty_like(self.gamma)
-        self.eps = np.repeat(np.array([v[-1] for v in self.views], self.gamma.dtype),
+        """The pass's outputs, (inv, a, b) views for each norm, and its eps."""
+        self.affine = np.empty_like(self.values[:3])
+        self.eps = np.repeat(np.array([v[-1] for v in self.views], self.values.dtype),
                              self.channels)
-        self.fan_in = np.repeat([v[2][0].size for v in self.views], self.channels)
         self.folds = {}
-        wo = co = 0
-        for (_, norm, wv, *_), c in zip(self.views, self.channels):
-            self.folds[norm] = (wv, self.folded[wo:wo + wv.size].reshape(wv.shape),
-                                self.shift[co:co + c])
-            wo += wv.size
+        co = 0
+        for (norm, *_), c in zip(self.views, self.channels):
+            self.folds[norm] = tuple(self.affine[:, co:co + c])
             co += c
 
     def prepare(self) -> dict | None:
-        """Fold every norm into its weights from the live values:
-        {norm: (weight, weight * a, b)}, the form tensor._folds takes. None
-        when an array is no longer its view or an eps has changed: each
-        convolution then folds its own norm."""
+        """Every norm's eval map from the live values: {norm: (inv, a, b)},
+        the form tensor._folds takes. None when an array is no longer its
+        view or an eps has changed: each convolution then folds its own
+        norm."""
         if not self.views:                  # no norms, or a copy
             return None
-        for w, norm, wv, g, b, m, v, eps in self.views:
-            if (w.data is not wv or norm.gamma.data is not g or norm.beta.data is not b
+        for norm, g, b, m, v, eps in self.views:
+            if (norm.gamma.data is not g or norm.beta.data is not b
                     or norm.running_mean is not m or norm.running_var is not v
                     or norm.eps is not eps):
                 return None
         if self.folds is None:
             self._allocate()
-        _, a, _ = tensor._norm_affine(self.gamma, self.beta, self.mean, self.var,
-                                      self.eps, out=self.shift)
-        np.multiply(self.weights, np.repeat(a, self.fan_in), out=self.folded)
+        tensor._norm_affine(*self.values, self.eps, out=self.affine)
         return self.folds
 
 
 class Network(Module):
     """A buildable, runnable model instance with its spec attached.
 
-    The weights of the convolutions that a norm follows at eval, and those
-    norms' parameters and running statistics, are views of flat network
-    buffers (_NormFolds), so that an eval forward under no_grad folds every
-    norm in a few numpy calls."""
+    The parameters and running statistics of every norm are views of a
+    flat network buffer (_NormFolds), so that an eval forward under no_grad
+    computes every norm's eval map in a few numpy calls."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None,
                  dtype=np.float32):
@@ -541,13 +505,15 @@ class Network(Module):
             c = blk.c_out
         self.blocks = ModuleList(blocks)
         self.head = Head(c, spec, rng, dtype)
-        self._norm_folds = _NormFolds(self.folded_norms(), self.dtype, rng is _NO_DRAW)
+        norms = [m for _, m in self.named_modules() if isinstance(m, BatchNorm2d)]
+        self._norm_folds = _NormFolds(norms, self.dtype, rng is _NO_DRAW)
 
     def forward(self, x, ctx: Context | None = None) -> Tensor:
-        """The logits of x. An eval forward under no_grad first folds every
-        norm from the live buffers, and each convolution then uses its
-        norm's fold while this forward runs (tensor._folds). Each forward
-        recomputes the folds, so nothing can serve stale weights."""
+        """The logits of x. An eval forward under no_grad first computes
+        every norm's eval map from the live buffers, and each convolution
+        then scales its own live weight by its norm's map while this forward
+        runs (tensor._folds). Each forward recomputes the maps, so nothing
+        can go stale."""
         ctx = ctx or Context()
         if x.dtype != self.dtype:
             x = Tensor(x.data.astype(self.dtype))
@@ -566,11 +532,6 @@ class Network(Module):
             return self.head(t, ctx)
         finally:
             tensor._folds = outer
-
-    def folded_norms(self) -> list:
-        """(weight, norm) for each convolution weight a norm follows at eval."""
-        return [(w, norm) for m in (self.stem, *self.blocks)
-                for w, norm in m.folded_norms() if norm is not None]
 
     def pointwise_layers(self):
         """(name, MicroFacPointwise) pairs for structural verification."""

@@ -41,6 +41,8 @@ class Module:
             self._params[name] = value
         elif isinstance(value, Module):
             self._children[name] = value
+        elif name in self._buffers:
+            self._buffers[name] = value
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name, array: np.ndarray):

@@ -15,8 +15,8 @@ import numpy as np
 _grad_enabled = True
 # a Tape while analysis.trace_costs runs its forward, None otherwise
 _tape = None
-# while a network's eval forward runs under no_grad, the norm folds it
-# prepared for it ({norm: (weight, folded weight, shift)}, see
+# while a network's eval forward runs under no_grad, the eval map of each
+# of its norms, computed for all of them at once ({norm: (inv, a, b)}, see
 # models.Network.forward), None otherwise
 _folds = None
 
@@ -550,14 +550,16 @@ def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
     return _conv_im2col
 
 
-def _norm_affine(gamma, beta, mean, var, eps, out=None):
+def _norm_affine(gamma, beta, mean, var, eps, out=(None, None, None)):
     """A norm's eval map y -> a*y + b as (inv, a, b): inv = 1/sqrt(var + eps),
-    a = gamma * inv and b = beta - mean * a, written into out if given.
-    The arrays are one norm's, or every norm of a network laid end to end
-    with eps repeated per channel; each value is the same either way."""
-    inv = 1.0 / np.sqrt(var + eps)
-    a = gamma * inv
-    return inv, a, np.subtract(beta, mean * a, out=out)
+    a = gamma * inv and b = beta - mean * a, written into the three arrays
+    of out if given. The arrays are one norm's, or every norm of a network
+    laid end to end with eps repeated per channel; each value is the same
+    either way."""
+    inv_out, a_out, b_out = out
+    inv = np.divide(1.0, np.sqrt(var + eps), out=inv_out)
+    a = np.multiply(gamma, inv, out=a_out)
+    return inv, a, np.subtract(beta, mean * a, out=b_out)
 
 
 def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
@@ -565,8 +567,9 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
     """kernel on x and the weights wd, then a per-channel bias or norm's eval
     map y -> a*y + b (_norm_affine) folded into the convolution:
     conv(x, wd * a) + b, b added in place on the kernel's C-ordered output.
-    Under no_grad, a fold the running network forward prepared for norm
-    (_folds) is used instead of folding here, if it was made from wd.
+    While a network's eval forward runs under no_grad, norm's (inv, a, b)
+    come from the pass it made over all of its norms (_folds); wd is read
+    live either way.
 
     Returns the output, the parents after x and the weights (bias, or gamma
     and beta) and backward(gout), which accumulates the gradients of x and
@@ -586,12 +589,9 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
                 [] if bias is None else [bias], backward)
 
     gamma, beta = norm.gamma, norm.beta
-    fold = None if _folds is None or _grad_enabled else _folds.get(norm)
-    if fold is not None and fold[0] is wd:
-        out, _ = kernel(x.data, fold[1], spec)
-        return _output(out, fold[2]), [gamma, beta], None
-    inv, a, b = _norm_affine(gamma.data, beta.data, norm.running_mean,
-                             norm.running_var, norm.eps)
+    fold = _folds.get(norm) if _folds else None
+    inv, a, b = fold or _norm_affine(gamma.data, beta.data, norm.running_mean,
+                                     norm.running_var, norm.eps)
     out, vjp = kernel(x.data, wd * a[:, None, None, None], spec)
 
     def backward(gout):
@@ -632,8 +632,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
     the convolution, conv2d(x, w * a) + b, with b added in place on the
     kernel's C-ordered output, and the ReLU runs in place on that buffer.
-    When a network's eval forward runs under no_grad, w * a and b come
-    from the fold it computed for all of its norms at once
+    When a network's eval forward runs under no_grad, a and b come from
+    the pass it made over all of its norms at once
     (models.Network.forward), bit for bit the same.
 
     In training it uses this batch's statistics over (N, H, W), computed
@@ -719,7 +719,9 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
     """A depthwise kh x 1 column stage, then a 1 x kw row stage, with nothing
     between them, run as one kh x kw depthwise convolution whose kernel is
     their outer product, followed by norm's eval map and the activation act
-    (see conv2d). An eval op: a norm always uses its running statistics.
+    (see conv2d). An eval op: a norm always uses its running statistics,
+    taken, like any convolution's, from a network's pass over its norms
+    when one runs; the product of the factors is formed on every call.
 
     spec is the composed convolution (groups == C_in): its vertical stride
     and padding are the column stage's, its horizontal ones the row stage's.

@@ -346,6 +346,18 @@ def test_seed_env_variable(monkeypatch, capsys):
     (["bench", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
     (["sweep", "--budget", "100", "--reduction", "4", "--max-groups", "4097"],
      "--max-groups"),
+    # training hyperparameters are rejected while parsing, before any epoch
+    (["train", "--lr", "nan"], "--lr"),
+    (["train", "--lr", "-1"], "--lr"),
+    (["train", "--lr", "0"], "--lr"),
+    (["train", "--lr", "inf"], "--lr"),
+    (["train", "--momentum", "nan"], "--momentum"),
+    (["train", "--momentum", "1"], "--momentum"),
+    (["train", "--momentum", "-0.1"], "--momentum"),
+    (["train", "--weight-decay", "inf"], "--weight-decay"),
+    (["train", "--weight-decay", "nan"], "--weight-decay"),
+    (["train", "--weight-decay", "-0.001"], "--weight-decay"),
+    (["train", "--target-accuracy", "nan"], "--target-accuracy"),
 ])
 def test_counts_are_validated(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

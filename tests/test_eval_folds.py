@@ -1,6 +1,7 @@
-"""The eval forward's one fold pass: every norm of a network is folded into
-its convolution's weights from the live values on each forward under
-no_grad, so no change to a weight, a norm or its statistics is missed."""
+"""The eval forward's one fold pass: the eval map of every norm of a
+network is computed from the live values on each forward under no_grad,
+and each convolution scales its own live weight by it, so no change to a
+weight, a norm or its statistics is missed."""
 
 import copy
 
@@ -50,6 +51,10 @@ def fresh(net, x=X):
     return got
 
 
+def norms_of(net):
+    return [m for _, m in net.named_modules() if isinstance(m, BatchNorm2d)]
+
+
 def count_folds(monkeypatch):
     """Count the calls of the affine helper both fold paths share."""
     calls = []
@@ -65,7 +70,7 @@ def count_folds(monkeypatch):
 
 def test_no_grad_eval_folds_every_norm_in_one_pass(monkeypatch):
     net = perturbed()
-    norms = [m for _, m in net.named_modules() if isinstance(m, BatchNorm2d)]
+    norms = norms_of(net)
     composed = sum(blk.kind == "A" and blk.depthwise.composed for blk in net.blocks)
     assert len(norms) == 6 and composed == 1
     calls = count_folds(monkeypatch)
@@ -76,11 +81,17 @@ def test_no_grad_eval_folds_every_norm_in_one_pass(monkeypatch):
     assert len(calls) == len(norms)
     calls.clear()
     assert eval_logits(net, X, False).tobytes() == want.tobytes()
-    # one call for every norm after a single convolution, one for the
-    # composed pair's norm
-    channels = sum(n.gamma.shape[0] for _, n in net.folded_norms())
-    assert calls == [channels] + [blk.norm1.gamma.shape[0] for blk in net.blocks
-                                  if blk.kind == "A" and blk.depthwise.composed]
+    # one call over the channels of every norm, the composed pair's included
+    assert calls == [sum(n.gamma.shape[0] for n in norms)]
+
+
+@pytest.mark.parametrize("variant", ["tiny", "M0", "M1", "M2", "M3"])
+def test_pass_covers_every_norm(variant):
+    net = build_model(variant, seed=0)
+    norms = norms_of(net)
+    folds = net._norm_folds.prepare()
+    assert folds is not None and len(folds) == len(norms)
+    assert all(tuple(v.shape for v in folds[n]) == (n.gamma.shape,) * 3 for n in norms)
 
 
 @pytest.mark.parametrize("target", ["weight", "gamma", "beta", "running_mean",
@@ -150,6 +161,8 @@ def test_fold_sees_eps_change(monkeypatch):
 
 @pytest.mark.parametrize("target", ["weight", "gamma"])
 def test_rebound_array_falls_back_to_each_convolution(target, monkeypatch):
+    # a rebound norm array leaves the pass; a rebound weight needs no
+    # fallback, since each convolution reads its weight live
     net = perturbed()
     before = fresh(net)
     blk = net.blocks[1]
@@ -157,13 +170,17 @@ def test_rebound_array_falls_back_to_each_convolution(target, monkeypatch):
     p.data = p.data * 1.5
     calls = count_folds(monkeypatch)
     assert not np.array_equal(fresh(net), before)
-    assert net._norm_folds.prepare() is None
-    assert len(calls) == 2 * 6
+    if target == "weight":
+        assert len(calls) == 1 + 6
+        assert net._norm_folds.prepare() is not None
+    else:
+        assert len(calls) == 2 * 6
+        assert net._norm_folds.prepare() is None
 
 
 def test_rebound_weight_tensor_is_never_served_a_fold():
-    # a module given a new weight Tensor: the network's view still checks
-    # out, but the convolution reads another array, so it folds its own
+    # a module given a new weight Tensor: the pass holds no weights, so it
+    # still runs, and the convolution scales the new weight
     net = perturbed()
     before = fresh(net)
     w = net.blocks[1].pointwise.compress_w
@@ -225,8 +242,9 @@ def test_no_grad_eval_draws_no_rng(monkeypatch):
 
 
 def _step(net, donor, kind, rng):
-    pairs = net.folded_norms()
-    w, norm = pairs[rng.integers(len(pairs))]
+    norms = norms_of(net)
+    convs = [p for _, p in net.named_params() if p.data.ndim == 4]
+    norm, w = norms[rng.integers(len(norms))], convs[rng.integers(len(convs))]
     if kind == "write":
         arrays = [w.data, norm.gamma.data, norm.beta.data, norm.running_mean]
         arr = arrays[rng.integers(len(arrays))]

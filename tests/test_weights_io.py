@@ -100,6 +100,27 @@ def test_state_includes_buffers(tmp_path):
     assert set(params) <= set(state)
 
 
+def test_rebound_buffer_is_archived(tmp_path):
+    # a buffer rebound by attribute replaces the registered one: the state,
+    # the archive and the eval logits all follow the new array
+    net = build_model("tiny", seed=0)
+    x = np.random.default_rng(1).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    with no_grad():
+        before = net(x, Context()).data
+    new = np.full(4, 7.0, dtype=np.float32)
+    net.blocks[1].norm2.running_mean = new
+    state = collect_state(net)
+    assert state["blocks.1.norm2.running_mean"] is new
+    path = tmp_path / "w.mnwt"
+    save_weights(path, net)
+    loaded = load_model(path)
+    assert states_equal(state, collect_state(loaded))
+    with no_grad():
+        want, got = (n(x, Context()).data for n in (net, loaded))
+    assert not np.array_equal(want, before)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_corruption_always_detected(tmp_path):
     net = build_model("tiny", seed=1, dtype=np.float64)
     path = tmp_path / "w.mnwt"
