@@ -2,7 +2,9 @@
 
 Subcommands: analyze, verify, infer, train, bench, sweep. Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
-3 missing or unreadable input file, 4 malformed archive or dataset. An
+3 missing or unreadable input file, 4 malformed archive or dataset (a
+dataset also when it holds no images, images that are not 3-channel or
+have no pixels, or a non-finite pixel, for infer and train alike). An
 output path that cannot be written, a closed stdout, and a request too
 large to allocate (out of memory), are usage errors (2). Every error ends
 with one line on stderr. The MICRONET_SEED environment variable supplies
@@ -100,11 +102,21 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_nonempty(directory):
-    """load_dataset, refusing a dataset without images: accuracy and the
-    training loss are means over the images."""
+    """load_dataset, refusing a dataset that no network can read: one
+    without images (accuracy and the training loss are means over the
+    images), of images that are not 3-channel or hold no pixels, or with a
+    non-finite pixel."""
     images, labels = load_dataset(directory)
+    _, c, h, w = images.shape
     if not len(labels):
         raise DatasetError(f"{directory}: the dataset holds no images")
+    if c != 3:
+        raise DatasetError(f"{directory}: expected 3-channel images, got {c}")
+    if not h * w:
+        raise DatasetError(f"{directory}: the images hold no pixels ({h}x{w})")
+    # min and max propagate NaN and reach any infinity, with no mask of the images
+    if not (np.isfinite(images.min()) and np.isfinite(images.max())):
+        raise DatasetError(f"{directory}: the images hold non-finite values")
     return images, labels
 
 
@@ -157,8 +169,6 @@ def cmd_verify(args) -> int:
 def cmd_infer(args) -> int:
     net = load_model(args.weights)
     images, labels = _load_nonempty(args.data)
-    if images.shape[1] != 3:
-        raise DatasetError(f"expected 3-channel images, got {images.shape[1]}")
     preds = []
     with no_grad():
         for start in range(0, len(images), args.batch_size):

@@ -233,17 +233,19 @@ class MicroFacDepthwise(Module):
         """The column then the row stage; norm and then act, if given, follow
         the row stage.
 
-        At eval a pair that expands and strides runs as its one k x k
-        convolution, dense_kernel() under dense_spec() (README "Kernels")."""
-        if not ctx.training and self.composed:
-            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm, act)
+        A pair that expands and strides runs as its one k x k convolution,
+        dense_kernel() under dense_spec(), at eval and in training alike
+        (README "Kernels")."""
+        if self.composed:
+            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm,
+                                   ctx.training, act)
         return conv2d(conv2d(x, self.col_w, None, self.col_spec),
                       self.row_w, None, self.row_spec, norm, ctx.training, act)
 
     @property
     def composed(self) -> bool:
-        """Whether the pair runs as one k x k convolution at eval: it
-        expands and strides."""
+        """Whether the pair runs as one k x k convolution: it expands and
+        strides."""
         return self.out_channels > self.channels and self.stride > 1
 
     def dense_kernel(self) -> np.ndarray:

@@ -563,9 +563,10 @@ def _norm_affine(gamma, beta, mean, var, eps, out=(None, None, None)):
 
 
 def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
-                 bias: Tensor | None, norm, need_w: bool):
-    """kernel on x and the weights wd, then a per-channel bias or norm's eval
-    map y -> a*y + b (_norm_affine) folded into the convolution:
+                 bias: Tensor | None, norm, training: bool, need_w: bool):
+    """kernel on x and the weights wd, then a per-channel bias, norm with this
+    batch's statistics in training (_conv_batch_norm), or norm's eval map
+    y -> a*y + b (_norm_affine) folded into the convolution:
     conv(x, wd * a) + b, b added in place on the kernel's C-ordered output.
     While a network's eval forward runs under no_grad, norm's (inv, a, b)
     come from the pass it made over all of its norms (_folds); wd is read
@@ -574,6 +575,8 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
     Returns the output, the parents after x and the weights (bias, or gamma
     and beta) and backward(gout), which accumulates the gradients of x and
     of those parents and returns the gradient of wd (None unless need_w)."""
+    if norm is not None and training:
+        return _conv_batch_norm(x, wd, spec, kernel, norm, need_w)
     if norm is None:
         out, vjp = kernel(x.data, wd, spec)
 
@@ -608,6 +611,62 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
         return gw * a[:, None, None, None] if need_w else None
 
     return _output(out, b), [gamma, beta], backward
+
+
+def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
+                     need_w: bool):
+    """kernel on x and wd, then norm with this batch's statistics over
+    (N, H, W), updating its running buffers in place; _conv_affine's
+    contract. The kernel's output buffer becomes xhat in place, and the
+    backward hands the norm's input gradient to the kernel's vjp."""
+    gamma, beta = norm.gamma, norm.beta
+    running_mean, running_var = norm.running_mean, norm.running_var
+    out, vjp = kernel(x.data, wd, spec)
+    y = _output(out, None)
+    n, c, h, wdt = y.shape
+    hw = h * wdt
+    m = n * hw
+    ones = np.ones(hw, y.dtype)
+
+    def channel_sum(a):
+        return (a.reshape(n, c, hw) @ ones).sum(axis=0)
+
+    def per_element(v):
+        # factors repeated over H*W: elementwise passes run on (N, C*H*W)
+        return np.repeat(v, hw)
+
+    mean = channel_sum(y) / m
+    xhat = y.reshape(n, c * hw)                         # y centred, then scaled
+    xhat -= per_element(mean)
+    xv = xhat.reshape(n, c, hw)
+    var = np.einsum("ncl,ncl->c", xv, xv) / m
+    inv = 1.0 / np.sqrt(var + norm.eps)
+    xhat *= per_element(inv)
+    out = xhat * per_element(gamma.data)
+    out += per_element(beta.data)
+    running_mean *= 1.0 - norm.momentum
+    running_mean += norm.momentum * mean
+    running_var *= 1.0 - norm.momentum
+    running_var += norm.momentum * var
+
+    def backward(g):
+        sg = channel_sum(g)
+        sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
+        # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
+        gy = xhat * per_element(-sgx / m)
+        gy -= per_element(sg / m)
+        gy += g.reshape(n, c * hw)
+        gy *= per_element(gamma.data * inv)
+        if gamma.requires_grad:
+            _accumulate(gamma, sgx, owned=True)
+        if beta.requires_grad:
+            _accumulate(beta, sg, owned=True)
+        gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, need_w)
+        if gx is not None:
+            _accumulate(x, gx, owned=True)
+        return gw
+
+    return out.reshape(y.shape), [gamma, beta], backward
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
@@ -649,79 +708,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     kernel = _conv_kernel(x, w, spec)
     if norm is not None and bias is not None:
         raise ValueError("a convolution followed by a norm takes no bias")
-    if norm is None or not training:
-        out, tail, affine_backward = _conv_affine(x, w.data, spec, kernel, bias, norm,
-                                                  w.requires_grad)
-        out, grad = _epilogue(out, act, perm)
+    out, tail, affine_backward = _conv_affine(x, w.data, spec, kernel, bias, norm, training,
+                                              w.requires_grad)
+    out, grad = _epilogue(out, act, perm)
 
-        def backward(gout):
-            gw = affine_backward(grad(gout))
-            if gw is not None:
-                _accumulate(w, gw, owned=True)
-
-        return _result(out, [x, w, *tail], backward)
-
-    gamma, beta = norm.gamma, norm.beta
-    running_mean, running_var = norm.running_mean, norm.running_var
-    out, vjp = kernel(x.data, w.data, spec)
-    y = _output(out, None)
-    n, c, h, wdt = y.shape
-    hw = h * wdt
-    m = n * hw
-    ones = np.ones(hw, y.dtype)
-
-    def channel_sum(a):
-        return (a.reshape(n, c, hw) @ ones).sum(axis=0)
-
-    def per_element(v):
-        # factors repeated over H*W: elementwise passes run on (N, C*H*W)
-        return np.repeat(v, hw)
-
-    mean = channel_sum(y) / m
-    xhat = y.reshape(n, c * hw)                         # y centred, then scaled
-    xhat -= per_element(mean)
-    xv = xhat.reshape(n, c, hw)
-    var = np.einsum("ncl,ncl->c", xv, xv) / m
-    inv = 1.0 / np.sqrt(var + norm.eps)
-    xhat *= per_element(inv)
-    out = xhat * per_element(gamma.data)
-    out += per_element(beta.data)
-    running_mean *= 1.0 - norm.momentum
-    running_mean += norm.momentum * mean
-    running_var *= 1.0 - norm.momentum
-    running_var += norm.momentum * var
-    out, grad = _epilogue(out.reshape(y.shape), act, perm)
-
-    def backward(g):
-        g = grad(g)
-        sg = channel_sum(g)
-        sgx = np.einsum("ncl,ncl->c", g.reshape(n, c, hw), xv)
-        # gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m), in one buffer
-        gy = xhat * per_element(-sgx / m)
-        gy -= per_element(sg / m)
-        gy += g.reshape(n, c * hw)
-        gy *= per_element(gamma.data * inv)
-        if gamma.requires_grad:
-            _accumulate(gamma, sgx, owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, sg, owned=True)
-        gx, gw = vjp(gy.reshape(y.shape), x.requires_grad, w.requires_grad)
+    def backward(gout):
+        gw = affine_backward(grad(gout))
         if gw is not None:
             _accumulate(w, gw, owned=True)
-        if gx is not None:
-            _accumulate(x, gx, owned=True)
 
-    return _result(out, [x, w, gamma, beta], backward)
+    return _result(out, [x, w, *tail], backward)
 
 
 def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
-                    norm=None, act: str | None = None) -> Tensor:
+                    norm=None, training: bool = False, act: str | None = None) -> Tensor:
     """A depthwise kh x 1 column stage, then a 1 x kw row stage, with nothing
     between them, run as one kh x kw depthwise convolution whose kernel is
-    their outer product, followed by norm's eval map and the activation act
-    (see conv2d). An eval op: a norm always uses its running statistics,
-    taken, like any convolution's, from a network's pass over its norms
-    when one runs; the product of the factors is formed on every call.
+    their outer product, followed by norm and the activation act, exactly
+    as conv2d runs them: the eval map, folded (from a network's pass over
+    its norms when one runs), or in training this batch's statistics. The
+    product of the factors is formed on every call.
 
     spec is the composed convolution (groups == C_in): its vertical stride
     and padding are the column stage's, its horizontal ones the row stage's.
@@ -736,7 +742,8 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
                          f"to the depthwise weight {spec.weight_shape}")
     wd = col_w.data * row_w.data                            # (C_out, 1, kh, kw)
     out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), None,
-                                              norm, col_w.requires_grad or row_w.requires_grad)
+                                              norm, training,
+                                              col_w.requires_grad or row_w.requires_grad)
     out, grad = _epilogue(out, act, None)
 
     def backward(gout):
@@ -830,14 +837,16 @@ def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
     """The K fusions of x, as (N, C, H*W), as one batched matmul of the
     transposed coefficients ad with a strided (N, C, J, H*W) view whose
     slice j is x shifted by j*s: a view of one copy of x extended by its
-    first (J-1)*s channels, wrapping as often as needed.
+    first (J-1)*s channels, wrapping as often as needed. The matmul writes,
+    through out=, into a K-major (K, N, C, H*W) buffer, so each fusion is
+    contiguous.
 
-    Returns the (N, C, K, H*W) fusions, their K axis and vjp(gf, need_a,
-    need_x) -> (da, dx terms) for the routed gradient gf laid out like the
-    fusions: da is one matmul of the view with gf; dx term j, the gradient
-    of shifted copy j as (N, C, H*W), a slice of one matmul of ad with gf."""
+    Returns the fusions and vjp(gf, need_a, need_x) -> (da, dx terms) for
+    the routed gradient gf laid out like the fusions: da is one matmul of
+    the view with gf; the J terms of dx, the gradient of shifted copy j as
+    (N, C, H*W), are one matmul of ad with gf, written J-major."""
     n, c, hw = xv.shape
-    jn = ad.shape[2]
+    _, _, jn, kn = ad.shape
     if jn == 1:
         view = xv[:, :, None]
     else:
@@ -845,14 +854,18 @@ def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
         b0, b1, b2 = xx.strides
         view = np.ndarray((n, c, jn, hw), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
     view.flags.writeable = False
-    fus = np.matmul(ad.transpose(0, 1, 3, 2), view)
+    fus = np.empty((kn, n, c, hw), np.result_type(ad, xv))
+    np.matmul(ad.transpose(0, 1, 3, 2), view, out=fus.transpose(1, 2, 0, 3))
 
     def vjp(gf, need_a, need_x):
-        da = np.matmul(view, gf.transpose(0, 1, 3, 2)) if need_a else None
-        terms = _along(np.matmul(ad, gf), 2) if need_x else None
+        da = np.matmul(view, gf.transpose(1, 2, 3, 0)) if need_a else None
+        terms = None
+        if need_x:
+            terms = np.empty((jn, n, c, hw), np.result_type(ad, gf))
+            np.matmul(ad, gf.transpose(1, 2, 0, 3), out=terms.transpose(1, 2, 0, 3))
         return da, terms
 
-    return fus, 2, vjp
+    return fus, vjp
 
 
 def _fusions_elementwise(xv: np.ndarray, ad: np.ndarray, s: int):
@@ -861,9 +874,9 @@ def _fusions_elementwise(xv: np.ndarray, ad: np.ndarray, s: int):
     over its channel's H*W positions, as conv2d's training norm repeats its
     factors, so every pass runs over whole images however small the map.
 
-    Returns the (K, N, C*H*W) fusions, their K axis and a vjp like
-    _fusions_matmul's, whose da sums each channel's positions with one
-    matrix-vector product per coefficient."""
+    Returns the (K, N, C*H*W) fusions and a vjp like _fusions_matmul's,
+    whose da sums each channel's positions with one matrix-vector product
+    per coefficient."""
     n, c, hw = xv.shape
     _, _, jn, kn = ad.shape
     xs = [xv.reshape(n, c * hw)] + [
@@ -898,20 +911,13 @@ def _fusions_elementwise(xv: np.ndarray, ad: np.ndarray, s: int):
             gs = np.empty((jn, n, c * hw), np.result_type(gf, ar))
             for j in range(jn):
                 combine(gs[j], [(ar[j, k], gf[k]) for k in range(kn)])
-            terms = [t.reshape(n, c, hw) for t in gs]
+            terms = gs.reshape(jn, n, c, hw)
         return da, terms
 
-    return fus, 0, vjp
+    return fus, vjp
 
 
-def _along(arr: np.ndarray, axis: int) -> list:
-    """The views of arr at each index of axis: the K fusions or their
-    gradients, or the J terms of dx."""
-    head = (slice(None),) * axis
-    return [arr[head + (i,)] for i in range(arr.shape[axis])]
-
-
-def _route(g: np.ndarray, out: np.ndarray, parts: list, dst: list):
+def _route(g: np.ndarray, out: np.ndarray, parts: np.ndarray, dst: np.ndarray):
     """Write into dst[k] the share of g that fusion parts[k] wins: each
     element's gradient goes to the earliest fusion equal to the maximum out,
     or, where out is NaN, to the first NaN fusion (np.argmax's rule). For
@@ -939,8 +945,10 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
     (i + j*C/G) mod C. On maps of at most _SHIFT_MAX_SMALL_MAP positions
     the fusions, da and dx are elementwise passes over (N, C*H*W)
     (_fusions_elementwise); on larger ones they are batched matmuls
-    (_fusions_matmul). Ties route the gradient to the earliest winning
-    fusion, and an output that is NaN routes it to the first NaN fusion.
+    (_fusions_matmul). Either route lays the K fusions out K-major, so the
+    maximum and the routing of its gradient read contiguous fusions. Ties
+    route the gradient to the earliest winning fusion, and an output that
+    is NaN routes it to the first NaN fusion.
     """
     n, c, h, w = x.shape
     if c % groups:
@@ -950,27 +958,26 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
     _, _, jn, kn = a.shape
     s = c // groups
     fusions = _fusions_elementwise if h * w <= _SHIFT_MAX_SMALL_MAP else _fusions_matmul
-    fus, kaxis, vjp = fusions(x.data.reshape(n, c, h * w), a.data, s)
+    fus, vjp = fusions(x.data.reshape(n, c, h * w), a.data, s)
     if not (_grad_enabled and (x.requires_grad or a.requires_grad)):
         # no backward will run: free the shifted copies of x that vjp keeps
         # before the maximum allocates the output. This lowers the peak of
         # an eval forward (M0 at batch 16: 20.9 -> 17.7 MB), so that glibc
         # does not trim the heap and fault it back in on every forward
         vjp = None
-    parts = _along(fus, kaxis)
     # on equal inputs np.maximum returns its second operand, so the earlier
     # fusion (and its sign, for -0.0 against 0.0) is kept
-    out = np.maximum(parts[1], parts[0]) if kn > 1 else parts[0]
-    for part in parts[2:]:
+    out = np.maximum(fus[1], fus[0]) if kn > 1 else fus[0]
+    for part in fus[2:]:
         np.maximum(part, out, out=out)
 
     def backward(g):
         g = g.reshape(out.shape)
         if kn == 1:
-            gf = np.expand_dims(g, kaxis)
+            gf = g[None]
         else:
             gf = np.empty(fus.shape, np.result_type(g, fus))
-            _route(g, out, parts, _along(gf, kaxis))
+            _route(g, out, fus, gf)
         da, terms = vjp(gf, a.requires_grad, x.requires_grad)
         if da is not None:
             _accumulate(a, da, owned=True)

@@ -229,6 +229,38 @@ def test_exit_code_empty_dataset(command, tmp_path, capsys):
     assert "holds no images" in err and err.count("\n") == 1
 
 
+def _unreadable_images(case):
+    images, labels = make_synthetic(4, seed=0)
+    if case == "4-channel":
+        images = np.concatenate([images, images[:, :1]], axis=1)
+    elif case == "nan":
+        images[1, 2, 3, 4] = np.nan
+    elif case == "-inf":
+        images[0, 1, 2, 3] = -np.inf
+    else:
+        images = images[:, :, :0, :0]
+    return images, labels
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+@pytest.mark.parametrize("case, message", [
+    ("4-channel", "expected 3-channel images, got 4"),
+    ("nan", "the images hold non-finite values"),
+    ("-inf", "the images hold non-finite values"),
+    ("0x0", "the images hold no pixels (0x0)"),
+])
+def test_exit_code_unreadable_images(case, message, command, tmp_path, capsys):
+    # both commands check a dataset the same way before running a network
+    ds = tmp_path / "ds"
+    save_dataset(ds, *_unreadable_images(case))
+    argv = ["--data", str(ds)]
+    if command == "infer":
+        argv += ["--weights", str(_tiny_archive(tmp_path))]
+    code, out, err = run(capsys, command, *argv)
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert err == f"error: {ds}: {message}\n"
+
+
 def nan_training_loss(monkeypatch, call):
     """Make the loss of the call-th training step (counting from 1) NaN."""
     import micronet.train as train_mod

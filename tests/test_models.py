@@ -182,17 +182,17 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
         calls.append(((id(w),), norm))
         return real(x, w, bias, spec, norm, training, *epilogue)
 
-    def counted_composed(x, col_w, row_w, spec, norm=None, *epilogue):
+    def counted_composed(x, col_w, row_w, spec, norm=None, training=False, *epilogue):
         calls.append(((id(col_w), id(row_w)), norm))
-        return real_composed(x, col_w, row_w, spec, norm, *epilogue)
+        return real_composed(x, col_w, row_w, spec, norm, training, *epilogue)
 
     monkeypatch.setattr(models, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d_composed", counted_composed)
     # a training Context's default rng is seeded, so its dropout repeats too
     np.testing.assert_array_equal(net(x, Context(training=training)).data, want)
-    # block 0's expanding strided depthwise pair is one composed op at eval
-    assert sum(len(ws) == 2 for ws, _ in calls) == (0 if training else 1)
+    # block 0's expanding strided depthwise pair is one composed op in both modes
+    assert sum(len(ws) == 2 for ws, _ in calls) == 1
     # each convolution weight of the network is read by one op, so no norm
     # ran on a convolution of its own; each of the 6 norms ran in one, once
     weights = [id(p) for _, p in net.named_params() if p.data.ndim == 4]

@@ -275,10 +275,10 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
 def test_depthwise_kernel_dispatch(monkeypatch):
     """The kernel each M0 depthwise stage gets, as in README "Kernels": for
     one image at 224x224, im2col for the stem's 1x3 and for blocks 0-1,
-    whose expanding strided pairs run composed as one 3x3 convolution at
-    eval, and the phase-grid einsum for the rest; in training at batch 16
-    and 64x64 the banded kernel, except for the stem's grouped 1x3 (two
-    outputs per channel), which is im2col."""
+    whose expanding strided pairs run composed as one 3x3 convolution, and
+    the phase-grid einsum for the rest; in training at batch 16 and 64x64
+    im2col for the stem's grouped 1x3 (two outputs per channel) and for
+    blocks 0-1, composed there too, and the banded kernel for the rest."""
     import micronet.tensor as tensor_mod
     picked = []
     real = tensor_mod._conv_kernel
@@ -302,7 +302,10 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     net(np.zeros((16, 3, 64, 64), np.float32), Context(training=True))
     stem, *stages = picked
     assert stem == ((16, 2, 32, 64), (1, 3), "_conv_im2col")
-    assert len(stages) == 12 and {name for _, _, name in stages} == {"_conv_banded"}
+    assert stages[:2] == [((16, 4, 32, 32), (3, 3), "_conv_im2col"),
+                          ((16, 8, 16, 16), (3, 3), "_conv_im2col")]
+    stages = stages[2:]
+    assert len(stages) == 8 and {name for _, _, name in stages} == {"_conv_banded"}
     assert ((16, 256, 2, 2), (3, 1), "_conv_banded") in stages
 
     # batch 16 at 224x224: banded up to a filtered axis of 32; past it,
@@ -407,6 +410,52 @@ def test_conv2d_composed_matches_factorized_pair(k, c, og, n, h, w, normed, seed
         assert_close(got.grad, want.grad)
 
 
+@given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(2, 4),
+       st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+       st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_conv2d_composed_trains_like_factorized_pair(k, c, og, n, h, w, relu_after, seed):
+    # in training: the composed op against the column stage, then the row
+    # stage with the norm on this batch's statistics, with and without the
+    # ReLU after it; outputs, both running buffers and every gradient. The
+    # norm's eps is 1: with eps far below a channel's variance the norm is
+    # nearly invariant to the scale of the channel's weights, so the factors'
+    # gradients (all of a 1-tap factor's) are a small remainder of sums that
+    # cancel, and both sides would carry the rounding of those sums
+    rng = np.random.default_rng(seed)
+    p, o = (k - 1) // 2, c * og
+    col_spec = ConvSpec(c, o, (k, 1), (2, 1), (p, 0), groups=c)
+    row_spec = ConvSpec(o, o, (1, k), (1, 2), (0, p), groups=o)
+    spec = ConvSpec(c, o, k, 2, p, groups=c)
+    data = [rnd(rng, n, c, h, w), rnd(rng, o, 1, k, 1), rnd(rng, o, 1, 1, k),
+            1.0 + 0.3 * rnd(rng, o), rnd(rng, o)]
+    stats = rnd(rng, o), rng.uniform(0.1, 2.0, o)
+    act = "relu" if relu_after else None
+
+    def leaves():
+        x, col, row, gamma, beta = (Tensor(a, requires_grad=True) for a in data)
+        return x, col, row, gamma, beta, norm_state(gamma, beta, *(a.copy() for a in stats),
+                                                   1.0)
+
+    x, col, row, gamma, beta, bn = leaves()
+    out = conv2d_composed(x, col, row, spec, bn, True, act)
+    xr, colr, rowr, gammar, betar, bnr = leaves()
+    ref = conv2d(conv2d(xr, colr, None, col_spec), rowr, None, row_spec, bnr, True, act)
+    assert out.shape == ref.shape and out.data.flags.c_contiguous
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    gout = rnd(rng, *out.shape)
+    backward_with(out, gout)
+    backward_with(ref, gout)
+    for got, want in [(out.data, ref.data), (bn.running_mean, bnr.running_mean),
+                      (bn.running_var, bnr.running_var)] + [
+            (t.grad, tr.grad) for t, tr in [(x, xr), (col, colr), (row, rowr), (gamma, gammar),
+                                            (beta, betar)]]:
+        assert_close(got, want)
+
+
 # ---------------------------------------------------------------------------
 # conv2d's epilogue: the ReLU and the channel permutation
 
@@ -476,7 +525,7 @@ def test_conv2d_composed_relu_equals_separate_ops(n, normed):
     def run(fused):
         x, col, row, gamma, beta = (Tensor(a, requires_grad=True) for a in data)
         bn = norm_state(gamma, beta, mean, var) if normed else None
-        out = (conv2d_composed(x, col, row, spec, bn, "relu") if fused
+        out = (conv2d_composed(x, col, row, spec, bn, act="relu") if fused
                else relu(conv2d_composed(x, col, row, spec, bn)))
         backward_with(out, rnd(np.random.default_rng(6), *out.shape))
         return [out.data] + [t.grad for t in (x, col, row) + ((gamma, beta) if normed else ())]
