@@ -96,16 +96,16 @@ def test_coefficients_stay_in_bounds():
     assert lo == 0.0 - 1.0 and hi == 1.0 + 1.0
 
 
-@given(st.integers(0, 500), st.sampled_from([0.25, 1.0, 3.0]))
+@given(st.integers(0, 500), st.sampled_from([0.25, 1.0, 3.0]), st.sampled_from([3, 16]))
 @settings(max_examples=60, deadline=None)
-def test_coefficient_head_matches_sigmoid_formula(seed, coeff_scale):
+def test_coefficient_head_matches_sigmoid_formula(seed, coeff_scale, batch):
     rng = np.random.default_rng(seed)
     groups = int(rng.choice([1, 2, 4]))
     channels = groups * int(rng.integers(1, 5))
     layer = make_layer(channels, groups, int(rng.integers(1, 4)),
                        int(rng.integers(1, 4)), seed, spread=2.0)
     layer.coeff_scale = coeff_scale
-    x = 3.0 * rng.standard_normal((3, channels, 4, 3))
+    x = 3.0 * rng.standard_normal((batch, channels, 4, 3))
     np.testing.assert_allclose(layer.coefficients(Tensor(x)).data,
                                sigmoid_coefficients(layer, x), atol=1e-14, rtol=0)
 

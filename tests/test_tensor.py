@@ -256,6 +256,8 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
     gout = rnd(rng, *out.shape).astype(dtype)
     gx, gw = vjp(gout, True, True)
     assert out.dtype == gx.dtype == gw.dtype == dtype
+    # column and row filters alike write NCHW, so _output copies nothing
+    assert out.flags.c_contiguous
     assert gx.shape == x.shape and gw.shape == wt.shape
     assert vjp(gout, False, True)[0] is None and vjp(gout, True, False)[1] is None
 
@@ -621,6 +623,17 @@ def test_linear_and_pool_match_naive():
     np.testing.assert_allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data,
                                linear_naive(x, w, b, counter), atol=1e-12)
     assert counter.count == 4 * 6 * 5
+
+    # computed as (w @ x.T).T: C-ordered and bitwise x @ w.T + b, for one
+    # image (a matrix-vector product) and a batch, with and without bias
+    for n in (1, 16):
+        for dtype in (np.float32, np.float64):
+            x, w = rnd(rng, n, 40).astype(dtype), rnd(rng, 24, 40).astype(dtype)
+            for b in (None, rnd(rng, 24).astype(dtype)):
+                out = linear(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
+                want = x @ w.T if b is None else x @ w.T + b
+                assert out.flags.c_contiguous and out.dtype == dtype
+                np.testing.assert_array_equal(out, want)
 
     fmap = rnd(rng, 2, 3, 4, 5)
     counter = MAddCounter()
