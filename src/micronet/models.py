@@ -1,5 +1,5 @@
-"""Model assembly: stem, micro-blocks, classifier head, and the M0-M3
-architecture table.
+"""Model assembly: stem, micro-blocks, classifier head, and the variant
+table, read once at import from the package's configs/<variant>.json.
 
 Block kinds:
   A: depthwise expansion followed by one group-adaptive squeeze (two
@@ -15,16 +15,19 @@ with the norm after it as one `conv2d` op, with batch statistics in
 training, and at eval time with the running statistics folded into the
 convolution. The norms' values are views of a flat buffer of the Network,
 so that an eval forward under no_grad computes every norm's eval map at
-once (_NormFolds), and each convolution scales its own weight by it. A
-ReLU after a convolution runs inside that op as its epilogue, and so does
-the shuffle after a ReLU compress; other activation slots run as modules
-of their own.
+once (_NormFolds), and each convolution scales its own weight by it.
+Each activation slot is the kind its BlockSpec names: a relu slot runs
+inside the convolution's op as its epilogue, a none slot is nothing, and
+only a dysm slot is a module (DyShiftMax), run after the op. The shuffle
+after a compress convolution is its epilogue too, unless the slot is dysm.
 Stage-leading blocks carry stride 2 in the depthwise stage.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
@@ -155,65 +158,10 @@ class ModelSpec:
         )
 
 
-def _rows(*rows) -> tuple[BlockSpec, ...]:
-    return tuple(BlockSpec(*r) for r in rows)
-
-
-_TABLE = {
-    "M0": ModelSpec(
-        name="M0", stem_width=4, stem_hidden=2, head_width=640,
-        blocks=_rows(
-            ("A", 3, 16, 8, 2),
-            ("A", 3, 32, 12, 2),
-            ("B", 5, 64, 16, 2),
-            ("C", 5, 128, 32, 1),
-            ("C", 5, 256, 64, 2),
-            ("C", 3, 384, 96, 1),
-        )),
-    "M1": ModelSpec(
-        name="M1", stem_width=6, stem_hidden=3, head_width=1024,
-        blocks=_rows(
-            ("A", 3, 24, 8, 2),
-            ("A", 3, 32, 16, 2),
-            ("B", 5, 96, 16, 2),
-            ("C", 5, 192, 32, 1),
-            ("C", 5, 384, 64, 2),
-            ("C", 3, 576, 96, 1),
-        )),
-    "M2": ModelSpec(
-        name="M2", stem_width=8, stem_hidden=4, head_width=1152,
-        blocks=_rows(
-            ("A", 3, 32, 12, 2),
-            ("A", 3, 48, 16, 2),
-            ("B", 3, 144, 24, 1),
-            ("C", 5, 192, 32, 2),
-            ("C", 5, 192, 32, 1),
-            ("C", 5, 384, 64, 1),
-            ("C", 5, 576, 96, 2),
-            ("C", 3, 768, 128, 1),
-        )),
-    "M3": ModelSpec(
-        name="M3", stem_width=12, stem_hidden=4, head_width=1024, dropout=0.1,
-        blocks=_rows(
-            ("A", 3, 48, 16, 2),
-            ("A", 3, 64, 24, 2),
-            ("B", 3, 144, 24, 1),
-            ("C", 3, 192, 32, 2),
-            ("C", 5, 192, 32, 1),
-            ("C", 5, 384, 64, 1),
-            ("C", 5, 480, 80, 1),
-            ("C", 5, 480, 80, 1),
-            ("C", 5, 720, 120, 2),
-            ("C", 3, 720, 120, 1),
-            ("C", 3, 864, 144, 1),
-        )),
-    "tiny": ModelSpec(
-        name="tiny", stem_width=4, stem_hidden=2, head_width=16, num_classes=2,
-        blocks=_rows(
-            ("A", 3, 8, 4, 2),
-            ("C", 3, 8, 4, 1),
-        )),
-}
+# the only description of each variant; model_spec is a lookup, not a read
+_CONFIGS = resources.files(__package__) / "configs"
+_TABLE = {v: ModelSpec.from_config(json.loads((_CONFIGS / f"{v.lower()}.json").read_text()))
+          for v in VARIANTS}
 
 
 def model_spec(variant: str) -> ModelSpec:
@@ -275,44 +223,31 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", fill(channels, dtype=dtype))
 
 
-class Identity(Module):
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return x
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        return relu(x)
-
-
 def _make_norm(spec: ModelSpec, channels: int, rng, dtype) -> BatchNorm2d | None:
     return BatchNorm2d(channels, dtype, rng=rng) if spec.norm == "bn" else None
 
 
-def _stage(conv, act: Module, x: Tensor, ctx: Context,
-           norm: BatchNorm2d | None) -> Tensor:
-    """conv(x, ctx, norm=norm), then the slot's activation act: a ReLU runs
-    as conv2d's epilogue, any other slot as a module of its own."""
-    if isinstance(act, ReLU):
-        return conv(x, ctx, norm=norm, act="relu")
-    return act(conv(x, ctx, norm=norm), ctx)
+def _stage(conv, slot: str, dysm: DyShiftMax | None, x: Tensor, ctx: Context,
+           norm: BatchNorm2d | None, **kw) -> Tensor:
+    """conv(x, ctx, norm=norm, **kw), then the activation of its slot: a
+    relu slot runs as conv2d's epilogue, a dysm slot as dysm, the slot's
+    DyShiftMax, after it."""
+    t = conv(x, ctx, norm=norm, act="relu" if slot == "relu" else None, **kw)
+    return t if dysm is None else dysm(t, ctx)
 
 
 def _make_activation(kind: str, channels: int, groups: int, spec: ModelSpec,
-                     rng, dtype) -> Module:
-    if kind == "relu":
-        return ReLU()
-    if kind == "none":
-        return Identity()
-    if kind == "dysm":
-        return DyShiftMax(channels, groups,
-                          num_shifts=spec.num_shifts,
-                          num_fusions=spec.num_fusions,
-                          reduction=spec.hyper_reduction,
-                          min_hidden=spec.hyper_min_hidden,
-                          coeff_scale=spec.coeff_scale,
-                          rng=rng, dtype=dtype)
-    raise ValueError(f"unknown activation {kind!r}")
+                     rng, dtype) -> DyShiftMax | None:
+    """The module of a dysm slot; a relu or none slot has none."""
+    if kind != "dysm":
+        return None
+    return DyShiftMax(channels, groups,
+                      num_shifts=spec.num_shifts,
+                      num_fusions=spec.num_fusions,
+                      reduction=spec.hyper_reduction,
+                      min_hidden=spec.hyper_min_hidden,
+                      coeff_scale=spec.coeff_scale,
+                      rng=rng, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +290,13 @@ class MicroBlockA(Module):
                                    rng, dtype)
         self.norm1 = _make_norm(spec, bs.width, rng, dtype)
         self.norm2 = _make_norm(spec, bs.hidden, rng, dtype)
+        self.slots = bs.activations
         self.act1 = _make_activation(bs.activations[0], bs.width, g, spec, rng, dtype)
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g, spec, rng, dtype)
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        t = _stage(self.depthwise, self.act1, x, ctx, self.norm1)
-        return _stage(self.squeeze, self.act2, t, ctx, self.norm2)
+        t = _stage(self.depthwise, self.slots[0], self.act1, x, ctx, self.norm1)
+        return _stage(self.squeeze, self.slots[1], self.act2, t, ctx, self.norm2)
 
 
 class MicroBlockBC(Module):
@@ -379,6 +315,7 @@ class MicroBlockBC(Module):
         self.norm2 = _make_norm(spec, bs.hidden, rng, dtype)
         self.norm3 = _make_norm(spec, bs.width, rng, dtype)
         g1, g2 = self.pointwise.g1, self.pointwise.g2
+        self.slots = bs.activations
         self.act1 = _make_activation(bs.activations[0], c_in, g1, spec, rng, dtype)
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g2, spec, rng, dtype)
         self.act3 = _make_activation(bs.activations[2], bs.width, g2, spec, rng, dtype)
@@ -386,13 +323,14 @@ class MicroBlockBC(Module):
 
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         pw = self.pointwise
-        t = _stage(self.depthwise, self.act1, x, ctx, self.norm1)
-        if isinstance(self.act2, ReLU):
-            # the ReLU and the shuffle run as the compress convolution's epilogue
-            t = pw.compress(t, ctx, self.norm2, act="relu", shuffled=True)
-        else:
-            t = pw.shuffle(self.act2(pw.compress(t, ctx, self.norm2), ctx))
-        t = _stage(pw.expand, self.act3, t, ctx, self.norm3)
+        t = _stage(self.depthwise, self.slots[0], self.act1, x, ctx, self.norm1)
+        # the shuffle follows the compress slot's activation: it runs as the
+        # convolution's epilogue unless a DyShiftMax comes between them
+        t = _stage(pw.compress, self.slots[1], self.act2, t, ctx, self.norm2,
+                   shuffled=self.act2 is None)
+        if self.act2 is not None:
+            t = pw.shuffle(t)
+        t = _stage(pw.expand, self.slots[2], self.act3, t, ctx, self.norm3)
         if self.skip:
             t = add(t, x)
         return t
@@ -543,15 +481,14 @@ class Network(Module):
 
 
 def build_model(variant_or_spec, *, num_classes: int | None = None,
-                dtype=np.float32, seed: int | None = None,
-                rng: np.random.Generator | None = None) -> Network:
-    """Construct a network from a variant name or an explicit ModelSpec."""
+                dtype=np.float32, seed: int | None = None) -> Network:
+    """Construct a network from a variant name or an explicit ModelSpec,
+    its weights drawn from seed (0 when None)."""
     if isinstance(variant_or_spec, ModelSpec):
         spec = variant_or_spec
     else:
         spec = model_spec(variant_or_spec)
     if num_classes is not None and num_classes != spec.num_classes:
         spec = replace(spec, num_classes=num_classes)
-    if rng is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
     return Network(spec, rng=rng, dtype=dtype)

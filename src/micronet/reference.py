@@ -91,14 +91,14 @@ def global_avg_pool_naive(x: np.ndarray,
 def network_forward(net, x: np.ndarray, training: bool = False,
                     counter: MAddCounter | None = None) -> np.ndarray:
     """The logits of net on x from the kernels above, reading the network's
-    own parameters: every convolution stage through conv2d_naive, batch
-    norm as its formula (batch statistics in training, running statistics
-    at eval), dynamic shift-max through reference_eval, the shuffle as a
-    channel index, and the skip add. Dropout is not applied, so a training
-    forward is compared on a network built with dropout 0."""
+    own parameters and, from net.spec, each block's kind and activation
+    slots: every convolution stage through conv2d_naive, batch norm as its
+    formula (batch statistics in training, running statistics at eval),
+    dynamic shift-max through reference_eval, the shuffle as a channel
+    index, and the skip add. Dropout is not applied, so a training forward
+    is compared on a network built with dropout 0."""
     # imported here: dyshiftmax, and through it models, import this module
-    from .dyshiftmax import DyShiftMax, reference_eval
-    from .models import ReLU
+    from .dyshiftmax import reference_eval
 
     def conv(t, w, spec, norm=None):
         y = conv2d_naive(t, w.data, None, spec, counter)
@@ -112,24 +112,25 @@ def network_forward(net, x: np.ndarray, training: bool = False,
         return ((y - mean[:, None, None]) * scale[:, None, None]
                 + norm.beta.data[:, None, None])
 
-    def act(layer, t):
-        if isinstance(layer, DyShiftMax):
+    def act(slot, layer, t):
+        if slot == "dysm":
             return reference_eval(layer, t, counter)
-        return np.maximum(t, 0) if isinstance(layer, ReLU) else t
+        return np.maximum(t, 0) if slot == "relu" else t
 
     stem = net.stem
     t = conv(x, stem.conv1.weight, stem.conv1.spec)
     t = np.maximum(conv(t, stem.conv2.weight, stem.conv2.spec, stem.norm), 0)
-    for blk in net.blocks:
+    for blk, bs in zip(net.blocks, net.spec.blocks):
+        s = bs.activations
         dw = blk.depthwise
         y = conv(conv(t, dw.col_w, dw.col_spec), dw.row_w, dw.row_spec, blk.norm1)
-        y = act(blk.act1, y)
-        if blk.kind == "A":
-            t = act(blk.act2, conv(y, blk.squeeze.weight, blk.squeeze.spec, blk.norm2))
+        y = act(s[0], blk.act1, y)
+        if bs.kind == "A":
+            t = act(s[1], blk.act2, conv(y, blk.squeeze.weight, blk.squeeze.spec, blk.norm2))
             continue
         pw = blk.pointwise
-        y = act(blk.act2, conv(y, pw.compress_w, pw.compress_spec, blk.norm2))
-        y = act(blk.act3, conv(y[:, pw.perm], pw.expand_w, pw.expand_spec, blk.norm3))
+        y = act(s[1], blk.act2, conv(y, pw.compress_w, pw.compress_spec, blk.norm2))
+        y = act(s[2], blk.act3, conv(y[:, pw.perm], pw.expand_w, pw.expand_spec, blk.norm3))
         t = y + t if blk.skip else y
     head = net.head
     z = global_avg_pool_naive(t, counter)

@@ -13,7 +13,7 @@ from micronet.analysis import count_costs
 from micronet.dyshiftmax import DyShiftMax
 from micronet import microfac, models, tensor
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
-                             MicroBlockBC, ModelSpec, Network, ReLU, VARIANTS,
+                             MicroBlockBC, ModelSpec, Network, VARIANTS,
                              build_model, model_spec)
 from micronet.module import Context
 from micronet.reference import MAddCounter, network_forward
@@ -60,9 +60,9 @@ def test_activation_slot_policy():
     net = build_model("M2", seed=0)
     for blk in net.blocks:
         assert isinstance(blk.act1, DyShiftMax)
-        assert isinstance(blk.act2, ReLU)
+        assert blk.act2 is None
         if isinstance(blk, MicroBlockBC):
-            assert isinstance(blk.act3, ReLU)
+            assert blk.act3 is None
             assert blk.act1.groups == blk.pointwise.g1
         else:
             assert blk.act1.groups == blk.squeeze.spec.groups
@@ -287,8 +287,8 @@ def taped_ops(net, x, training):
     (("none", "dysm"), ("dysm", "relu", "relu"), ("none", "none", "relu")),
 ], ids=["A-relu", "A-dysm"])
 def test_slots_without_relu_run_as_their_own_ops(acts):
-    # a dysm or none slot keeps its own op after the convolution, and a
-    # compress slot that is not a ReLU keeps the shuffle op; the logits
+    # a dysm slot keeps its own op after the convolution, a none slot has
+    # none, and only a dysm compress slot keeps the shuffle op; the logits
     # equal the loop-based reference in both modes
     a, c1, c2 = acts
     spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
@@ -309,7 +309,7 @@ def test_slots_without_relu_run_as_their_own_ops(acts):
         # the head's ReLU is the only relu op; one shift_max per dysm slot
         assert ops.count("relu") == 1
         assert ops.count("shift_max") == slots.count("dysm")
-        assert ops.count("permute_channels") == sum(b.activations[1] != "relu"
+        assert ops.count("permute_channels") == sum(b.activations[1] == "dysm"
                                                     for b in spec.blocks[1:])
 
 
@@ -409,15 +409,19 @@ def test_model_spec_config_round_trip():
         ModelSpec.from_config({"schema": "micronet.model/2"})
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = Path(__file__).resolve().parent.parent / "src" / "micronet" / "configs"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_golden_config_files(variant):
-    """configs/<variant>.json is the variant's config, and builds it back."""
+    """src/micronet/configs/<variant>.json, one file per variant, is the
+    variant's spec in canonical form: to_config() gives it back."""
+    assert sorted(p.name for p in CONFIGS.iterdir()) == sorted(
+        f"{v.lower()}.json" for v in VARIANTS)
     cfg = json.loads((CONFIGS / f"{variant.lower()}.json").read_text())
     assert cfg == model_spec(variant).to_config()
     assert ModelSpec.from_config(cfg) == model_spec(variant)
+    assert model_spec(variant).name == variant
 
 
 def test_block_spec_validation():
