@@ -17,17 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Context, Module, he_normal, zeros_param
-from .reference import MAddCounter, global_avg_pool_naive, linear_naive
 from .tensor import Tensor, coefficient_head, shift_max
-
-
-def circular_shift(x: np.ndarray, j: int, groups: int) -> np.ndarray:
-    """Shift channels by j * C/groups positions: output i reads input
-    (i + j*C/G) mod C."""
-    c = x.shape[1]
-    if c % groups:
-        raise ValueError(f"groups {groups} does not divide {c} channels")
-    return np.roll(x, -(j * (c // groups)) % c, axis=1)
 
 
 class DyShiftMax(Module):
@@ -69,41 +59,6 @@ class DyShiftMax(Module):
         return coefficient_head(x, self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b,
                                 self.coeff_scale, self.init_bias)
 
-    def coeff_bounds(self) -> tuple[float, float]:
-        """Closed interval containing every coefficient for any input."""
-        lo = float(self.init_bias.min()) - self.coeff_scale
-        hi = float(self.init_bias.max()) + self.coeff_scale
-        return lo, hi
-
     def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
         return shift_max(x, self.coefficients(x), self.groups)
 
-
-def reference_eval(layer: DyShiftMax, x: np.ndarray,
-                   counter: MAddCounter | None = None) -> np.ndarray:
-    """Direct per-element evaluation of the shift-max definition."""
-    n, c, hh, ww = x.shape
-    j_n, k_n = layer.num_shifts, layer.num_fusions
-    stride = c // layer.groups
-    z = global_avg_pool_naive(x, counter)
-    hid = np.maximum(linear_naive(z, layer.fc1_w.data, layer.fc1_b.data, counter), 0)
-    raw = linear_naive(hid, layer.fc2_w.data, layer.fc2_b.data, counter)
-    sig = 1.0 / (1.0 + np.exp(-raw))
-    a = (2.0 * layer.coeff_scale * sig - layer.coeff_scale).reshape(n, c, j_n, k_n)
-    a = a + layer.init_bias[None, None]
-    out = np.empty_like(x)
-    for b in range(n):
-        for i in range(c):
-            for p in range(hh):
-                for q in range(ww):
-                    best = -np.inf
-                    for k in range(k_n):
-                        acc = 0.0
-                        for j in range(j_n):
-                            acc += a[b, i, j, k] * x[b, (i + j * stride) % c, p, q]
-                            if counter is not None:
-                                counter.tick()
-                        if acc > best:
-                            best = acc
-                    out[b, i, p, q] = best
-    return out

@@ -159,26 +159,6 @@ def _group_conv_matrix(w: np.ndarray, groups: int) -> np.ndarray:
     return m
 
 
-def path_count_oracle(layer: MicroFacPointwise, out_channel: int) -> int:
-    """Count (input channel, hidden channel) routes reaching one output by
-    brute-force graph walk, independent of the connectivity formula."""
-    cin, hid = layer.in_channels, layer.hidden
-    in_per_g1 = cin // layer.g1
-    hid_per_g1 = hid // layer.g1
-    hid_per_g2 = hid // layer.g2
-    out_group = out_channel // (layer.out_channels // layer.g2)
-    inv = np.argsort(layer.perm)
-    count = 0
-    for i in range(cin):
-        for h in range(hid):
-            if i // in_per_g1 != h // hid_per_g1:
-                continue
-            if inv[h] // hid_per_g2 != out_group:
-                continue
-            count += 1
-    return count
-
-
 def path_count_matrix(layer: MicroFacPointwise) -> np.ndarray:
     """Path counts for all (output, input) pairs via 0/1 adjacency products."""
     cin, hid, cout = layer.in_channels, layer.hidden, layer.out_channels
@@ -234,8 +214,8 @@ class MicroFacDepthwise(Module):
         the row stage.
 
         A pair that expands and strides runs as its one k x k convolution,
-        dense_kernel() under dense_spec(), at eval and in training alike
-        (README "Kernels")."""
+        the outer product col_w * row_w under dense_spec(), at eval and in
+        training alike (README "Kernels")."""
         if self.composed:
             return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm,
                                    ctx.training, act)
@@ -248,30 +228,10 @@ class MicroFacDepthwise(Module):
         strides."""
         return self.out_channels > self.channels and self.stride > 1
 
-    def dense_kernel(self) -> np.ndarray:
-        """Outer-product k x k kernels, shape (C*expansion, 1, k, k)."""
-        return self.col_w.data * self.row_w.data
-
     def dense_spec(self) -> ConvSpec:
         pad = (self.kernel - 1) // 2
         return ConvSpec(self.channels, self.out_channels, self.kernel,
                         stride=self.stride, padding=pad, groups=self.channels)
-
-
-# ---------------------------------------------------------------------------
-# lite combination baseline
-
-def regular_combination_madds(in_channels: int, dw_channels: int,
-                              out_channels: int, kernel: int,
-                              h: int, w: int, lam: float = 1.0) -> int:
-    """Cost of the conventional alternative at the same spatial width:
-    grouped pointwise expand, factorized depthwise, grouped pointwise fuse."""
-    ge = adaptive_groups(in_channels, dw_channels, lam)
-    gs = adaptive_groups(dw_channels, out_channels, lam)
-    expand = ConvSpec(in_channels, dw_channels, 1, groups=ge).madds(h, w)
-    dw = 2 * kernel * dw_channels * h * w
-    fuse = ConvSpec(dw_channels, out_channels, 1, groups=gs).madds(h, w)
-    return expand + dw + fuse
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ Stage-leading blocks carry stride 2 in the depthwise stage.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -44,6 +45,15 @@ VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
 # ---------------------------------------------------------------------------
 # specs
 
+def _check_integers(spec, *names):
+    """Raise ValueError unless each named field of spec is an integer and
+    not a bool, so that no config builds a network other than it states."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """One micro-block row: kind, spatial kernel, depthwise/output width,
@@ -57,6 +67,7 @@ class BlockSpec:
     activations: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _check_integers(self, "kernel", "width", "hidden", "stride")
         if self.kind not in ("A", "B", "C"):
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.stride not in (1, 2):
@@ -91,6 +102,8 @@ class ModelSpec:
     group_lam: float = 1.0
 
     def __post_init__(self):
+        _check_integers(self, "stem_width", "stem_hidden", "head_width", "num_classes",
+                        "num_shifts", "num_fusions", "hyper_reduction", "hyper_min_hidden")
         if self.norm not in ("bn", "none"):
             raise ValueError(f"unknown norm {self.norm!r}")
         if not 0.0 <= self.dropout < 1.0:

@@ -62,9 +62,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def backward(self):
         """Seed d(self)/d(self) = 1 and push gradients to all ancestors."""
         if self.data.size != 1:

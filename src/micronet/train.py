@@ -1,6 +1,6 @@
 """Training utilities: SGD with momentum, cosine learning-rate decay, a
-minibatch loop with per-epoch stats, gradient checking by central
-differences, and a small separable synthetic dataset."""
+minibatch loop with per-epoch stats, and a small separable synthetic
+dataset."""
 
 from __future__ import annotations
 
@@ -157,54 +157,6 @@ def evaluate(net, images, labels, batch_size: int = 64) -> tuple[float, float]:
             total_loss += float(loss.data) * len(yb)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
     return total_loss / len(labels), correct / len(labels)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-@dataclass(frozen=True)
-class GradProbe:
-    param: str
-    index: int
-    analytic: float
-    numeric: float
-    ok: bool
-
-
-def finite_difference_check(loss_fn, named_params, *, probes: int = 20,
-                            step: float = 1e-6, rtol: float = 1e-5,
-                            atol: float = 1e-8,
-                            rng: np.random.Generator | None = None) -> list[GradProbe]:
-    """Compare backpropagated gradients against central differences.
-
-    loss_fn must be a deterministic zero-argument callable returning a
-    scalar Tensor; parameters should be float64 for the default step."""
-    rng = rng or np.random.default_rng(0)
-    named_params = list(named_params)
-    for _, p in named_params:
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: p.grad.copy() for name, p in named_params}
-
-    results = []
-    with no_grad():
-        for name, p in named_params:
-            flat = p.data.reshape(-1)
-            n = flat.size
-            picks = rng.choice(n, size=min(probes, n), replace=False)
-            for i in picks:
-                saved = flat[i]
-                flat[i] = saved + step
-                up = float(loss_fn().data)
-                flat[i] = saved - step
-                down = float(loss_fn().data)
-                flat[i] = saved
-                numeric = (up - down) / (2.0 * step)
-                ana = float(analytic[name].reshape(-1)[i])
-                ok = abs(numeric - ana) <= atol + rtol * max(abs(numeric), abs(ana))
-                results.append(GradProbe(name, int(i), ana, numeric, ok))
-    return results
 
 
 # ---------------------------------------------------------------------------

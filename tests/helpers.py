@@ -5,9 +5,9 @@ import struct
 import zlib
 
 import numpy as np
+from reference import finite_difference_check, shift_fusions, sigmoid_coefficients
 
 from micronet.analysis import trace_costs
-from micronet.train import finite_difference_check
 
 
 def assert_grads(loss_fn, named_params, probes=12, rtol=1e-5, atol=1e-8,
@@ -34,41 +34,11 @@ def away_from_zero(x, margin=1e-2):
 def fusion_margin(layer, x):
     """Smallest winner-vs-runner-up gap of a DyShiftMax over input x.
     A margin well above the FD step keeps the max branch stable."""
-    from micronet.dyshiftmax import reference_eval
-
-    candidates = []
-    keep = layer.num_fusions
-    for k in range(keep):
-        probe = _single_fusion(layer, x, k)
-        candidates.append(probe)
-    stacked = np.stack(candidates)
-    srt = np.sort(stacked, axis=0)
-    if keep == 1:
+    if layer.num_fusions == 1:
         return np.inf
+    fus = shift_fusions(x, sigmoid_coefficients(layer, x), layer.groups)
+    srt = np.sort(fus, axis=0)
     return float((srt[-1] - srt[-2]).min())
-
-
-def sigmoid_coefficients(layer, x):
-    """A DyShiftMax layer's coefficients (N, C, J, K) by the sigmoid
-    formula of reference_eval."""
-    n, c = x.shape[:2]
-    z = x.mean(axis=(2, 3))
-    hid = np.maximum(z @ layer.fc1_w.data.T + layer.fc1_b.data, 0)
-    raw = hid @ layer.fc2_w.data.T + layer.fc2_b.data
-    sig = 1.0 / (1.0 + np.exp(-raw))
-    return (2.0 * layer.coeff_scale * sig - layer.coeff_scale).reshape(
-        n, c, layer.num_shifts, layer.num_fusions) + layer.init_bias[None, None]
-
-
-def _single_fusion(layer, x, k):
-    c = x.shape[1]
-    stride = c // layer.groups
-    a = sigmoid_coefficients(layer, x)
-    acc = np.zeros_like(x)
-    for j in range(layer.num_shifts):
-        shifted = np.roll(x, -(j * stride) % c, axis=1)
-        acc += a[:, :, j, k][:, :, None, None] * shifted
-    return acc
 
 
 def reseal(body: bytes) -> bytes:

@@ -10,18 +10,17 @@ import time
 import numpy as np
 import pytest
 from helpers import traced_madds
+from reference import finite_difference_check, path_count_oracle, reference_eval
 
 from micronet.analysis import (check_budget, count_costs, rank_law_holds,
                                sweep_tradeoff, verify_connectivity,
                                verify_rank)
-from micronet.dyshiftmax import DyShiftMax, reference_eval
-from micronet.microfac import (MicroFacDepthwise, MicroFacPointwise,
-                               path_count_matrix, path_count_oracle)
+from micronet.dyshiftmax import DyShiftMax
+from micronet.microfac import MicroFacDepthwise, MicroFacPointwise, path_count_matrix
 from micronet.models import build_model
 from micronet.module import Context
 from micronet.tensor import ConvSpec, Tensor, conv2d, softmax_cross_entropy
-from micronet.train import (finite_difference_check, make_synthetic,
-                            train_model)
+from micronet.train import make_synthetic, train_model
 from micronet.weights_io import (ArchiveError, collect_state, load_archive,
                                  load_model, save_weights)
 
@@ -137,7 +136,7 @@ def test_criterion_05_depthwise_factorization(capsys):
                                           rng=rng)
                 x = rng.standard_normal((2, 6, 9, 9))
                 got = layer(Tensor(x)).data
-                want = conv2d(Tensor(x), Tensor(layer.dense_kernel()), None,
+                want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data), None,
                               layer.dense_spec()).data
                 worst = max(worst, float(np.abs(got - want).max()))
                 channels, positions = 6 * expansion, got[0, 0].size

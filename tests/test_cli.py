@@ -18,7 +18,7 @@ from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
 from micronet.data import IMAGES_NAME, save_dataset
 from micronet.models import build_model
 from micronet.train import make_synthetic
-from micronet.weights_io import save_weights
+from micronet.weights_io import ArchiveError, load_model, save_weights
 
 
 def run(capsys, *argv):
@@ -175,14 +175,21 @@ def _tiny_archive(tmp_path):
     (("head_width",), 0), (("dyshiftmax", "reduction"), 0),
     (("blocks", 0, "kernel"), 4), (("blocks", 0, "width"), 5), (("stem", "width"), 0),
     (("blocks", 0, "hidden"), 0), (("dyshiftmax", "num_shifts"), 0),
+    # a float kernel would run as a 3-tap filter and a boolean stride as
+    # stride 1, while the spec kept and re-saved the stated value
+    (("blocks", 1, "kernel"), 3.0), (("blocks", 1, "kernel"), 3.5),
+    (("blocks", 1, "stride"), True),
 ])
 def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
-    # a sealed archive whose config cannot build a model is malformed (exit 4)
+    # a sealed archive whose config cannot build a model, or would build
+    # another than it states, is malformed (exit 4)
     ds = tmp_path / "ds"
     images, labels = make_synthetic(8, seed=0)
     save_dataset(ds, images, labels)
     weights = _tiny_archive(tmp_path)
     weights.write_bytes(with_config(weights.read_bytes(), path, value))
+    with pytest.raises(ArchiveError):
+        load_model(weights)
     code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
     one_line_error(code, out, err, EXIT_FORMAT)
     assert "bad model config" in err

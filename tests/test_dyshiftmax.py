@@ -3,14 +3,14 @@ bounds, cost accounting and gradients."""
 
 import numpy as np
 import pytest
-from helpers import (assert_grads, fusion_margin, sigmoid_coefficients,
-                     traced_madds)
+from helpers import assert_grads, fusion_margin, traced_madds
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (MAddCounter, coeff_bounds, reference_eval, shift_fusions,
+                       sigmoid_coefficients)
 
-from micronet.dyshiftmax import DyShiftMax, circular_shift, reference_eval
-from micronet.reference import MAddCounter
-from micronet.tensor import (Tensor, coefficient_head, global_avg_pool,
+from micronet.dyshiftmax import DyShiftMax
+from micronet.tensor import (Tensor, coefficient_head, global_avg_pool, shift_max,
                              softmax_cross_entropy)
 
 
@@ -25,11 +25,14 @@ def make_layer(channels, groups, j, k, seed, spread=0.5):
 
 
 def test_circular_shift_semantics():
+    # all weight on shift j = 1: output channel i reads input (i + C/G) mod C
     x = np.arange(6, dtype=float).reshape(1, 6, 1, 1)
-    out = circular_shift(x, 1, 3)
-    np.testing.assert_array_equal(out[0, :, 0, 0], [2, 3, 4, 5, 0, 1])
+    a = np.zeros((1, 6, 2, 1))
+    a[:, :, 1, 0] = 1.0
+    for out in (shift_max(Tensor(x), Tensor(a), 3).data, shift_fusions(x, a, 3)[0]):
+        np.testing.assert_array_equal(out[0, :, 0, 0], [2, 3, 4, 5, 0, 1])
     with pytest.raises(ValueError):
-        circular_shift(x, 1, 4)
+        shift_max(Tensor(x), Tensor(a), 4)
 
 
 def test_identity_at_init_single_shift():
@@ -88,7 +91,7 @@ def test_madds_identity_configuration():
 
 def test_coefficients_stay_in_bounds():
     layer = make_layer(10, 2, 2, 3, seed=3, spread=5.0)
-    lo, hi = layer.coeff_bounds()
+    lo, hi = coeff_bounds(layer)
     x = 10.0 * np.random.default_rng(4).standard_normal((8, 10, 3, 3))
     a = layer.coefficients(Tensor(x)).data
     assert a.shape == (8, 10, 2, 3)
@@ -150,7 +153,7 @@ def test_bounded_output_growth():
     layer = make_layer(8, 4, 2, 2, seed=5, spread=3.0)
     x = np.random.default_rng(6).standard_normal((4, 8, 5, 5))
     y = layer(Tensor(x)).data
-    lo, hi = layer.coeff_bounds()
+    lo, hi = coeff_bounds(layer)
     bound = max(abs(lo), abs(hi)) * layer.num_shifts * np.abs(x).max()
     assert np.abs(y).max() <= bound + 1e-12
 

@@ -9,13 +9,13 @@ import pytest
 from helpers import assert_grads, traced_madds
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import path_count_oracle, regular_combination_madds
 
 from micronet.analysis import trace_costs
 from micronet.microfac import (MicroFacDepthwise, MicroFacPointwise,
                                adaptive_groups, channel_shuffle,
                                compute_groups, connectivity, fit_groups,
-                               path_count_matrix, path_count_oracle,
-                               pick_group_pair, regular_combination_madds,
+                               path_count_matrix, pick_group_pair,
                                shuffle_permutation)
 from micronet.models import BlockSpec, MicroBlockA, model_spec
 from micronet.tensor import ConvSpec, Tensor, conv2d, global_avg_pool, \
@@ -256,7 +256,7 @@ def test_depthwise_matches_outer_product_kernel(kernel, stride, expansion):
     layer = MicroFacDepthwise(6, kernel, stride, expansion, rng=rng)
     x = rng.standard_normal((2, 6, 8, 8))
     got = layer(Tensor(x)).data
-    want = conv2d(Tensor(x), Tensor(layer.dense_kernel()), None,
+    want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data), None,
                   layer.dense_spec()).data
     np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 

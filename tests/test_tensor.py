@@ -8,13 +8,13 @@ import pytest
 from helpers import assert_grads, away_from_zero
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import (MAddCounter, conv2d_naive, global_avg_pool_naive, linear_naive,
+                       shift_fusions)
 
 from micronet import tensor
-from micronet.dyshiftmax import DyShiftMax, circular_shift
+from micronet.dyshiftmax import DyShiftMax
 from micronet.models import build_model
 from micronet.module import Context
-from micronet.reference import (MAddCounter, conv2d_naive,
-                                global_avg_pool_naive, linear_naive)
 from micronet.tensor import (ConvSpec, Tensor, _accumulate, _conv_banded, _conv_depthwise,
                              _conv_im2col, _conv_rows, add, coefficient_head, conv2d,
                              conv2d_composed, dropout, global_avg_pool, linear, no_grad,
@@ -649,9 +649,7 @@ def shift_max_oracle(x, a, groups):
     """Dynamic Shift-Max one shifted copy at a time. Returns the output, the
     stacked fusions (K, N, C, H, W) and the winner of each element, which
     np.argmax picks as the earliest maximum or the first NaN."""
-    jn, kn = a.shape[2:]
-    fus = np.stack([sum(a[:, :, j, k, None, None] * circular_shift(x, j, groups)
-                        for j in range(jn)) for k in range(kn)])
+    fus = shift_fusions(x, a, groups)
     win = np.argmax(fus, axis=0)
     return np.take_along_axis(fus, win[None], axis=0)[0], fus, win
 
@@ -659,12 +657,13 @@ def shift_max_oracle(x, a, groups):
 def shift_max_oracle_grads(x, a, groups, g, win):
     """(dx, da) of the oracle for upstream gradient g routed by win."""
     jn, kn = a.shape[2:]
+    s = x.shape[1] // groups
     gx, ga = np.zeros_like(x), np.zeros_like(a)
     for k in range(kn):
         gk = g * (win == k)
         for j in range(jn):
-            ga[:, :, j, k] = (gk * circular_shift(x, j, groups)).sum(axis=(2, 3))
-            gx += circular_shift(a[:, :, j, k, None, None] * gk, -j, groups)
+            ga[:, :, j, k] = (gk * np.roll(x, -j * s, axis=1)).sum(axis=(2, 3))
+            gx += np.roll(a[:, :, j, k, None, None] * gk, j * s, axis=1)
     return gx, ga
 
 

@@ -3,12 +3,12 @@ and the synthetic dataset."""
 
 import numpy as np
 import pytest
+from reference import finite_difference_check
 
 from micronet import models
 from micronet.models import build_model
 from micronet.tensor import Tensor
-from micronet.train import (SGD, NonFiniteError, cosine_lr, evaluate,
-                            finite_difference_check, iterate_batches,
+from micronet.train import (SGD, NonFiniteError, cosine_lr, evaluate, iterate_batches,
                             make_synthetic, train_model)
 
 
