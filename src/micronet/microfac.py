@@ -142,11 +142,14 @@ class MicroFacPointwise(Module):
 
     def expand_dense(self) -> np.ndarray:
         """Multiply the three factors out to the dense (C_out, C_in) matrix."""
-        q = _group_conv_matrix(self.compress_w.data, self.g1)
-        p = _group_conv_matrix(self.expand_w.data, self.g2)
-        phi = np.zeros((self.hidden, self.hidden), dtype=q.dtype)
-        phi[np.arange(self.hidden), self.perm] = 1.0
-        return p @ phi @ q
+        return _dense_product(self, self.compress_w.data, self.expand_w.data)
+
+
+def _dense_product(layer: MicroFacPointwise, compress_w, expand_w) -> np.ndarray:
+    """expand . shuffle . compress of layer with the given factor weights;
+    the shuffle is a row index of the compress matrix."""
+    q = _group_conv_matrix(compress_w, layer.g1)
+    return _group_conv_matrix(expand_w, layer.g2) @ q[layer.perm]
 
 
 def _group_conv_matrix(w: np.ndarray, groups: int) -> np.ndarray:
@@ -160,18 +163,10 @@ def _group_conv_matrix(w: np.ndarray, groups: int) -> np.ndarray:
 
 
 def path_count_matrix(layer: MicroFacPointwise) -> np.ndarray:
-    """Path counts for all (output, input) pairs via 0/1 adjacency products."""
-    cin, hid, cout = layer.in_channels, layer.hidden, layer.out_channels
-    a1 = np.zeros((hid, cin), dtype=np.int64)
-    for h in range(hid):
-        g = h // (hid // layer.g1)
-        a1[h, g * (cin // layer.g1):(g + 1) * (cin // layer.g1)] = 1
-    a1 = a1[layer.perm]
-    a2 = np.zeros((cout, hid), dtype=np.int64)
-    for o in range(cout):
-        g = o // (cout // layer.g2)
-        a2[o, g * (hid // layer.g2):(g + 1) * (hid // layer.g2)] = 1
-    return a2 @ a1
+    """Path counts for all (output, input) pairs: the dense product of
+    factors whose every weight is 1."""
+    return _dense_product(layer, np.ones(layer.compress_spec.weight_shape, np.int64),
+                          np.ones(layer.expand_spec.weight_shape, np.int64))
 
 
 # ---------------------------------------------------------------------------

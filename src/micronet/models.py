@@ -26,8 +26,9 @@ Stage-leading blocks carry stride 2 in the depthwise stage.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -45,13 +46,21 @@ VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
 # ---------------------------------------------------------------------------
 # specs
 
-def _check_integers(spec, *names):
-    """Raise ValueError unless each named field of spec is an integer and
-    not a bool, so that no config builds a network other than it states."""
-    for name in names:
-        value = getattr(spec, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+_RULES = {"int": ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1),
+          "float": ("a finite number",
+                    lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
+          "str": ("a string", lambda v: isinstance(v, str))}
+
+
+def _check_fields(spec):
+    """Raise ValueError unless each field of spec holds what the rule of its
+    annotation (_RULES) admits, and no int, float or str field a bool, so
+    that no config builds a network other than it states."""
+    for f in fields(spec):
+        wording, admits = _RULES.get(f.type, (None, None))
+        value = getattr(spec, f.name)
+        if wording and (isinstance(value, bool) or not admits(value)):
+            raise ValueError(f"{f.name} must be {wording}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,24 +76,27 @@ class BlockSpec:
     activations: tuple[str, ...] = ()
 
     def __post_init__(self):
-        _check_integers(self, "kernel", "width", "hidden", "stride")
+        _check_fields(self)
         if self.kind not in ("A", "B", "C"):
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.stride not in (1, 2):
             raise ValueError("stride must be 1 or 2")
         slots = 2 if self.kind == "A" else 3
-        acts = self.activations or ("dysm",) + ("relu",) * (slots - 1)
+        acts = tuple(self.activations) or ("dysm",) + ("relu",) * (slots - 1)
         if len(acts) != slots:
             raise ValueError(f"block {self.kind} takes {slots} activation slots")
         for a in acts:
             if a not in ("relu", "dysm", "none"):
                 raise ValueError(f"unknown activation {a!r}")
-        object.__setattr__(self, "activations", tuple(acts))
+        object.__setattr__(self, "activations", acts)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete, buildable description of one network."""
+    """Complete, buildable description of one network. Each field's
+    annotation gives its rule (_check_fields). A config holds each field at
+    its path in _PATHS, and a field whose entry it lacks takes its default
+    here."""
 
     name: str
     stem_width: int
@@ -102,73 +114,57 @@ class ModelSpec:
     group_lam: float = 1.0
 
     def __post_init__(self):
-        _check_integers(self, "stem_width", "stem_hidden", "head_width", "num_classes",
-                        "num_shifts", "num_fusions", "hyper_reduction", "hyper_min_hidden")
+        _check_fields(self)
         if self.norm not in ("bn", "none"):
             raise ValueError(f"unknown norm {self.norm!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.head_width <= 0 or self.hyper_reduction <= 0:
-            raise ValueError("head_width and hyper_reduction must be positive")
-        scale = self.coeff_scale
-        if not (isinstance(scale, (int, float)) and np.isfinite(scale)):
-            raise ValueError(f"coeff_scale must be a finite number, got {scale!r}")
         if sum(1 for b in self.blocks if b.kind == "B") > 1:
             raise ValueError("at most one transition (B) block per model")
 
     def to_config(self) -> dict:
-        return {
-            "schema": "micronet.model/1",
-            "name": self.name,
-            "stem": {"width": self.stem_width, "hidden": self.stem_hidden},
-            "blocks": [
-                {"kind": b.kind, "kernel": b.kernel, "width": b.width,
-                 "hidden": b.hidden, "stride": b.stride,
-                 "activations": list(b.activations)}
-                for b in self.blocks
-            ],
-            "head_width": self.head_width,
-            "num_classes": self.num_classes,
-            "dropout": self.dropout,
-            "norm": self.norm,
-            "dyshiftmax": {
-                "num_shifts": self.num_shifts,
-                "num_fusions": self.num_fusions,
-                "reduction": self.hyper_reduction,
-                "min_hidden": self.hyper_min_hidden,
-                "coeff_scale": self.coeff_scale,
-            },
-            "group_lam": self.group_lam,
-        }
+        cfg = {"schema": "micronet.model/1"}
+        for name, path in _PATHS.items():
+            owner, key = _entry(cfg, path, make=True)
+            owner[key] = getattr(self, name)
+        cfg["blocks"] = [{**asdict(b), "activations": list(b.activations)} for b in self.blocks]
+        return cfg
 
     @staticmethod
     def from_config(cfg: dict) -> "ModelSpec":
+        """The spec cfg describes. A missing entry takes its field's
+        default; one whose field has none is a ValueError naming its path."""
         if cfg.get("schema") != "micronet.model/1":
             raise ValueError(f"unsupported model config schema {cfg.get('schema')!r}")
-        dy = cfg.get("dyshiftmax", {})
-        if not isinstance(dy, dict):
-            raise TypeError(f"dyshiftmax must be an object, got {dy!r}")
-        return ModelSpec(
-            name=cfg["name"],
-            stem_width=cfg["stem"]["width"],
-            stem_hidden=cfg["stem"]["hidden"],
-            blocks=tuple(
-                BlockSpec(b["kind"], b["kernel"], b["width"], b["hidden"],
-                          b.get("stride", 1),
-                          tuple(b.get("activations", ())))
-                for b in cfg["blocks"]
-            ),
-            head_width=cfg["head_width"],
-            num_classes=cfg.get("num_classes", 1000),
-            dropout=cfg.get("dropout", 0.05),
-            norm=cfg.get("norm", "bn"),
-            num_shifts=dy.get("num_shifts", 2),
-            num_fusions=dy.get("num_fusions", 2),
-            hyper_reduction=dy.get("reduction", 16),
-            hyper_min_hidden=dy.get("min_hidden", 8),
-            coeff_scale=dy.get("coeff_scale", 1.0),
-            group_lam=cfg.get("group_lam", 1.0),
-        )
+        found = {}
+        for name, path in _PATHS.items():
+            owner, key = _entry(cfg, path)
+            if key in owner:
+                found[name] = owner[key]
+            elif ModelSpec.__dataclass_fields__[name].default is MISSING:
+                raise ValueError(f"missing entry {path}")
+        found["blocks"] = tuple(BlockSpec(**b) for b in found["blocks"])
+        return ModelSpec(**found)
+
+
+# where each field of ModelSpec sits in a micronet.model/1 config
+_PATHS = {"name": "name", "stem_width": "stem.width", "stem_hidden": "stem.hidden",
+          "blocks": "blocks", "head_width": "head_width", "num_classes": "num_classes",
+          "dropout": "dropout", "norm": "norm", "num_shifts": "dyshiftmax.num_shifts",
+          "num_fusions": "dyshiftmax.num_fusions", "hyper_reduction": "dyshiftmax.reduction",
+          "hyper_min_hidden": "dyshiftmax.min_hidden",
+          "coeff_scale": "dyshiftmax.coeff_scale", "group_lam": "group_lam"}
+
+
+def _entry(cfg: dict, path: str, make: bool = False) -> tuple[dict, str]:
+    """The object of cfg that holds the entry at the dotted path, and the
+    entry's key; make adds the objects on the way that cfg lacks."""
+    *outer, key = path.split(".")
+    for part in outer:
+        cfg = cfg.setdefault(part, {}) if make else cfg.get(part, {})
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{part} must be an object, got {cfg!r}")
+    return cfg, key
 
 
 # the only description of each variant; model_spec is a lookup, not a read

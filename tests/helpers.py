@@ -59,15 +59,23 @@ def tensor_record(name: bytes, tag: int, dims, payload=b"") -> bytes:
             + struct.pack(f"<{len(dims)}Q", *dims) + payload)
 
 
+# with_config's value that deletes the entry at its path
+DELETE = object()
+
+
 def with_config(archive: bytes, path, value) -> bytes:
-    """archive with one field of its model config replaced and the checksum
-    redone; path is the keys and list indices down to the field."""
+    """archive with one field of its model config replaced, or deleted if
+    value is DELETE, and the checksum redone; path is the keys and list
+    indices down to the field."""
     (size,) = struct.unpack_from("<I", archive, 8)
     config = json.loads(archive[12:12 + size])
     owner = config
     for key in path[:-1]:
         owner = owner[key]
-    owner[path[-1]] = value
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
     blob = json.dumps(config).encode()
     return reseal(archive[:8] + struct.pack("<I", len(blob)) + blob
                   + archive[12 + size:-4])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reseal, seal_archive, with_config
+from helpers import DELETE, reseal, seal_archive, with_config
 
 import micronet
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
@@ -179,6 +179,9 @@ def _tiny_archive(tmp_path):
     # stride 1, while the spec kept and re-saved the stated value
     (("blocks", 1, "kernel"), 3.0), (("blocks", 1, "kernel"), 3.5),
     (("blocks", 1, "stride"), True),
+    # a float field or the name given a boolean or a number would save it back
+    (("dyshiftmax", "coeff_scale"), True), (("group_lam",), True),
+    (("dropout",), False), (("name",), 5),
 ])
 def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     # a sealed archive whose config cannot build a model, or would build
@@ -193,6 +196,28 @@ def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
     one_line_error(code, out, err, EXIT_FORMAT)
     assert "bad model config" in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("name",), DELETE, "missing entry name"),
+    (("stem", "width"), DELETE, "missing entry stem.width"),
+    (("head_width",), DELETE, "missing entry head_width"),
+    (("blocks",), DELETE, "missing entry blocks"),
+    (("stem",), 3, "stem must be an object"),
+])
+def test_exit_code_config_missing_entry(path, value, message, tmp_path, capsys):
+    # a config without a required entry, or with an object that is none,
+    # is malformed (exit 4), and the one error line names its path
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    weights = _tiny_archive(tmp_path)
+    weights.write_bytes(with_config(weights.read_bytes(), path, value))
+    with pytest.raises(ArchiveError, match=message):
+        load_model(weights)
+    code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert message in err
 
 
 @pytest.mark.parametrize("path, value", [(("head_width",), 10**9),

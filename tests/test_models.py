@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
                              build_model, model_spec)
 from micronet.module import Context
 from micronet.tensor import ConvSpec, Tensor, conv2d, no_grad
+from micronet.weights_io import load_model, save_weights
 
 
 def test_variant_table_shape():
@@ -243,33 +245,116 @@ def test_norm_none_variant_runs():
     assert not any("running_mean" in n for n, _ in net.named_buffers())
 
 
-@pytest.mark.parametrize("variant", ["tiny", "tiny-skip", "M0"])
-def test_network_matches_naive_reference(variant):
-    # the loop-based forward gives the same logits in both modes, and its
-    # multiply-add tally is the traced cost of every image
-    spec = model_spec("M0" if variant == "M0" else "tiny")
-    if variant == "tiny-skip":
-        spec = dataclasses.replace(spec, blocks=(
-            BlockSpec("A", 3, 8, 4, 2), BlockSpec("C", 3, 4, 4, 1, ("dysm",) * 3)))
-    spec = dataclasses.replace(spec, num_classes=10, dropout=0.0)
-    net = build_model(spec, dtype=np.float64, seed=0)
-    assert any(getattr(b, "skip", False) for b in net.blocks) == (variant == "tiny-skip")
-    rng = np.random.default_rng(1)
+DRAWS = 32
+
+
+def drawn_case(seed: int) -> tuple[ModelSpec, int, int]:
+    """A buildable spec drawn from seed, and the batch size (1 or 2) and
+    resolution (8-32) to run it at: a stem width that is a multiple of the
+    stem's hidden width, two to four blocks with at most one B, A widths
+    that are multiples of their input, kernels 3 or 5, strides 1 or 2, every
+    slot kind, and J and K in 1..3."""
+    r = random.Random(seed)
+    hid = r.randint(1, 3)
+    c = stem = hid * r.randint(1, 3)
+    blocks = []
+    for _ in range(r.randint(2, 4)):
+        kind = r.choice("AC" if any(b.kind == "B" for b in blocks) else "ABC")
+        width = c * r.randint(1, 3) if kind == "A" else (
+            c if kind == "C" and r.random() < 0.4 else r.randint(2, 12))
+        hidden = r.randint(2, 8)
+        acts = tuple(r.choice(["relu", "dysm", "none"]) for _ in range(2 if kind == "A" else 3))
+        blocks.append(BlockSpec(kind, r.choice([3, 5]), width, hidden, r.randint(1, 2), acts))
+        c = hidden if kind == "A" else width
+    spec = ModelSpec("drawn", stem, hid, tuple(blocks), head_width=r.randint(2, 8),
+                     num_classes=r.randint(2, 5), dropout=0.0, num_shifts=r.randint(1, 3),
+                     num_fusions=r.randint(1, 3), hyper_reduction=r.randint(1, 16),
+                     hyper_min_hidden=r.randint(1, 8), coeff_scale=r.uniform(0.5, 2.0),
+                     group_lam=r.uniform(0.5, 2.0))
+    return spec, r.randint(1, 2), r.randint(8, 32)
+
+
+def perturbed(net, rng):
+    """net with its parameters and buffers moved off their initial values:
+    the norms off (1, 0) and the zero-initialized shift-max heads."""
     for _, p in net.named_params():
-        # moves the norms off (1, 0) and the zero-initialized shift-max heads
         p.data += 0.2 * rng.standard_normal(p.shape)
     for name, buf in net.named_buffers():
         buf[:] = rng.uniform(0.5, 2.0, buf.shape) if name.endswith("var") \
             else 0.1 * rng.standard_normal(buf.shape)
-    madds = count_costs(net, 32).total_madds
-    x = rng.standard_normal((2, 3, 32, 32))
+    return net
+
+
+@pytest.mark.parametrize("variant", ["tiny", "tiny-skip", "M0",
+                                     *(f"drawn-{i}" for i in range(DRAWS))])
+def test_network_matches_naive_reference(variant, tmp_path):
+    # the loop-based forward gives the same logits in both modes, its
+    # multiply-add tally is the traced cost of every image, and an archive
+    # round trip gives the same eval logits bitwise; the drawn specs pass
+    # ModelSpec's checks and load back from their archives
+    n, res = 2, 32
+    if variant.startswith("drawn"):
+        spec, n, res = drawn_case(int(variant.split("-")[1]))
+    else:
+        spec = model_spec("M0" if variant == "M0" else "tiny")
+        if variant == "tiny-skip":
+            spec = dataclasses.replace(spec, blocks=(
+                BlockSpec("A", 3, 8, 4, 2), BlockSpec("C", 3, 4, 4, 1, ("dysm",) * 3)))
+        spec = dataclasses.replace(spec, num_classes=10, dropout=0.0)
+    net = build_model(spec, dtype=np.float64, seed=0)
+    if not variant.startswith("drawn"):
+        assert any(getattr(b, "skip", False) for b in net.blocks) == (variant == "tiny-skip")
+    rng = np.random.default_rng(1)
+    perturbed(net, rng)
+    madds = count_costs(net, res).total_madds
+    x = rng.standard_normal((n, 3, res, res))
     for training in (False, True):
         counter = MAddCounter()
         want = network_forward(net, x, training, counter)
         with no_grad():
             got = net(x, Context(training=training)).data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
-        assert counter.count == 2 * madds
+        assert counter.count == n * madds
+    save_weights(tmp_path / "w.mnwt", net)
+    with no_grad():
+        np.testing.assert_array_equal(load_model(tmp_path / "w.mnwt")(x).data, net(x).data)
+
+
+def test_drawn_specs_reach_every_kernel(monkeypatch):
+    # the eval and training forwards of the drawn cases above run every
+    # kernel _conv_kernel picks, the composed depthwise pair and both
+    # shift_max routes, and some drawn B or C block has a dysm compress slot
+    seen = set()
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            seen.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    real_kernel = tensor._conv_kernel
+
+    def kernel(x, w, spec):
+        picked = real_kernel(x, w, spec)
+        seen.add(picked.__name__)
+        return picked
+
+    monkeypatch.setattr(tensor, "_conv_kernel", kernel)
+    monkeypatch.setattr(microfac, "conv2d_composed",
+                        recorded("conv2d_composed", microfac.conv2d_composed))
+    for route in ("_fusions_elementwise", "_fusions_matmul"):
+        monkeypatch.setattr(tensor, route, recorded(route, getattr(tensor, route)))
+    cases = [drawn_case(i) for i in range(DRAWS)]
+    for spec, n, res in cases:
+        net = perturbed(build_model(spec, dtype=np.float64, seed=0), np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal((n, 3, res, res))
+        for training in (False, True):
+            net(x, Context(training=training))
+    assert seen == {"_conv_pointwise", "_conv_banded", "_conv_depthwise", "_conv_rows",
+                    "_conv_im2col", "conv2d_composed", "_fusions_elementwise",
+                    "_fusions_matmul"}
+    assert any(b.kind != "A" and b.activations[1] == "dysm"
+               for spec, _, _ in cases for b in spec.blocks)
 
 
 def taped_ops(net, x, training):
@@ -447,10 +532,16 @@ def test_model_spec_validation():
         dataclasses.replace(base, norm="layer")
     with pytest.raises(ValueError):
         dataclasses.replace(base, dropout=1.5)
-    # each would divide by zero while building the network
-    for field in ("head_width", "hyper_reduction"):
-        with pytest.raises(ValueError, match=field):
-            dataclasses.replace(base, **{field: 0})
+    # each field's annotation gives its rule: an int field takes an integer
+    # >= 1 (0 would divide by zero while building the network) and a float
+    # field a finite number, and neither a boolean
+    bad = {"int": (0, True), "float": (True, float("nan"), float("inf")), "str": (5, True)}
+    fields = dataclasses.fields(ModelSpec)
+    assert {"int", "float", "str"} <= {f.type for f in fields}
+    for f in fields:
+        for value in bad.get(f.type, ()):
+            with pytest.raises(ValueError, match=f.name):
+                dataclasses.replace(base, **{f.name: value})
     for scale in ("1", None, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="coeff_scale"):
             dataclasses.replace(base, coeff_scale=scale)
