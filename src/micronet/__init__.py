@@ -3,8 +3,7 @@ convolutions and dynamic shift-max activations, with static cost and
 structure analysis tooling."""
 
 from .analysis import (BUDGETS, CostReport, check_budget, count_costs,
-                       sweep_tradeoff, verify_connectivity,
-                       verify_factorization, verify_model, verify_rank)
+                       sweep_tradeoff, verify_model)
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups,
                        channel_shuffle, compute_groups, connectivity,
@@ -22,6 +21,5 @@ __all__ = [
     "Module", "Network", "Tensor", "VARIANTS", "adaptive_groups",
     "build_model", "channel_shuffle", "check_budget", "compute_groups",
     "connectivity", "count_costs", "fit_groups", "model_spec", "no_grad",
-    "pick_group_pair", "sweep_tradeoff", "verify_connectivity",
-    "verify_factorization", "verify_model", "verify_rank", "__version__",
+    "pick_group_pair", "sweep_tradeoff", "verify_model", "__version__",
 ]

@@ -180,30 +180,21 @@ def count_costs(net: Network, resolution: int = 224) -> CostReport:
     return CostReport(net.spec.name, resolution, trace_costs(net, x))
 
 
-def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE):
-    """Compare report totals against the variant budget. Returns a list of
-    (metric, value, target, within) rows; empty if no budget is defined."""
+def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE) -> list[dict]:
+    """The report's totals against its variant's budget, as
+    {"metric", "value", "target", "within"} rows; empty unless the variant
+    has a budget and the report is at 224x224, where budgets are stated."""
     budget = BUDGETS.get(report.variant)
-    if budget is None:
+    if budget is None or report.resolution != 224:
         return []
-    rows = []
-    for metric, value, target in (("madds", report.total_madds, budget[0]),
-                                  ("params", report.total_params, budget[1])):
-        within = abs(value - target) <= tolerance * target
-        rows.append((metric, value, target, within))
-    return rows
+    return [{"metric": metric, "value": value, "target": target,
+             "within": abs(value - target) <= tolerance * target}
+            for metric, value, target in (("madds", report.total_madds, budget[0]),
+                                          ("params", report.total_params, budget[1]))]
 
 
 # ---------------------------------------------------------------------------
 # structural verification
-
-@dataclass(frozen=True)
-class RankCheck:
-    layer: str
-    blocks: int
-    worst_ratio: float
-    ok: bool
-
 
 def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
     """Check that every (c_out/g2) x (c_in/g1) sub-block of the dense
@@ -211,12 +202,10 @@ def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
 
     Returns (ok, worst second-to-first singular value ratio)."""
     dense = layer.expand_dense()
-    g1, g2 = layer.g1, layer.g2
-    rows = layer.out_channels // g2
-    cols = layer.in_channels // g1
+    rows, cols = layer.out_channels // layer.g2, layer.in_channels // layer.g1
     worst = 0.0
-    for a in range(g2):
-        for b in range(g1):
+    for a in range(layer.g2):
+        for b in range(layer.g1):
             block = dense[a * rows:(a + 1) * rows, b * cols:(b + 1) * cols]
             if min(block.shape) < 2:
                 continue
@@ -227,93 +216,35 @@ def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
-def verify_rank(net: Network, tol: float = 1e-8) -> list[RankCheck]:
-    out = []
+def verify_model(net: Network, rng: np.random.Generator | None = None) -> dict:
+    """The JSON-ready structural report of net: its budget rows at 224x224,
+    then per factorized pointwise layer a rank_law row (rank-one blocks), a
+    connectivity row (c_in paths into each output, at least one from each
+    input) and a factorization row (equal to the dense equivalent on rng's
+    random activations)."""
+    rng = rng or np.random.default_rng(0)
+    tol = 1e-10 if net.dtype == np.float64 else 1e-4
+    ranks, conn, fact = [], [], []
     for name, layer in net.pointwise_layers():
-        ok, worst = rank_law_holds(layer, tol)
-        out.append(RankCheck(name, layer.g1 * layer.g2, worst, ok))
-    return out
-
-
-@dataclass(frozen=True)
-class ConnectivityCheck:
-    layer: str
-    in_channels: int
-    min_paths: int
-    max_paths: int
-    per_output: int
-    ok: bool
-
-
-def verify_connectivity(net: Network) -> list[ConnectivityCheck]:
-    """Every output channel of every factorized pointwise layer must be
-    reachable from every input channel, with c_in total paths per output."""
-    out = []
-    for name, layer in net.pointwise_layers():
+        ok, worst = rank_law_holds(layer)
+        ranks.append({"layer": name, "blocks": layer.g1 * layer.g2,
+                      "worst_ratio": worst, "ok": ok})
         paths = path_count_matrix(layer)
         per_output = paths.sum(axis=1)
-        ok = paths.min() >= 1 and bool((per_output == layer.in_channels).all())
-        out.append(ConnectivityCheck(name, layer.in_channels,
-                                     int(paths.min()), int(paths.max()),
-                                     int(per_output[0]), ok))
-    return out
-
-
-def verify_factorization(net: Network, rng: np.random.Generator,
-                         tol: float | None = None) -> list[tuple[str, float, bool]]:
-    """Run random activations through each factorized pointwise layer and
-    compare against its dense equivalent."""
-    if tol is None:
-        tol = 1e-10 if net.dtype == np.float64 else 1e-4
-    out = []
-    for name, layer in net.pointwise_layers():
+        conn.append({"layer": name, "in_channels": layer.in_channels,
+                     "min_paths": int(paths.min()), "max_paths": int(paths.max()),
+                     "paths_per_output": int(per_output[0]),
+                     "ok": bool(paths.min() >= 1
+                                and (per_output == layer.in_channels).all())})
         x = rng.standard_normal((2, layer.in_channels, 3, 3)).astype(net.dtype)
-        got = layer(x).data
-        dense = layer.expand_dense()
-        want = np.einsum("oi,nihw->nohw", dense, x)
-        err = float(np.abs(got - want).max())
-        out.append((name, err, err <= tol))
-    return out
-
-
-def verify_model(net: Network, resolution: int = 224,
-                 rng: np.random.Generator | None = None) -> dict:
-    """Full structural report: budget, rank law, connectivity, and
-    factorization equivalence. JSON-serializable."""
-    rng = rng or np.random.default_rng(0)
-    report = count_costs(net, resolution)
-    budget_rows = check_budget(report)
-    ranks = verify_rank(net)
-    conn = verify_connectivity(net)
-    fact = verify_factorization(net, rng)
-    passed = (all(r[3] for r in budget_rows)
-              and all(r.ok for r in ranks)
-              and all(c.ok for c in conn)
-              and all(f[2] for f in fact))
-    return {
-        "schema": VERIFY_SCHEMA,
-        "variant": net.spec.name,
-        "resolution": resolution,
-        "passed": bool(passed),
-        "budget": [
-            {"metric": m, "value": v, "target": t, "within": w}
-            for m, v, t, w in budget_rows
-        ],
-        "rank_law": [
-            {"layer": r.layer, "blocks": r.blocks,
-             "worst_ratio": r.worst_ratio, "ok": r.ok}
-            for r in ranks
-        ],
-        "connectivity": [
-            {"layer": c.layer, "in_channels": c.in_channels,
-             "min_paths": c.min_paths, "max_paths": c.max_paths,
-             "paths_per_output": c.per_output, "ok": c.ok}
-            for c in conn
-        ],
-        "factorization": [
-            {"layer": n, "max_error": e, "ok": ok} for n, e, ok in fact
-        ],
-    }
+        want = np.einsum("oi,nihw->nohw", layer.expand_dense(), x)
+        err = float(np.abs(layer(x).data - want).max())
+        fact.append({"layer": name, "max_error": err, "ok": err <= tol})
+    budget = check_budget(count_costs(net))
+    passed = all(r["within"] for r in budget) and all(r["ok"] for r in ranks + conn + fact)
+    return {"schema": VERIFY_SCHEMA, "variant": net.spec.name, "resolution": 224,
+            "passed": passed, "budget": budget, "rank_law": ranks,
+            "connectivity": conn, "factorization": fact}
 
 
 # ---------------------------------------------------------------------------

@@ -130,37 +130,30 @@ def cmd_analyze(args) -> int:
     lines = [report.format_table()]
     payload = report.to_json()
     if budget:
-        payload["budget"] = [
-            {"metric": m, "value": v, "target": t, "within": w}
-            for m, v, t, w in budget
-        ]
-        for m, v, t, w in budget:
-            verdict = "within" if w else "OUTSIDE"
-            lines.append(f"{m}: {v:,} vs target {t:,} ({verdict} "
-                         f"{analysis.BUDGET_TOLERANCE:.0%})")
+        payload["budget"] = budget
+    for row in budget:
+        verdict = "within" if row["within"] else "OUTSIDE"
+        lines.append(f"{row['metric']}: {row['value']:,} vs target {row['target']:,} "
+                     f"({verdict} {analysis.BUDGET_TOLERANCE:.0%})")
     lines.append(f"dynamic activation share: {report.dynamic_madds:,} madds, "
                  f"{report.dynamic_params:,} params")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
+# each list of verify_model's report: the flag of a row, its line
+_VERIFY_LINES = (("budget", "within", "budget {metric}: {value:,} vs {target:,}"),
+                 ("rank_law", "ok", "rank law {layer}: worst ratio {worst_ratio:.2e}"),
+                 ("connectivity", "ok",
+                  "connectivity {layer}: {paths_per_output} paths/output"),
+                 ("factorization", "ok", "factorization {layer}: max err {max_error:.2e}"))
+
+
 def cmd_verify(args) -> int:
     net = build_model(args.variant, seed=_seed(args), dtype=np.float64)
-    report = analysis.verify_model(net, args.resolution,
-                                   np.random.default_rng(_seed(args)))
-    lines = []
-    for row in report["budget"]:
-        lines.append(f"budget {row['metric']}: {row['value']:,} vs "
-                     f"{row['target']:,} -> {'ok' if row['within'] else 'FAIL'}")
-    for row in report["rank_law"]:
-        lines.append(f"rank law {row['layer']}: worst ratio "
-                     f"{row['worst_ratio']:.2e} -> {'ok' if row['ok'] else 'FAIL'}")
-    for row in report["connectivity"]:
-        lines.append(f"connectivity {row['layer']}: {row['paths_per_output']} "
-                     f"paths/output -> {'ok' if row['ok'] else 'FAIL'}")
-    for row in report["factorization"]:
-        lines.append(f"factorization {row['layer']}: max err "
-                     f"{row['max_error']:.2e} -> {'ok' if row['ok'] else 'FAIL'}")
+    report = analysis.verify_model(net, np.random.default_rng(_seed(args)))
+    lines = [text.format(**row) + (" -> ok" if row[flag] else " -> FAIL")
+             for key, flag, text in _VERIFY_LINES for row in report[key]]
     lines.append("PASS" if report["passed"] else "FAIL")
     _emit(args, report, "\n".join(lines))
     return EXIT_OK if report["passed"] else EXIT_VERIFY
@@ -370,8 +363,8 @@ def _real(accept, requirement: str):
 
 _positive = _at_least(1)
 _non_negative = _at_least(0)
-# analyze and verify run one forward at this size: M3 peaks at about 101 MB
-# in float32 and 201 MB in float64 at 1024x1024
+# analyze and bench run float32 forwards at this size: M3 peaks at about
+# 101 MB at 1024x1024
 _resolution = _at_least(1, 1024)
 
 
@@ -395,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="structural checks and budgets")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--resolution", type=_resolution, default=224)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)

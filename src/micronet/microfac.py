@@ -24,10 +24,9 @@ from .tensor import ConvSpec, Tensor, conv2d, conv2d_composed, permute_channels
 # group-count laws
 
 def fit_groups(target: float, *channel_counts: int) -> int:
-    """Round target half-up, clamp to [1, min(counts)], then step down to a
-    common divisor of all channel counts."""
-    g = int(math.floor(target + 0.5))
-    g = max(1, min(g, min(channel_counts)))
+    """Clamp target to [1, min(counts)], round it half-up, then step down to
+    a common divisor of all channel counts."""
+    g = int(math.floor(min(max(target, 1), min(channel_counts)) + 0.5))
     while g > 1 and any(c % g for c in channel_counts):
         g -= 1
     return g

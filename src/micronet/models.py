@@ -66,23 +66,27 @@ def _check_fields(spec):
 @dataclass(frozen=True)
 class BlockSpec:
     """One micro-block row: kind, spatial kernel, depthwise/output width,
-    bottleneck width, stride, and per-slot activations."""
+    bottleneck width, stride, and per-slot activations (None: dysm, then
+    relu in every other slot)."""
 
     kind: str
     kernel: int
     width: int
     hidden: int
     stride: int = 1
-    activations: tuple[str, ...] = ()
+    activations: tuple[str, ...] | None = None
 
     def __post_init__(self):
         _check_fields(self)
         if self.kind not in ("A", "B", "C"):
             raise ValueError(f"unknown block kind {self.kind!r}")
+        if self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd, got {self.kernel}")
         if self.stride not in (1, 2):
             raise ValueError("stride must be 1 or 2")
         slots = 2 if self.kind == "A" else 3
-        acts = tuple(self.activations) or ("dysm",) + ("relu",) * (slots - 1)
+        acts = (("dysm",) + ("relu",) * (slots - 1) if self.activations is None
+                else tuple(self.activations))
         if len(acts) != slots:
             raise ValueError(f"block {self.kind} takes {slots} activation slots")
         for a in acts:
@@ -94,9 +98,10 @@ class BlockSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete, buildable description of one network. Each field's
-    annotation gives its rule (_check_fields). A config holds each field at
-    its path in _PATHS, and a field whose entry it lacks takes its default
-    here."""
+    annotation gives its rule (_check_fields); the stem width is a multiple
+    of the stem hidden width, and each block A's width of its input width.
+    A config holds each field at its path in _PATHS, and a field whose
+    entry it lacks takes its default here."""
 
     name: str
     stem_width: int
@@ -121,6 +126,14 @@ class ModelSpec:
             raise ValueError("dropout must be in [0, 1)")
         if sum(1 for b in self.blocks if b.kind == "B") > 1:
             raise ValueError("at most one transition (B) block per model")
+        if self.stem_width % self.stem_hidden:
+            raise ValueError(f"stem width {self.stem_width} not a multiple of "
+                             f"stem hidden {self.stem_hidden}")
+        c_in = self.stem_width
+        for b in self.blocks:
+            if b.kind == "A" and b.width % c_in:
+                raise ValueError(f"block width {b.width} not a multiple of input {c_in}")
+            c_in = b.hidden if b.kind == "A" else b.width
 
     def to_config(self) -> dict:
         cfg = {"schema": "micronet.model/1"}
@@ -133,7 +146,8 @@ class ModelSpec:
     @staticmethod
     def from_config(cfg: dict) -> "ModelSpec":
         """The spec cfg describes. A missing entry takes its field's
-        default; one whose field has none is a ValueError naming its path."""
+        default; one whose field has none, and an entry that no field has,
+        are a ValueError naming its path."""
         if cfg.get("schema") != "micronet.model/1":
             raise ValueError(f"unsupported model config schema {cfg.get('schema')!r}")
         found = {}
@@ -143,6 +157,12 @@ class ModelSpec:
                 found[name] = owner[key]
             elif ModelSpec.__dataclass_fields__[name].default is MISSING:
                 raise ValueError(f"missing entry {path}")
+        # every entry of cfg and of its objects (stem, dyshiftmax) is a field's
+        entries = [key for key in cfg if key not in _OBJECTS]
+        entries += [f"{obj}.{key}" for obj in _OBJECTS for key in cfg.get(obj, {})]
+        for path in entries:
+            if path != "schema" and path not in _PATHS.values():
+                raise ValueError(f"unknown entry {path}")
         found["blocks"] = tuple(BlockSpec(**b) for b in found["blocks"])
         return ModelSpec(**found)
 
@@ -154,6 +174,10 @@ _PATHS = {"name": "name", "stem_width": "stem.width", "stem_hidden": "stem.hidde
           "num_fusions": "dyshiftmax.num_fusions", "hyper_reduction": "dyshiftmax.reduction",
           "hyper_min_hidden": "dyshiftmax.min_hidden",
           "coeff_scale": "dyshiftmax.coeff_scale", "group_lam": "group_lam"}
+
+
+# the objects of a config that hold entries
+_OBJECTS = sorted({path.rpartition(".")[0] for path in _PATHS.values() if "." in path})
 
 
 def _entry(cfg: dict, path: str, make: bool = False) -> tuple[dict, str]:
@@ -287,8 +311,6 @@ class MicroBlockA(Module):
 
     def __init__(self, c_in: int, bs: BlockSpec, spec: ModelSpec, rng, dtype):
         super().__init__()
-        if bs.width % c_in:
-            raise ValueError(f"block width {bs.width} not a multiple of input {c_in}")
         self.kind = "A"
         self.c_out = bs.hidden
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
@@ -482,11 +504,8 @@ class Network(Module):
 
     def pointwise_layers(self):
         """(name, MicroFacPointwise) pairs for structural verification."""
-        out = []
-        for i, blk in enumerate(self.blocks):
-            if isinstance(blk, MicroBlockBC):
-                out.append((f"blocks.{i}.pointwise", blk.pointwise))
-        return out
+        return [(f"blocks.{i}.pointwise", blk.pointwise)
+                for i, blk in enumerate(self.blocks) if isinstance(blk, MicroBlockBC)]
 
 
 def build_model(variant_or_spec, *, num_classes: int | None = None,

@@ -13,8 +13,7 @@ from helpers import traced_madds
 from reference import finite_difference_check, path_count_oracle, reference_eval
 
 from micronet.analysis import (check_budget, count_costs, rank_law_holds,
-                               sweep_tradeoff, verify_connectivity,
-                               verify_rank)
+                               sweep_tradeoff, verify_model)
 from micronet.dyshiftmax import DyShiftMax
 from micronet.microfac import MicroFacDepthwise, MicroFacPointwise, path_count_matrix
 from micronet.models import build_model
@@ -42,9 +41,9 @@ def test_criterion_01_cost_budgets(capsys):
         assert elapsed < 1.0, f"{variant} analysis took {elapsed:.2f}s"
         rows = check_budget(report)
         assert rows
-        for metric, value, target, within in rows:
-            assert within, (variant, metric, value, target)
-            worst = max(worst, abs(value - target) / target)
+        for r in rows:
+            assert r["within"], (variant, r)
+            worst = max(worst, abs(r["value"] - r["target"]) / r["target"])
     announce(capsys, 1, f"four budgets within 10% (worst gap {worst:.1%})")
 
 
@@ -80,8 +79,8 @@ def test_criterion_03_rank_law_holds_including_after_training(capsys):
     at numerical rank one, before and after 100 optimizer steps."""
     for variant in ("M0", "M1", "M2", "M3"):
         net = build_model(variant, seed=1, dtype=np.float64)
-        checks = verify_rank(net)
-        assert checks and all(c.ok for c in checks), variant
+        checks = verify_model(net)["rank_law"]
+        assert checks and all(c["ok"] for c in checks), variant
 
     net = build_model("M0", seed=2, dtype=np.float64)
     rng = np.random.default_rng(0)
@@ -89,11 +88,10 @@ def test_criterion_03_rank_law_holds_including_after_training(capsys):
     labels = rng.integers(0, 1000, 20).astype(np.int64)
     train_model(net, images, labels, epochs=20, base_lr=0.01,
                 batch_size=4, weight_decay=3e-5, seed=0)
-    checks = verify_rank(net)
-    worst = max(c.worst_ratio for c in checks)
-    assert all(c.ok for c in checks)
-    conn = verify_connectivity(net)
-    assert all(c.ok for c in conn)
+    report = verify_model(net)
+    worst = max(c["worst_ratio"] for c in report["rank_law"])
+    assert all(c["ok"] for c in report["rank_law"])
+    assert all(c["ok"] for c in report["connectivity"])
     announce(capsys, 3,
              f"rank-one blocks on all variants; after 100 steps worst "
              f"ratio {worst:.2e}")

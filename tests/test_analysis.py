@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from micronet.analysis import (BUDGETS, MAX_SWEEP_ROWS, _OP_COSTS, check_budget,
                                count_costs, format_json, format_sweep, rank_law_holds,
-                               sweep_tradeoff, verify_connectivity,
-                               verify_factorization, verify_model,
-                               verify_rank)
+                               sweep_tradeoff, verify_model)
 from micronet import tensor
 from micronet.models import VARIANTS, build_model, model_spec
 from micronet.module import Context
@@ -47,15 +45,17 @@ def test_m2_dynamic_share_frozen():
 def test_budgets_within_ten_percent(variant):
     report = count_costs(build_model(variant, seed=0), 224)
     rows = check_budget(report)
-    assert rows and all(within for _, _, _, within in rows)
-    for metric, value, target, _ in rows:
-        assert abs(value - target) <= 0.10 * target, (metric, value, target)
+    assert [r["metric"] for r in rows] == ["madds", "params"]
+    for r in rows:
+        assert r["within"] and abs(r["value"] - r["target"]) <= 0.10 * r["target"], r
 
 
 def test_budget_tolerance_boundary():
     report = count_costs(build_model("M0", seed=0), 224)
-    assert not all(w for _, _, _, w in check_budget(report, tolerance=0.001))
+    assert not all(r["within"] for r in check_budget(report, tolerance=0.001))
     assert check_budget(count_costs(build_model("tiny", seed=0), 32)) == []
+    # budgets are stated at 224x224, so no other resolution is compared
+    assert check_budget(count_costs(build_model("M0", seed=0), 64)) == []
 
 
 def test_report_params_match_live_arrays():
@@ -185,9 +185,10 @@ def test_cost_json_and_table_formats():
 
 def test_verify_model_passes_and_serializes():
     net = build_model("M1", seed=3, dtype=np.float64)
-    report = verify_model(net, 224, np.random.default_rng(0))
+    report = verify_model(net, np.random.default_rng(0))
     assert report["passed"]
     assert report["schema"] == "micronet.verify/1"
+    assert report["resolution"] == 224 and len(report["budget"]) == 2
     json.loads(format_json(report))
     assert all(r["ok"] for r in report["rank_law"])
     assert all(r["ok"] for r in report["connectivity"])
@@ -198,20 +199,21 @@ def test_verifiers_catch_broken_shuffle():
     net = build_model("M0", seed=0, dtype=np.float64)
     _, layer = net.pointwise_layers()[0]
     layer.perm = np.arange(layer.hidden)
-    ranks = verify_rank(net)
-    conn = verify_connectivity(net)
-    assert not ranks[0].ok
-    assert not conn[0].ok
-    assert all(r.ok for r in ranks[1:])
-    report = verify_model(net, 224, np.random.default_rng(0))
+    report = verify_model(net, np.random.default_rng(0))
+    ranks, conn = report["rank_law"], report["connectivity"]
+    assert not ranks[0]["ok"]
+    assert not conn[0]["ok"]
+    assert all(r["ok"] for r in ranks[1:])
     assert not report["passed"]
+    # a failing row serializes like a passing one
+    assert json.loads(format_json(report)) == report
 
 
 def test_verify_factorization_reports_tolerance():
     net = build_model("tiny", seed=0, dtype=np.float64)
-    rows = verify_factorization(net, np.random.default_rng(0))
-    assert rows and all(ok for _, _, ok in rows)
-    assert max(err for _, err, _ in rows) < 1e-12
+    rows = verify_model(net, np.random.default_rng(0))["factorization"]
+    assert rows and all(r["ok"] for r in rows)
+    assert max(r["max_error"] for r in rows) < 1e-12
 
 
 def test_rank_law_trivial_blocks_skipped():

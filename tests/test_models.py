@@ -14,9 +14,8 @@ from reference import MAddCounter, network_forward
 from micronet.analysis import count_costs
 from micronet.dyshiftmax import DyShiftMax
 from micronet import microfac, models, tensor
-from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockA,
-                             MicroBlockBC, ModelSpec, Network, VARIANTS,
-                             build_model, model_spec)
+from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockBC,
+                             ModelSpec, Network, VARIANTS, build_model, model_spec)
 from micronet.module import Context
 from micronet.tensor import ConvSpec, Tensor, conv2d, no_grad
 from micronet.weights_io import load_model, save_weights
@@ -71,10 +70,15 @@ def test_activation_slot_policy():
 
 
 def test_block_a_requires_integer_expansion():
-    spec = model_spec("M0")
-    with pytest.raises(ValueError):
-        MicroBlockA(5, BlockSpec("A", 3, 16, 8, 2), spec,
-                    np.random.default_rng(0), np.float64)
+    # ModelSpec follows each block's input width: the stem's, then block A's
+    # hidden width, or block B's or C's width
+    with pytest.raises(ValueError, match="block width 16 not a multiple of input 5"):
+        ModelSpec("a", 5, 5, (BlockSpec("A", 3, 16, 8, 2),), head_width=8)
+    with pytest.raises(ValueError, match="block width 12 not a multiple of input 8"):
+        ModelSpec("a", 4, 2, (BlockSpec("A", 3, 8, 4), BlockSpec("C", 3, 8, 4),
+                              BlockSpec("A", 3, 12, 4)), head_width=8)
+    assert ModelSpec("a", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("A", 3, 12, 4)),
+                     head_width=8).blocks[1].width == 12
 
 
 @pytest.mark.parametrize("variant", ["M0", "tiny"])
@@ -498,6 +502,17 @@ def test_model_spec_config_round_trip():
         assert ModelSpec.from_config(spec.to_config()) == spec
     with pytest.raises(ValueError):
         ModelSpec.from_config({"schema": "micronet.model/2"})
+    # a block entry without activations takes the default slots
+    cfg = model_spec("tiny").to_config()
+    del cfg["blocks"][1]["activations"]
+    assert ModelSpec.from_config(cfg) == model_spec("tiny")
+    # an entry that no field has is rejected, not dropped
+    for path in ("dropuot", "dyshiftmax.reducton", "stem.depth"):
+        cfg = model_spec("tiny").to_config()
+        owner, _, key = path.rpartition(".")
+        (cfg[owner] if owner else cfg)[key] = 1
+        with pytest.raises(ValueError, match=f"unknown entry {path}$"):
+            ModelSpec.from_config(cfg)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "src" / "micronet" / "configs"
@@ -524,6 +539,9 @@ def test_block_spec_validation():
     with pytest.raises(ValueError):
         BlockSpec("C", 3, 16, 8, 1, ("relu", "gelu", "relu"))
     assert BlockSpec("C", 3, 16, 8).activations == ("dysm", "relu", "relu")
+    # no slots is a wrong slot count, not the default slots
+    with pytest.raises(ValueError, match="takes 3 activation slots"):
+        BlockSpec("C", 3, 16, 8, 1, ())
 
 
 def test_model_spec_validation():
@@ -548,6 +566,19 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         dataclasses.replace(base, blocks=(BlockSpec("B", 3, 16, 8),
                                           BlockSpec("B", 3, 32, 8)))
+    # what ModelSpec accepts, build_model builds: the width law and an odd
+    # kernel are checked here, and any finite group_lam fits its groups
+    with pytest.raises(ValueError, match="stem width 4 not a multiple of stem hidden 3"):
+        dataclasses.replace(base, stem_hidden=3)
+    for change, message in (({"width": 9}, "not a multiple"), ({"kernel": 4}, "odd")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(base, blocks=(dataclasses.replace(base.blocks[0], **change),
+                                              *base.blocks[1:]))
+    def groups(lam):
+        net = build_model(dataclasses.replace(base, group_lam=lam))
+        return [blk.squeeze.spec.groups if blk.kind == "A"
+                else (blk.pointwise.g1, blk.pointwise.g2) for blk in net.blocks]
+    assert groups(1e308) == groups(1e6)
 
 
 def test_build_model_accepts_explicit_spec():
