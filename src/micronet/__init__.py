@@ -6,7 +6,6 @@ from .analysis import (BUDGETS, CostReport, check_budget, count_costs,
                        sweep_tradeoff, verify_model)
 from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups,
-                       channel_shuffle, compute_groups, connectivity,
                        fit_groups, pick_group_pair)
 from .models import (BlockSpec, ModelSpec, Network, VARIANTS, build_model,
                      model_spec)
@@ -19,7 +18,6 @@ __all__ = [
     "BUDGETS", "BlockSpec", "Context", "ConvSpec", "CostReport",
     "DyShiftMax", "MicroFacDepthwise", "MicroFacPointwise", "ModelSpec",
     "Module", "Network", "Tensor", "VARIANTS", "adaptive_groups",
-    "build_model", "channel_shuffle", "check_budget", "compute_groups",
-    "connectivity", "count_costs", "fit_groups", "model_spec", "no_grad",
-    "pick_group_pair", "sweep_tradeoff", "verify_model", "__version__",
+    "build_model", "check_budget", "count_costs", "fit_groups", "model_spec",
+    "no_grad", "pick_group_pair", "sweep_tradeoff", "verify_model", "__version__",
 ]

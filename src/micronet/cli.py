@@ -14,7 +14,6 @@ the default seed where --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys

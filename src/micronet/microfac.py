@@ -4,14 +4,13 @@ A pointwise (1x1) convolution from C_in to C_out channels is factorized
 into two grouped 1x1 convolutions around a channel shuffle, so that its
 dense equivalent W = expand . shuffle . compress splits into low-rank
 blocks. A k x k depthwise convolution is factorized into a k x 1 and a
-1 x k stage, one rank-1 spatial kernel per channel. Group counts follow
-a square-root law in the bottleneck width.
+1 x k stage, one rank-1 spatial kernel per channel. The pointwise group
+counts multiply to the bottleneck width, each kept near its square root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,19 +31,6 @@ def fit_groups(target: float, *channel_counts: int) -> int:
     return g
 
 
-def compute_groups(channels: int, reduction: int, lam: float = 1.0) -> int:
-    """Square-root group law G ~ lam * sqrt(C/R) for a symmetric factorization.
-
-    The result divides both C and C/R. Raises if R does not divide C.
-    """
-    if channels <= 0 or reduction <= 0:
-        raise ValueError("channels and reduction must be positive")
-    if channels % reduction:
-        raise ValueError(f"reduction {reduction} does not divide {channels} channels")
-    hidden = channels // reduction
-    return fit_groups(lam * math.sqrt(hidden), channels, hidden)
-
-
 def adaptive_groups(in_channels: int, out_channels: int, lam: float = 1.0) -> int:
     """Group count for a single group-adaptive 1x1 convolution."""
     target = lam * math.sqrt(min(in_channels, out_channels))
@@ -59,17 +45,18 @@ def pick_group_pair(hidden: int, in_channels: int, out_channels: int,
     to every (compress group, expand group) pair, which is what makes each
     block of the dense equivalent rank 1 and gives every output channel
     exactly C_in input paths. Both factors are kept as close as possible
-    to lam * sqrt(hidden); falls back to independently fitted groups when
-    no divisor pair satisfies the channel constraints.
+    to lam * sqrt(hidden). Raises ValueError when no such pair exists.
     """
+    # G1 divides hidden and C_in: the divisors of their gcd, up to its square
+    # root; a hidden width below 1 has none
+    g = math.gcd(hidden, in_channels) if hidden > 0 else 0
+    pairs = [(g1, hidden // g1) for d in range(1, math.isqrt(g) + 1) if g % d == 0
+             for g1 in (d, g // d) if out_channels % (hidden // g1) == 0]
+    if not pairs:
+        raise ValueError(f"no G1*G2 = hidden width {hidden} with G1 dividing input "
+                         f"width {in_channels} and G2 dividing width {out_channels}")
     t = lam * math.sqrt(hidden)
-    # the divisor pairs of hidden, enumerated up to its square root
-    pairs = [(g1, g2) for d in range(1, math.isqrt(hidden) + 1) if hidden % d == 0
-             for g1, g2 in ((d, hidden // d), (hidden // d, d))
-             if in_channels % g1 == 0 and out_channels % g2 == 0]
-    if pairs:
-        return min(pairs, key=lambda p: (abs(p[0] - t) + abs(p[1] - t), p[0]))
-    return (fit_groups(t, in_channels, hidden), fit_groups(t, hidden, out_channels))
+    return min(pairs, key=lambda p: (abs(p[0] - t) + abs(p[1] - t), p[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +70,6 @@ def shuffle_permutation(channels: int, groups: int) -> np.ndarray:
     return np.arange(channels).reshape(groups, channels // groups).T.reshape(-1)
 
 
-def channel_shuffle(x: Tensor, groups: int) -> Tensor:
-    """Interleave the channels of x (N, C, H, W) across the given groups."""
-    return permute_channels(x, shuffle_permutation(x.shape[1], groups))
-
-
 # ---------------------------------------------------------------------------
 # factorized pointwise convolution
 
@@ -99,8 +81,6 @@ class MicroFacPointwise(Module):
                  groups: tuple[int, int] | None = None, lam: float = 1.0,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__()
-        if hidden <= 0:
-            raise ValueError("hidden width must be positive")
         rng = rng or np.random.default_rng()
         g1, g2 = groups if groups is not None else pick_group_pair(
             hidden, in_channels, out_channels, lam)
@@ -226,30 +206,3 @@ class MicroFacDepthwise(Module):
         pad = (self.kernel - 1) // 2
         return ConvSpec(self.channels, self.out_channels, self.kernel,
                         stride=self.stride, padding=pad, groups=self.channels)
-
-
-# ---------------------------------------------------------------------------
-# connectivity analysis
-
-@dataclass(frozen=True)
-class ConnectivityProfile:
-    """Cost and connectivity of a symmetric factorized pointwise layer."""
-
-    channels: int
-    reduction: int
-    groups: int
-    madds_per_position: float
-    connectivity: float
-
-    def __post_init__(self):
-        if self.channels <= 0 or self.reduction <= 0 or self.groups <= 0:
-            raise ValueError("profile fields must be positive")
-
-
-def connectivity(channels: int, reduction: int, groups: int | None = None,
-                 lam: float = 1.0) -> ConnectivityProfile:
-    """Profile of a C -> C factorization: O = 2C^2/(RG), E = C^2/(RG^2)."""
-    g = compute_groups(channels, reduction, lam) if groups is None else groups
-    o = 2.0 * channels * channels / (reduction * g)
-    e = channels * channels / (reduction * g * g)
-    return ConnectivityProfile(channels, reduction, g, o, e)

@@ -8,6 +8,8 @@ Block kinds:
      the channel budget between stages (three slots, one per model).
   C: depthwise stage plus a full factorized pointwise pair, with a skip
      connection whenever input and output shapes agree (three slots).
+A B or C block's pair compresses in G1 and expands in G2 groups, where
+G1*G2 = hidden (microfac.pick_group_pair), or ModelSpec rejects the block.
 
 Batch normalization follows every convolution stage and precedes its
 activation. A BatchNorm2d is only the norm's state: each convolution runs
@@ -35,7 +37,8 @@ import numpy as np
 
 from . import tensor
 from .dyshiftmax import DyShiftMax
-from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups)
+from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups,
+                       pick_group_pair)
 from .module import _NO_DRAW, Context, Module, he_normal, zeros_param
 from .tensor import (ConvSpec, Tensor, add, conv2d, dropout, global_avg_pool,
                      linear, relu)
@@ -99,7 +102,8 @@ class BlockSpec:
 class ModelSpec:
     """Complete, buildable description of one network. Each field's
     annotation gives its rule (_check_fields); the stem width is a multiple
-    of the stem hidden width, and each block A's width of its input width.
+    of the stem hidden width, each block A's width of its input width, and
+    each block B's or C's hidden width has a group pair (pick_group_pair).
     A config holds each field at its path in _PATHS, and a field whose
     entry it lacks takes its default here."""
 
@@ -133,6 +137,8 @@ class ModelSpec:
         for b in self.blocks:
             if b.kind == "A" and b.width % c_in:
                 raise ValueError(f"block width {b.width} not a multiple of input {c_in}")
+            if b.kind != "A":
+                pick_group_pair(b.hidden, c_in, b.width)
             c_in = b.hidden if b.kind == "A" else b.width
 
     def to_config(self) -> dict:
@@ -163,7 +169,10 @@ class ModelSpec:
         for path in entries:
             if path != "schema" and path not in _PATHS.values():
                 raise ValueError(f"unknown entry {path}")
-        found["blocks"] = tuple(BlockSpec(**b) for b in found["blocks"])
+        found["blocks"] = tuple(BlockSpec(**b) for b in cfg["blocks"])
+        # a stated null would load as the default slots and re-save as a list
+        if any(b.get("activations", ()) is None for b in cfg["blocks"]):
+            raise ValueError("blocks: activations must be a list, got None")
         return ModelSpec(**found)
 
 

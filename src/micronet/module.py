@@ -66,9 +66,6 @@ class Module:
         for cname, child in self._children.items():
             yield from child.named_modules(f"{path}.{cname}" if path else cname)
 
-    def param_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for _, p in self.named_params())
-
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         raise NotImplementedError
 

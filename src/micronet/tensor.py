@@ -86,9 +86,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
 
 def _result(data, parents, backward):
     if _tape is not None:
@@ -176,10 +173,6 @@ class ConvSpec:
     def fan_in(self) -> int:
         kh, kw = self.kernel
         return (self.in_channels // self.groups) * kh * kw
-
-    def madds(self, h: int, w: int) -> int:
-        oh, ow = self.out_size(h, w)
-        return oh * ow * self.out_channels * self.fan_in()
 
 
 def _pair(v):

@@ -197,6 +197,21 @@ def network_forward(net, x: np.ndarray, training: bool = False,
 
 
 # ---------------------------------------------------------------------------
+# counts
+
+def conv_madds(spec: ConvSpec, h: int, w: int) -> int:
+    """Multiply-adds of one image through spec at h x w: every weight of an
+    output channel once per output position."""
+    oh, ow = spec.out_size(h, w)
+    return oh * ow * spec.out_channels * spec.fan_in()
+
+
+def param_count(module) -> int:
+    """The number of scalars in module's parameters."""
+    return sum(p.data.size for _, p in module.named_params())
+
+
+# ---------------------------------------------------------------------------
 # factorized pointwise: paths and the conventional alternative
 
 def path_count_oracle(layer, out_channel: int) -> int:
@@ -220,9 +235,9 @@ def regular_combination_madds(in_channels: int, dw_channels: int,
     grouped pointwise expand, factorized depthwise, grouped pointwise fuse."""
     ge = adaptive_groups(in_channels, dw_channels, lam)
     gs = adaptive_groups(dw_channels, out_channels, lam)
-    expand = ConvSpec(in_channels, dw_channels, 1, groups=ge).madds(h, w)
+    expand = conv_madds(ConvSpec(in_channels, dw_channels, 1, groups=ge), h, w)
     dw = 2 * kernel * dw_channels * h * w
-    fuse = ConvSpec(dw_channels, out_channels, 1, groups=gs).madds(h, w)
+    fuse = conv_madds(ConvSpec(dw_channels, out_channels, 1, groups=gs), h, w)
     return expand + dw + fuse
 
 

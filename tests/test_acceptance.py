@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 from helpers import traced_madds
-from reference import finite_difference_check, path_count_oracle, reference_eval
+from reference import (conv_madds, finite_difference_check, path_count_oracle,
+                       reference_eval)
 
 from micronet.analysis import (check_budget, count_costs, rank_law_holds,
                                sweep_tradeoff, verify_model)
@@ -145,7 +146,7 @@ def test_criterion_05_depthwise_factorization(capsys):
                     # the column stage's output keeps the input's width
                     cols = got.shape[2] * x.shape[3]
                     assert traced == kernel * channels * (cols + positions)
-                assert layer.dense_spec().madds(9, 9) == (
+                assert conv_madds(layer.dense_spec(), 9, 9) == (
                     kernel * kernel * channels * positions)
     assert worst <= 1e-10, worst
     announce(capsys, 5,

@@ -183,9 +183,10 @@ def _tiny_archive(tmp_path):
     (("dyshiftmax", "coeff_scale"), True), (("group_lam",), True),
     (("dropout",), False), (("name",), 5),
     # an entry that no field has would be dropped, its field left at the
-    # default; an explicit empty list of slots would load as the default ones
+    # default; an explicit empty list of slots would load as the default ones,
+    # and so would null, which would then re-save as a list
     (("dropuot",), 0.5), (("dyshiftmax", "reducton"), 4),
-    (("blocks", 0, "activations"), []),
+    (("blocks", 0, "activations"), []), (("blocks", 0, "activations"), None),
 ])
 def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     # a sealed archive whose config cannot build a model, or would build
@@ -200,6 +201,22 @@ def test_exit_code_bad_model_config(path, value, tmp_path, capsys):
     code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
     one_line_error(code, out, err, EXIT_FORMAT)
     assert "bad model config" in err
+
+
+def test_exit_code_hidden_width_without_group_pair(tmp_path, capsys):
+    # tiny's block C takes 4 channels to 8: no G1 | 4 and G2 | 8 multiply
+    # to 5, so the config is rejected before a layer is built
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    weights = _tiny_archive(tmp_path)
+    weights.write_bytes(with_config(weights.read_bytes(), ("blocks", 1, "hidden"), 5))
+    message = "hidden width 5 with G1 dividing input width 4 and G2 dividing width 8"
+    with pytest.raises(ArchiveError, match=f"^bad model config: no G1\\*G2 = {message}$"):
+        load_model(weights)
+    code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert "bad model config" in err and message in err
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -226,10 +243,13 @@ def test_exit_code_config_missing_entry(path, value, message, tmp_path, capsys):
 
 @pytest.mark.parametrize("path, value", [(("head_width",), 10**9),
                                          (("num_classes",), 10**12),
-                                         (("blocks", 1, "hidden"), 10**9)])
+                                         (("blocks", 1, "hidden"), 10**9),
+                                         (("blocks", 1, "hidden"), 10**18)])
 def test_exit_code_config_claiming_huge_shapes(path, value, tmp_path, capsys):
     # shapes that no record has are a malformed archive (exit 4), not a
-    # request for more memory than there is (exit 2)
+    # request for more memory than there is (exit 2); a hidden width's group
+    # pair is searched among the divisors of the input width, so 10**18
+    # takes no longer than 10**9
     ds = tmp_path / "ds"
     images, labels = make_synthetic(8, seed=0)
     save_dataset(ds, images, labels)

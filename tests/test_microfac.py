@@ -9,30 +9,19 @@ import pytest
 from helpers import assert_grads, traced_madds
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import path_count_oracle, regular_combination_madds
+from reference import conv_madds, path_count_oracle, regular_combination_madds
 
 from micronet.analysis import trace_costs
 from micronet.microfac import (MicroFacDepthwise, MicroFacPointwise,
-                               adaptive_groups, channel_shuffle,
-                               compute_groups, connectivity, fit_groups,
-                               path_count_matrix, pick_group_pair,
-                               shuffle_permutation)
+                               adaptive_groups, fit_groups, path_count_matrix,
+                               pick_group_pair, shuffle_permutation)
 from micronet.models import BlockSpec, MicroBlockA, model_spec
 from micronet.tensor import ConvSpec, Tensor, conv2d, global_avg_pool, \
-    softmax_cross_entropy
+    permute_channels, softmax_cross_entropy
 
 
 # ---------------------------------------------------------------------------
 # group laws
-
-def test_compute_groups_frozen_values():
-    assert compute_groups(18, 2) == 3
-    assert compute_groups(4, 4) == 1
-    # sqrt(32) rounds to 6, which divides neither side; repaired to 4
-    assert compute_groups(192, 6) == 4
-    with pytest.raises(ValueError):
-        compute_groups(10, 3)
-
 
 def test_fit_groups_rounds_half_up_then_repairs():
     assert fit_groups(2.5, 12, 12) == 3
@@ -64,7 +53,8 @@ def test_pick_group_pair_frozen_values(hidden, cin, cout, expect):
 
 
 def _scan_group_pair(hidden, cin, cout):
-    """pick_group_pair as a scan of every g1 in 1..hidden."""
+    """pick_group_pair as a scan of every g1 in 1..hidden; None when no g1
+    fits."""
     t = math.sqrt(hidden)
     best = None
     for g1 in range(1, hidden + 1):
@@ -76,18 +66,23 @@ def _scan_group_pair(hidden, cin, cout):
         key = (abs(g1 - t) + abs(g2 - t), g1)
         if best is None or key < best[0]:
             best = (key, g1, g2)
-    if best is not None:
-        return best[1], best[2]
-    return (fit_groups(t, cin, hidden), fit_groups(t, hidden, cout))
+    return None if best is None else (best[1], best[2])
 
 
 @pytest.mark.parametrize("cin", [1, 6, 12, 64, 144, 720])
 @pytest.mark.parametrize("cout", [1, 8, 96, 480, 864])
 def test_pick_group_pair_matches_full_scan(cin, cout):
-    # enumerating the divisors up to sqrt(hidden) picks what the scan of
-    # every g1 picked, fallback included
+    # enumerating the divisors of gcd(hidden, C_in) up to its square root
+    # picks what the scan of every g1 picked, and raises where it found none
     for hidden in range(1, 513):
-        assert pick_group_pair(hidden, cin, cout) == _scan_group_pair(hidden, cin, cout)
+        want = _scan_group_pair(hidden, cin, cout)
+        if want is None:
+            with pytest.raises(ValueError, match=f"hidden width {hidden} with G1 dividing "
+                                                 f"input width {cin} and G2 dividing "
+                                                 f"width {cout}$"):
+                pick_group_pair(hidden, cin, cout)
+        else:
+            assert pick_group_pair(hidden, cin, cout) == want
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
@@ -111,11 +106,14 @@ def test_shuffle_permutation_is_group_transpose():
 def test_channel_shuffle_round_trips():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 12, 2, 2))
-    once = channel_shuffle(Tensor(x), 3).data
+
+    def shuffled(t, groups):
+        return permute_channels(Tensor(t), shuffle_permutation(12, groups)).data
+
+    once = shuffled(x, 3)
     np.testing.assert_array_equal(
         once, x.reshape(2, 3, 4, 2, 2).transpose(0, 2, 1, 3, 4).reshape(x.shape))
-    back = channel_shuffle(channel_shuffle(Tensor(x), 3), 4).data
-    np.testing.assert_array_equal(back, x)
+    np.testing.assert_array_equal(shuffled(once, 4), x)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +170,12 @@ def test_pointwise_rejects_bad_groups():
         MicroFacPointwise(12, 16, 8, groups=(2, 3))
     with pytest.raises(ValueError):
         MicroFacPointwise(12, 16, 0)
+    # no G1 | 4 and G2 | 8 multiply to 5: there is no group pair to default to
+    with pytest.raises(ValueError, match="no G1"):
+        MicroFacPointwise(4, 8, 5)
+    for hidden in (0, -4):
+        with pytest.raises(ValueError, match=f"no G1\\*G2 = hidden width {hidden} "):
+            pick_group_pair(hidden, 4, 8)
 
 
 def test_pointwise_madds_sum_of_stages():
@@ -266,7 +270,7 @@ def test_depthwise_matches_outer_product_kernel(kernel, stride, expansion):
 def test_depthwise_cost_factorized_vs_dense():
     layer = MicroFacDepthwise(32, 5, 1, rng=np.random.default_rng(0))
     assert traced_madds(layer, np.zeros((1, 32, 14, 14))) == 14 * 14 * 2 * 5 * 32
-    assert layer.dense_spec().madds(14, 14) == 14 * 14 * 5 * 5 * 32
+    assert conv_madds(layer.dense_spec(), 14, 14) == 14 * 14 * 5 * 5 * 32
 
 
 def test_depthwise_rejects_even_kernels():
@@ -297,7 +301,7 @@ def test_depthwise_gradients():
 
 
 # ---------------------------------------------------------------------------
-# lite combination and connectivity profiles
+# lite combination
 
 def lite_combination(in_channels, dw_channels, out_channels, kernel, stride=1):
     """Micro-Block-A alone: depthwise expansion, then one squeeze, with no
@@ -323,16 +327,4 @@ def test_lite_combination_forward_shape():
     records = {r.name: r for r in trace_costs(lite, x[:, :, 1:, 1:])}
     assert list(records) == ["depthwise", "squeeze"]
     assert records["depthwise"].out_shape == (16, 4, 4)
-    assert records["squeeze"].madds == lite.squeeze.spec.madds(4, 4)
-
-
-def test_connectivity_profile_frozen():
-    prof = connectivity(18, 2)
-    assert prof.groups == 3
-    assert prof.madds_per_position == pytest.approx(108.0)
-    assert prof.connectivity == pytest.approx(18.0)
-    explicit = connectivity(16, 2, groups=2)
-    assert explicit.madds_per_position == pytest.approx(2 * 16 * 16 / (2 * 2))
-    assert explicit.connectivity == pytest.approx(16 * 16 / (2 * 4))
-    with pytest.raises(ValueError):
-        connectivity(0, 2, groups=1)
+    assert records["squeeze"].madds == conv_madds(lite.squeeze.spec, 4, 4)

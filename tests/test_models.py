@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import MAddCounter, network_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import MAddCounter, conv_madds, network_forward, param_count
 
-from micronet.analysis import count_costs
+from micronet.analysis import count_costs, verify_model
 from micronet.dyshiftmax import DyShiftMax
 from micronet import microfac, models, tensor
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockBC,
@@ -79,6 +81,44 @@ def test_block_a_requires_integer_expansion():
                               BlockSpec("A", 3, 12, 4)), head_width=8)
     assert ModelSpec("a", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("A", 3, 12, 4)),
                      head_width=8).blocks[1].width == 12
+
+
+def test_block_bc_requires_a_group_pair():
+    # a B or C block's hidden width is G1*G2 with G1 dividing its input width
+    # and G2 its width, or its pointwise pair could not be factorized
+    with pytest.raises(ValueError, match="hidden width 5 with G1 dividing input width 4 "
+                                         "and G2 dividing width 6$"):
+        ModelSpec("b", 4, 2, (BlockSpec("B", 3, 6, 5),), head_width=8)
+    # the input width follows the chain: here block A's hidden width 6
+    with pytest.raises(ValueError, match="hidden width 4 with G1 dividing input width 6 "
+                                         "and G2 dividing width 3$"):
+        ModelSpec("c", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("C", 3, 3, 4)), head_width=8)
+    spec = ModelSpec("c", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("C", 3, 3, 9)),
+                     head_width=8)
+    pw = build_model(spec).blocks[1].pointwise
+    assert (pw.g1, pw.g2) == (3, 3)
+
+
+# the rows of verify_model's report that check each factorized pointwise
+STRUCTURAL_ROWS = ("rank_law", "connectivity", "factorization")
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 24), st.sampled_from("BC"))
+@settings(max_examples=40, deadline=None)
+def test_accepted_specs_pass_structural_verification(c_in, width, hidden, kind):
+    # ModelSpec accepts a hidden width exactly when some G1 | c_in and
+    # G2 | width multiply to it, and every network it accepts passes the
+    # structural rows of verify_model
+    block = BlockSpec(kind, 3, width, hidden, 1, ("relu",) * 3)
+    has_pair = any(c_in % g1 == 0 and width % (hidden // g1) == 0
+                   for g1 in range(1, hidden + 1) if hidden % g1 == 0)
+    if not has_pair:
+        with pytest.raises(ValueError, match="no G1"):
+            ModelSpec("g", c_in, 1, (block,), head_width=4, num_classes=2)
+        return
+    spec = ModelSpec("g", c_in, 1, (block,), head_width=4, num_classes=2)
+    report = verify_model(build_model(spec, dtype=np.float64, seed=0))
+    assert all(row["ok"] for key in STRUCTURAL_ROWS for row in report[key]), report
 
 
 @pytest.mark.parametrize("variant", ["M0", "tiny"])
@@ -256,8 +296,9 @@ def drawn_case(seed: int) -> tuple[ModelSpec, int, int]:
     """A buildable spec drawn from seed, and the batch size (1 or 2) and
     resolution (8-32) to run it at: a stem width that is a multiple of the
     stem's hidden width, two to four blocks with at most one B, A widths
-    that are multiples of their input, kernels 3 or 5, strides 1 or 2, every
-    slot kind, and J and K in 1..3."""
+    that are multiples of their input, B and C hidden widths G1*G2 <= 8 with
+    G1 dividing their input width and G2 their width, kernels 3 or 5,
+    strides 1 or 2, every slot kind, and J and K in 1..3."""
     r = random.Random(seed)
     hid = r.randint(1, 3)
     c = stem = hid * r.randint(1, 3)
@@ -266,7 +307,8 @@ def drawn_case(seed: int) -> tuple[ModelSpec, int, int]:
         kind = r.choice("AC" if any(b.kind == "B" for b in blocks) else "ABC")
         width = c * r.randint(1, 3) if kind == "A" else (
             c if kind == "C" and r.random() < 0.4 else r.randint(2, 12))
-        hidden = r.randint(2, 8)
+        hidden = r.randint(2, 8) if kind == "A" else r.choice(sorted(
+            {g1 * g2 for g1 in _divisors(c) for g2 in _divisors(width) if g1 * g2 <= 8}))
         acts = tuple(r.choice(["relu", "dysm", "none"]) for _ in range(2 if kind == "A" else 3))
         blocks.append(BlockSpec(kind, r.choice([3, 5]), width, hidden, r.randint(1, 2), acts))
         c = hidden if kind == "A" else width
@@ -276,6 +318,10 @@ def drawn_case(seed: int) -> tuple[ModelSpec, int, int]:
                      hyper_min_hidden=r.randint(1, 8), coeff_scale=r.uniform(0.5, 2.0),
                      group_lam=r.uniform(0.5, 2.0))
     return spec, r.randint(1, 2), r.randint(8, 32)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def perturbed(net, rng):
@@ -295,7 +341,8 @@ def test_network_matches_naive_reference(variant, tmp_path):
     # the loop-based forward gives the same logits in both modes, its
     # multiply-add tally is the traced cost of every image, and an archive
     # round trip gives the same eval logits bitwise; the drawn specs pass
-    # ModelSpec's checks and load back from their archives
+    # ModelSpec's checks and load back from their archives, and every
+    # factorized pointwise passes verify_model's structural rows
     n, res = 2, 32
     if variant.startswith("drawn"):
         spec, n, res = drawn_case(int(variant.split("-")[1]))
@@ -310,6 +357,8 @@ def test_network_matches_naive_reference(variant, tmp_path):
         assert any(getattr(b, "skip", False) for b in net.blocks) == (variant == "tiny-skip")
     rng = np.random.default_rng(1)
     perturbed(net, rng)
+    report = verify_model(net)
+    assert all(row["ok"] for key in STRUCTURAL_ROWS for row in report[key])
     madds = count_costs(net, res).total_madds
     x = rng.standard_normal((n, 3, res, res))
     for training in (False, True):
@@ -453,8 +502,8 @@ def test_composed_block_a_costs_match_reference(resolution, monkeypatch):
     dw = net.blocks[0].depthwise
     oh, ow = dw.dense_spec().out_size(h, w)
     record = {r.name: r for r in report.records}["blocks.0.depthwise"]
-    assert record.madds == dw.col_spec.madds(h, w) + dw.row_spec.madds(oh, w)
-    assert record.madds != dw.dense_spec().madds(h, w)
+    assert record.madds == conv_madds(dw.col_spec, h, w) + conv_madds(dw.row_spec, oh, w)
+    assert record.madds != conv_madds(dw.dense_spec(), h, w)
     x = np.random.default_rng(1).standard_normal((2, 3, resolution, resolution))
     counter = MAddCounter()
     want = network_forward(net, x, False, counter)
@@ -485,7 +534,7 @@ def test_named_params_unique_and_counted():
     net = build_model("M1", seed=0)
     names = [n for n, _ in net.named_params()]
     assert len(names) == len(set(names))
-    assert net.param_count() == sum(int(np.prod(p.shape))
+    assert param_count(net) == sum(int(np.prod(p.shape))
                                     for _, p in net.named_params())
 
 
@@ -502,10 +551,14 @@ def test_model_spec_config_round_trip():
         assert ModelSpec.from_config(spec.to_config()) == spec
     with pytest.raises(ValueError):
         ModelSpec.from_config({"schema": "micronet.model/2"})
-    # a block entry without activations takes the default slots
+    # a block entry without activations takes the default slots; one that
+    # states them null is rejected, since it would re-save as a list
     cfg = model_spec("tiny").to_config()
     del cfg["blocks"][1]["activations"]
     assert ModelSpec.from_config(cfg) == model_spec("tiny")
+    cfg["blocks"][1]["activations"] = None
+    with pytest.raises(ValueError, match="activations must be a list"):
+        ModelSpec.from_config(cfg)
     # an entry that no field has is rejected, not dropped
     for path in ("dropuot", "dyshiftmax.reducton", "stem.depth"):
         cfg = model_spec("tiny").to_config()

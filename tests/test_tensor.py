@@ -8,8 +8,8 @@ import pytest
 from helpers import assert_grads, away_from_zero
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import (MAddCounter, conv2d_naive, global_avg_pool_naive, linear_naive,
-                       shift_fusions)
+from reference import (MAddCounter, conv2d_naive, conv_madds, global_avg_pool_naive,
+                       linear_naive, shift_fusions)
 
 from micronet import tensor
 from micronet.dyshiftmax import DyShiftMax
@@ -51,7 +51,7 @@ def test_convspec_geometry_and_cost():
     spec = ConvSpec(6, 12, (3, 1), stride=(2, 1), padding=(1, 0), groups=3)
     assert spec.out_size(8, 5) == (4, 5)
     assert spec.fan_in() == (6 // 3) * 3 * 1
-    assert spec.madds(8, 5) == 4 * 5 * 12 * spec.fan_in()
+    assert conv_madds(spec, 8, 5) == 4 * 5 * 12 * spec.fan_in()
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_conv2d_matches_naive_loops(seed):
     want = conv2d_naive(x, w, b, spec, counter)
     got = conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
-    assert counter.count == 2 * spec.madds(6, 7)
+    assert counter.count == 2 * conv_madds(spec, 6, 7)
 
 
 @st.composite
