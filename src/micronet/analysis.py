@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .microfac import path_count_matrix
+from .microfac import MicroFacPointwise, path_count_matrix
 from .models import Network
 from .module import Context, Module
 from .tensor import no_grad
@@ -217,15 +217,17 @@ def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
 
 
 def verify_model(net: Network, rng: np.random.Generator | None = None) -> dict:
-    """The JSON-ready structural report of net: its budget rows at 224x224,
-    then per factorized pointwise layer a rank_law row (rank-one blocks), a
-    connectivity row (c_in paths into each output, at least one from each
-    input) and a factorization row (equal to the dense equivalent on rng's
-    random activations)."""
+    """The JSON-ready structural report of net: its budget rows at 224x224
+    (none, and no trace, for a name without a budget), then per factorized
+    pointwise layer a rank_law row (rank-one blocks), a connectivity row
+    (c_in paths into each output, at least one from each input) and a
+    factorization row (equal to the dense equivalent on rng's random
+    activations)."""
     rng = rng or np.random.default_rng(0)
     tol = 1e-10 if net.dtype == np.float64 else 1e-4
     ranks, conn, fact = [], [], []
-    for name, layer in net.pointwise_layers():
+    layers = [(n, m) for n, m in net.named_modules() if isinstance(m, MicroFacPointwise)]
+    for name, layer in layers:
         ok, worst = rank_law_holds(layer)
         ranks.append({"layer": name, "blocks": layer.g1 * layer.g2,
                       "worst_ratio": worst, "ok": ok})
@@ -240,7 +242,7 @@ def verify_model(net: Network, rng: np.random.Generator | None = None) -> dict:
         want = np.einsum("oi,nihw->nohw", layer.expand_dense(), x)
         err = float(np.abs(layer(x).data - want).max())
         fact.append({"layer": name, "max_error": err, "ok": err <= tol})
-    budget = check_budget(count_costs(net))
+    budget = check_budget(count_costs(net)) if net.spec.name in BUDGETS else []
     passed = all(r["within"] for r in budget) and all(r["ok"] for r in ranks + conn + fact)
     return {"schema": VERIFY_SCHEMA, "variant": net.spec.name, "resolution": 224,
             "passed": passed, "budget": budget, "rank_law": ranks,

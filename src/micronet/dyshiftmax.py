@@ -33,7 +33,6 @@ class DyShiftMax(Module):
                  num_fusions: int = 2, reduction: int = 16, min_hidden: int = 8,
                  coeff_scale: float = 1.0, rng: np.random.Generator | None = None,
                  dtype=np.float64):
-        super().__init__()
         if channels % groups:
             raise ValueError(f"groups {groups} does not divide {channels} channels")
         if num_shifts < 1 or num_fusions < 1:

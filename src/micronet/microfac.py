@@ -80,7 +80,6 @@ class MicroFacPointwise(Module):
     def __init__(self, in_channels: int, out_channels: int, hidden: int,
                  groups: tuple[int, int] | None = None, lam: float = 1.0,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__()
         rng = rng or np.random.default_rng()
         g1, g2 = groups if groups is not None else pick_group_pair(
             hidden, in_channels, out_channels, lam)
@@ -133,9 +132,9 @@ def _dense_product(layer: MicroFacPointwise, compress_w, expand_w) -> np.ndarray
 
 def _group_conv_matrix(w: np.ndarray, groups: int) -> np.ndarray:
     """Dense matrix of a grouped 1x1 convolution weight (C_out, C_in/g, 1, 1)."""
-    c_out, cg = w.shape[0], w.shape[1]
-    og = c_out // groups
-    m = np.zeros((c_out, cg * groups), dtype=w.dtype)
+    o, cg = w.shape[0], w.shape[1]
+    og = o // groups
+    m = np.zeros((o, cg * groups), dtype=w.dtype)
     for g in range(groups):
         m[g * og:(g + 1) * og, g * cg:(g + 1) * cg] = w[g * og:(g + 1) * og, :, 0, 0]
     return m
@@ -163,7 +162,6 @@ class MicroFacDepthwise(Module):
     def __init__(self, channels: int, kernel: int, stride: int = 1,
                  expansion: int = 1, rng: np.random.Generator | None = None,
                  dtype=np.float64):
-        super().__init__()
         if kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         if expansion < 1:

@@ -218,26 +218,20 @@ def model_spec(variant: str) -> ModelSpec:
 
 class ModuleList(Module):
     def __init__(self, mods):
-        super().__init__()
-        self._items = list(mods)
-        for i, m in enumerate(self._items):
+        for i, m in enumerate(mods):
             setattr(self, str(i), m)
 
     def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
+        return (m for _, m in self._children())
 
     def __getitem__(self, i):
-        return self._items[i]
+        return list(self)[i]
 
 
 class Conv2dLayer(Module):
     """Convolution without bias; norm, if given, follows it."""
 
     def __init__(self, spec: ConvSpec, rng, dtype):
-        super().__init__()
         self.spec = spec
         self.weight = he_normal(spec.weight_shape, spec.fan_in(), rng, dtype)
 
@@ -250,19 +244,20 @@ class BatchNorm2d(Module):
     """The state of the batch norm after a convolution, which conv2d reads
     from its norm argument: gamma, beta, the running statistics, eps and
     momentum. With rng _NO_DRAW (module.he_normal) every value starts at
-    zero. In a Network, gamma, beta and the running statistics are views
-    of the network's flat buffer (_NormFolds)."""
+    zero. In a Network, gamma, beta and the running statistics (its
+    buffers) are views of the network's flat buffer (_NormFolds)."""
+
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int, dtype, eps: float = 1e-5,
                  momentum: float = 0.1, rng=None):
-        super().__init__()
         self.eps = eps
         self.momentum = momentum
         fill = np.zeros if rng is _NO_DRAW else np.ones
         self.gamma = Tensor(fill(channels, dtype=dtype), requires_grad=True)
         self.beta = zeros_param((channels,), dtype)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", fill(channels, dtype=dtype))
+        self.running_mean = np.zeros(channels, dtype=dtype)
+        self.running_var = fill(channels, dtype=dtype)
 
 
 def _make_norm(spec: ModelSpec, channels: int, rng, dtype) -> BatchNorm2d | None:
@@ -300,7 +295,6 @@ class Stem(Module):
     stride 2); the expansion is depthwise over its input channels."""
 
     def __init__(self, spec: ModelSpec, rng, dtype):
-        super().__init__()
         c, hid = spec.stem_width, spec.stem_hidden
         self.conv1 = Conv2dLayer(
             ConvSpec(3, hid, (3, 1), stride=(2, 1), padding=(1, 0)), rng, dtype)
@@ -308,9 +302,8 @@ class Stem(Module):
             ConvSpec(hid, c, (1, 3), stride=(1, 2), padding=(0, 1), groups=hid),
             rng, dtype)
         self.norm = _make_norm(spec, c, rng, dtype)
-        self.out_channels = c
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
+    def forward(self, x: Tensor, ctx: Context) -> Tensor:
         return self.conv2(self.conv1(x, ctx), ctx, norm=self.norm, act="relu")
 
 
@@ -319,9 +312,7 @@ class MicroBlockA(Module):
     group-adaptive squeeze down to the block width."""
 
     def __init__(self, c_in: int, bs: BlockSpec, spec: ModelSpec, rng, dtype):
-        super().__init__()
         self.kind = "A"
-        self.c_out = bs.hidden
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            expansion=bs.width // c_in,
                                            rng=rng, dtype=dtype)
@@ -334,7 +325,7 @@ class MicroBlockA(Module):
         self.act1 = _make_activation(bs.activations[0], bs.width, g, spec, rng, dtype)
         self.act2 = _make_activation(bs.activations[1], bs.hidden, g, spec, rng, dtype)
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
+    def forward(self, x: Tensor, ctx: Context) -> Tensor:
         t = _stage(self.depthwise, self.slots[0], self.act1, x, ctx, self.norm1)
         return _stage(self.squeeze, self.slots[1], self.act2, t, ctx, self.norm2)
 
@@ -344,9 +335,7 @@ class MicroBlockBC(Module):
     factorized pointwise pair through the bottleneck."""
 
     def __init__(self, c_in: int, bs: BlockSpec, spec: ModelSpec, rng, dtype):
-        super().__init__()
         self.kind = bs.kind
-        self.c_out = bs.width
         self.depthwise = MicroFacDepthwise(c_in, bs.kernel, bs.stride,
                                            rng=rng, dtype=dtype)
         self.pointwise = MicroFacPointwise(c_in, bs.width, bs.hidden,
@@ -361,7 +350,7 @@ class MicroBlockBC(Module):
         self.act3 = _make_activation(bs.activations[2], bs.width, g2, spec, rng, dtype)
         self.skip = bs.kind == "C" and bs.stride == 1 and c_in == bs.width
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
+    def forward(self, x: Tensor, ctx: Context) -> Tensor:
         pw = self.pointwise
         t = _stage(self.depthwise, self.slots[0], self.act1, x, ctx, self.norm1)
         # the shuffle follows the compress slot's activation: it runs as the
@@ -380,7 +369,6 @@ class Head(Module):
     """Global average pool into a two-layer classifier."""
 
     def __init__(self, c_in: int, spec: ModelSpec, rng, dtype):
-        super().__init__()
         self.drop_rate = spec.dropout
         self.fc1_w = he_normal((spec.head_width, c_in), c_in, rng, dtype)
         self.fc1_b = zeros_param((spec.head_width,), dtype)
@@ -388,8 +376,7 @@ class Head(Module):
                                spec.head_width, rng, dtype)
         self.fc2_b = zeros_param((spec.num_classes,), dtype)
 
-    def forward(self, x: Tensor, ctx: Context | None = None) -> Tensor:
-        ctx = ctx or Context()
+    def forward(self, x: Tensor, ctx: Context) -> Tensor:
         z = global_avg_pool(x)
         z = relu(linear(z, self.fc1_w, self.fc1_b))
         if ctx.training and self.drop_rate > 0.0:
@@ -406,7 +393,7 @@ class _NormFolds:
 
     The four rows of values hold the norms' gamma, beta, running_mean and
     running_var, laid end to end in the order of norms, and each norm's
-    arrays become views of them. With zeros (a network whose values are
+    attributes are rebound to views of them. With zeros (a network whose values are
     about to be copied in) the buffer comes from np.zeros and nothing is
     copied; otherwise each value is copied into its view."""
 
@@ -469,30 +456,27 @@ class Network(Module):
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None,
                  dtype=np.float32):
-        super().__init__()
         rng = rng or np.random.default_rng()
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.stem = Stem(spec, rng, dtype)
         blocks = []
-        c = self.stem.out_channels
+        c = spec.stem_width
         for bs in spec.blocks:
-            blk = (MicroBlockA if bs.kind == "A" else MicroBlockBC)(
-                c, bs, spec, rng, dtype)
-            blocks.append(blk)
-            c = blk.c_out
+            blocks.append((MicroBlockA if bs.kind == "A" else MicroBlockBC)(
+                c, bs, spec, rng, dtype))
+            c = bs.hidden if bs.kind == "A" else bs.width
         self.blocks = ModuleList(blocks)
         self.head = Head(c, spec, rng, dtype)
         norms = [m for _, m in self.named_modules() if isinstance(m, BatchNorm2d)]
         self._norm_folds = _NormFolds(norms, self.dtype, rng is _NO_DRAW)
 
-    def forward(self, x, ctx: Context | None = None) -> Tensor:
+    def forward(self, x, ctx: Context) -> Tensor:
         """The logits of x. An eval forward under no_grad first computes
         every norm's eval map from the live buffers, and each convolution
         then scales its own live weight by its norm's map while this forward
         runs (tensor._folds). Each forward recomputes the maps, so nothing
         can go stale."""
-        ctx = ctx or Context()
         if x.dtype != self.dtype:
             x = Tensor(x.data.astype(self.dtype))
         if x.data.ndim != 4 or x.shape[1] != 3:
@@ -510,11 +494,6 @@ class Network(Module):
             return self.head(t, ctx)
         finally:
             tensor._folds = outer
-
-    def pointwise_layers(self):
-        """(name, MicroFacPointwise) pairs for structural verification."""
-        return [(f"blocks.{i}.pointwise", blk.pointwise)
-                for i, blk in enumerate(self.blocks) if isinstance(blk, MicroBlockBC)]
 
 
 def build_model(variant_or_spec, *, num_classes: int | None = None,

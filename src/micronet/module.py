@@ -1,5 +1,5 @@
-"""Tiny layer base: parameter, buffer and child registration by attribute,
-and the per-call Context that carries the training flag."""
+"""Tiny layer base: parameters, buffers and children read off a module's
+attributes, and the per-call Context that carries the training flag."""
 
 from __future__ import annotations
 
@@ -29,41 +29,32 @@ class Context:
 
 
 class Module:
-    """Base class giving named access to parameters and state buffers."""
+    """A module's state is its attributes, which the walks read off vars():
+    parameters are the Tensors with requires_grad, children the Modules and
+    buffers the arrays its class names in buffer_names; own entries first,
+    then each child's, in attribute order."""
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "_children", {})
+    buffer_names: tuple[str, ...] = ()
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Tensor) and value.requires_grad:
-            self._params[name] = value
-        elif isinstance(value, Module):
-            self._children[name] = value
-        elif name in self._buffers:
-            self._buffers[name] = value
-        object.__setattr__(self, name, value)
-
-    def register_buffer(self, name, array: np.ndarray):
-        self._buffers[name] = array
-        object.__setattr__(self, name, array)
+    def _children(self):
+        return [(name, v) for name, v in vars(self).items() if isinstance(v, Module)]
 
     def named_params(self, prefix=""):
-        for name, p in self._params.items():
-            yield prefix + name, p
-        for cname, child in self._children.items():
+        for name, v in vars(self).items():
+            if isinstance(v, Tensor) and v.requires_grad:
+                yield prefix + name, v
+        for cname, child in self._children():
             yield from child.named_params(f"{prefix}{cname}.")
 
     def named_buffers(self, prefix=""):
-        for name, array in self._buffers.items():
-            yield prefix + name, array
-        for cname, child in self._children.items():
+        for name in self.buffer_names:
+            yield prefix + name, getattr(self, name)
+        for cname, child in self._children():
             yield from child.named_buffers(f"{prefix}{cname}.")
 
     def named_modules(self, path=""):
         yield path, self
-        for cname, child in self._children.items():
+        for cname, child in self._children():
             yield from child.named_modules(f"{path}.{cname}" if path else cname)
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:

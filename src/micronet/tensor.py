@@ -832,8 +832,8 @@ def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
 
 # The largest map, in H*W positions, on which shift_max runs its fusions as
 # elementwise passes: a batched matmul pays a fixed cost per (image, channel),
-# which a 2x2 map does not repay. On 4x4 the two are about even, and from
-# 8x8 up the matmul is faster (README "Kernels").
+# which a 2x2 map does not repay. From 4x4 up the matmul is faster, but 4x4
+# maps stay here until moving them is measured (README "Kernels").
 _SHIFT_MAX_SMALL_MAP = 16
 
 

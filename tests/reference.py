@@ -256,11 +256,15 @@ class GradProbe:
 def finite_difference_check(loss_fn, named_params, *, probes: int = 20,
                             step: float = 1e-6, rtol: float = 1e-5,
                             atol: float = 1e-8,
-                            rng: np.random.Generator | None = None) -> list[GradProbe]:
+                            rng: np.random.Generator | None = None,
+                            same_branches=None) -> list[GradProbe]:
     """Compare backpropagated gradients against central differences.
 
     loss_fn must be a deterministic zero-argument callable returning a
-    scalar Tensor; parameters should be float64 for the default step."""
+    scalar Tensor; parameters should be float64 for the default step.
+    same_branches, if given, is called after each perturbed evaluation and
+    says whether it took the branches of the unperturbed one: a probe for
+    which either call says no straddles a kink and is left out."""
     rng = rng or np.random.default_rng(0)
     named_params = list(named_params)
     for _, p in named_params:
@@ -279,9 +283,13 @@ def finite_difference_check(loss_fn, named_params, *, probes: int = 20,
                 saved = flat[i]
                 flat[i] = saved + step
                 up = float(loss_fn().data)
+                kept = same_branches is None or same_branches()
                 flat[i] = saved - step
                 down = float(loss_fn().data)
+                kept = kept and (same_branches is None or same_branches())
                 flat[i] = saved
+                if not kept:
+                    continue
                 numeric = (up - down) / (2.0 * step)
                 ana = float(analytic[name].reshape(-1)[i])
                 ok = abs(numeric - ana) <= atol + rtol * max(abs(numeric), abs(ana))

@@ -16,6 +16,7 @@ from micronet.analysis import (BUDGETS, MAX_SWEEP_ROWS, _OP_COSTS, check_budget,
                                count_costs, format_json, format_sweep, rank_law_holds,
                                sweep_tradeoff, verify_model)
 from micronet import tensor
+from micronet.microfac import MicroFacPointwise
 from micronet.models import VARIANTS, build_model, model_spec
 from micronet.module import Context
 from micronet.tensor import no_grad
@@ -196,9 +197,30 @@ def test_verify_model_passes_and_serializes():
     assert all(r["ok"] for r in report["factorization"])
 
 
+def test_verify_model_traces_only_for_a_budget(monkeypatch):
+    # tiny has no budget: its report's budget rows are what check_budget
+    # makes of the 224x224 trace, without running that trace
+    import micronet.analysis as analysis
+    calls = []
+
+    def counted(net, *args):
+        calls.append(net.spec.name)
+        return count_costs(net, *args)
+
+    monkeypatch.setattr(analysis, "count_costs", counted)
+    net = build_model("tiny", seed=0, dtype=np.float64)
+    report = verify_model(net, np.random.default_rng(0))
+    assert calls == []
+    assert report["budget"] == check_budget(count_costs(net)) == []
+    assert report["passed"] and report["variant"] == "tiny"
+    assert len(report["rank_law"]) == len(report["factorization"]) == 1
+    verify_model(build_model("M0", seed=0), np.random.default_rng(0))
+    assert calls == ["M0"]
+
+
 def test_verifiers_catch_broken_shuffle():
     net = build_model("M0", seed=0, dtype=np.float64)
-    _, layer = net.pointwise_layers()[0]
+    layer = next(m for _, m in net.named_modules() if isinstance(m, MicroFacPointwise))
     layer.perm = np.arange(layer.hidden)
     report = verify_model(net, np.random.default_rng(0))
     ranks, conn = report["rank_law"], report["connectivity"]
@@ -218,7 +240,6 @@ def test_verify_factorization_reports_tolerance():
 
 
 def test_rank_law_trivial_blocks_skipped():
-    from micronet.microfac import MicroFacPointwise
     layer = MicroFacPointwise(4, 4, 4, groups=(4, 1),
                               rng=np.random.default_rng(0))
     ok, worst = rank_law_holds(layer)

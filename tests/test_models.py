@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import MAddCounter, conv_madds, network_forward, param_count
+from reference import (MAddCounter, conv_madds, finite_difference_check, network_forward,
+                       param_count, shift_fusions)
 
 from micronet.analysis import count_costs, verify_model
 from micronet.dyshiftmax import DyShiftMax
-from micronet import microfac, models, tensor
+from micronet import dyshiftmax, microfac, models, tensor
 from micronet.models import (BatchNorm2d, BlockSpec, Conv2dLayer, MicroBlockBC,
                              ModelSpec, Network, VARIANTS, build_model, model_spec)
 from micronet.module import Context
-from micronet.tensor import ConvSpec, Tensor, conv2d, no_grad
+from micronet.tensor import ConvSpec, Tensor, conv2d, no_grad, softmax_cross_entropy
 from micronet.weights_io import load_model, save_weights
 
 
@@ -408,6 +409,71 @@ def test_drawn_specs_reach_every_kernel(monkeypatch):
                     "_fusions_matmul"}
     assert any(b.kind != "A" and b.activations[1] == "dysm"
                for spec, _, _ in cases for b in spec.blocks)
+
+
+def record_branches(monkeypatch) -> list:
+    """A list that each forward fills, in order, with the branch every
+    piecewise op takes: the sign of each ReLU's input (conv2d's epilogue, the
+    head's relu, the hidden layer of the coefficient head) and the winning
+    fusion of each shift_max. Clear it before each forward."""
+    taken = []
+    epilogue, head_relu = tensor._epilogue, models.relu
+    head, fuse = dyshiftmax.coefficient_head, dyshiftmax.shift_max
+
+    def relu_epilogue(y, act, perm):
+        if act == "relu":
+            taken.append(y > 0)
+        return epilogue(y, act, perm)
+
+    def relu(x):
+        taken.append(x.data > 0)
+        return head_relu(x)
+
+    def coefficients(x, w1, b1, *rest):
+        taken.append(x.data.mean(axis=(2, 3)) @ w1.data.T + b1.data > 0)
+        return head(x, w1, b1, *rest)
+
+    def shift(x, a, groups):
+        taken.append(shift_fusions(x.data, a.data, groups).argmax(axis=0))
+        return fuse(x, a, groups)
+
+    monkeypatch.setattr(tensor, "_epilogue", relu_epilogue)
+    monkeypatch.setattr(models, "relu", relu)
+    monkeypatch.setattr(dyshiftmax, "coefficient_head", coefficients)
+    monkeypatch.setattr(dyshiftmax, "shift_max", shift)
+    return taken
+
+
+@pytest.mark.parametrize("draw", range(DRAWS))
+def test_drawn_specs_train_like_finite_differences(draw, monkeypatch):
+    # training-mode gradients of 16 parameters of each drawn spec on a small
+    # map, with dropout on and its mask drawn from one fixed rng per
+    # evaluation, against central differences; a probe whose perturbation
+    # moves any ReLU across its kink or changes a shift_max winner is left out
+    spec, _, _ = drawn_case(draw)
+    net = perturbed(build_model(dataclasses.replace(spec, dropout=0.25), dtype=np.float64,
+                                seed=0), np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((2, 3, 8, 8))
+    labels = np.arange(2) % spec.num_classes
+    taken = record_branches(monkeypatch)
+
+    def loss():
+        taken.clear()
+        ctx = Context(training=True, rng=np.random.default_rng(3))
+        return softmax_cross_entropy(net(x, ctx), labels)
+
+    loss()
+    base = list(taken)
+    rng = np.random.default_rng(draw)
+    params = list(net.named_params())
+    params = [params[i] for i in sorted(rng.choice(len(params), min(16, len(params)),
+                                                   replace=False))]
+    results = finite_difference_check(
+        loss, params, probes=1, rng=rng,
+        same_branches=lambda: all(np.array_equal(a, b) for a, b in zip(taken, base)))
+    assert len(results) >= len(params) // 2
+    bad = [r for r in results if not r.ok]
+    assert not bad, bad[:3]
 
 
 def taped_ops(net, x, training):

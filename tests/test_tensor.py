@@ -415,6 +415,7 @@ def test_conv2d_composed_matches_factorized_pair(k, c, og, n, h, w, normed, seed
 @given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(2, 4),
        st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.booleans(),
        st.integers(0, 10_000))
+@example(k=3, c=1, og=2, n=2, h=6, w=1, relu_after=True, seed=144)
 @settings(max_examples=150, deadline=None)
 def test_conv2d_composed_trains_like_factorized_pair(k, c, og, n, h, w, relu_after, seed):
     # in training: the composed op against the column stage, then the row
@@ -444,18 +445,32 @@ def test_conv2d_composed_trains_like_factorized_pair(k, c, og, n, h, w, relu_aft
     xr, colr, rowr, gammar, betar, bnr = leaves()
     ref = conv2d(conv2d(xr, colr, None, col_spec), rowr, None, row_spec, bnr, True, act)
     assert out.shape == ref.shape and out.data.flags.c_contiguous
-
-    def assert_close(got, want):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
     gout = rnd(rng, *out.shape)
     backward_with(out, gout)
     backward_with(ref, gout)
+
+    # the size of the terms each input gradient sums before they cancel:
+    # the gradients of the pair without its norm, on the absolute values of
+    # its operands, seeded with the largest |gout| times each channel's
+    # |gamma| / sqrt(var + eps), the scale of the norm's input gradient
+    with no_grad():
+        pre = conv2d(conv2d(Tensor(data[0]), Tensor(data[1]), None, col_spec),
+                     Tensor(data[2]), None, row_spec).data
+    scale = np.abs(gout).max() * np.abs(data[3]) / np.sqrt(pre.var(axis=(0, 2, 3)) + 1.0)
+    terms = [Tensor(np.abs(a), requires_grad=True) for a in data[:3]]
+    backward_with(conv2d(conv2d(terms[0], terms[1], None, col_spec), terms[2], None, row_spec),
+                  np.broadcast_to(scale[:, None, None], out.shape))
+
+    def assert_close(got, want, size=0.0):
+        # rounding level of the larger of the result and its terms
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), size)
+
     for got, want in [(out.data, ref.data), (bn.running_mean, bnr.running_mean),
-                      (bn.running_var, bnr.running_var)] + [
-            (t.grad, tr.grad) for t, tr in [(x, xr), (col, colr), (row, rowr), (gamma, gammar),
-                                            (beta, betar)]]:
+                      (bn.running_var, bnr.running_var), (gamma.grad, gammar.grad),
+                      (beta.grad, betar.grad)]:
         assert_close(got, want)
+    for (t, tr), size in zip([(x, xr), (col, colr), (row, rowr)], terms):
+        assert_close(t.grad, tr.grad, np.abs(size.grad).max())
 
 
 # ---------------------------------------------------------------------------

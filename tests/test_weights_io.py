@@ -121,6 +121,34 @@ def test_rebound_buffer_is_archived(tmp_path):
     assert got.tobytes() == want.tobytes()
 
 
+def test_walks_follow_the_attributes(tmp_path):
+    # the walks read each module's attributes as they are now: a parameter
+    # deleted after construction leaves named_params and the archive, a
+    # rebound buffer is what named_buffers yields, and attributes that are
+    # neither Tensors nor Modules (a method bound on an instance, the cached
+    # shuffle, dyshiftmax's init_bias) add nothing
+    net = build_model("tiny", seed=0)
+    names = [n for n, _ in net.named_params()]
+    modules = [n for n, _ in net.named_modules()]
+    blocks = [net.blocks[0], net.blocks[1]]
+    pw = net.blocks[1].pointwise
+    pw.compress, net.blocks.forward = pw.compress, net.forward
+    assert pw.perm is vars(pw)["perm"]
+    del net.head.fc1_b
+    assert [n for n, _ in net.named_params()] == [n for n in names if n != "head.fc1_b"]
+    assert [n for n, _ in net.named_modules()] == modules
+    assert list(net.blocks) == blocks
+    new = np.full(4, 7.0, dtype=np.float32)
+    net.blocks[1].norm2.running_mean = new
+    assert dict(net.named_buffers())["blocks.1.norm2.running_mean"] is new
+    path = tmp_path / "w.mnwt"
+    save_weights(path, net)
+    _, state = load_archive(path)
+    assert "head.fc1_b" not in state
+    assert list(state) == list(collect_state(net))
+    assert np.array_equal(state["blocks.1.norm2.running_mean"], new)
+
+
 def test_corruption_always_detected(tmp_path):
     net = build_model("tiny", seed=1, dtype=np.float64)
     path = tmp_path / "w.mnwt"
