@@ -3,7 +3,7 @@ off one traced forward, structural verification of the factorized layers,
 and the connectivity/channel trade-off sweep.
 
 Counting convention (per image): one multiply-add per weight application.
-Convolution costs out_h * out_w * c_out * (c_in / groups) * kh * kw, a
+Convolution costs out_h * out_w * C_out * (C_in / groups) * kh * kw, a
 linear layer costs d_in * d_out, global pooling costs h * w * c. Bias
 adds, normalization, plain activations and residual adds are free. The
 coefficient heads of dynamic activations are counted. Each op's cost is
@@ -197,7 +197,7 @@ def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE) -> lis
 # structural verification
 
 def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
-    """Check that every (c_out/g2) x (c_in/g1) sub-block of the dense
+    """Check that every (C_out/g2) x (C_in/g1) sub-block of the dense
     equivalent matrix has numerical rank at most one.
 
     Returns (ok, worst second-to-first singular value ratio)."""

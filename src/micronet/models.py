@@ -222,7 +222,7 @@ class ModuleList(Module):
             setattr(self, str(i), m)
 
     def __iter__(self):
-        return (m for _, m in self._children())
+        return (m for _, m in self._submodules())
 
     def __getitem__(self, i):
         return list(self)[i]

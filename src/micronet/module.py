@@ -36,25 +36,25 @@ class Module:
 
     buffer_names: tuple[str, ...] = ()
 
-    def _children(self):
+    def _submodules(self):
         return [(name, v) for name, v in vars(self).items() if isinstance(v, Module)]
 
     def named_params(self, prefix=""):
         for name, v in vars(self).items():
             if isinstance(v, Tensor) and v.requires_grad:
                 yield prefix + name, v
-        for cname, child in self._children():
+        for cname, child in self._submodules():
             yield from child.named_params(f"{prefix}{cname}.")
 
     def named_buffers(self, prefix=""):
         for name in self.buffer_names:
             yield prefix + name, getattr(self, name)
-        for cname, child in self._children():
+        for cname, child in self._submodules():
             yield from child.named_buffers(f"{prefix}{cname}.")
 
     def named_modules(self, path=""):
         yield path, self
-        for cname, child in self._children():
+        for cname, child in self._submodules():
             yield from child.named_modules(f"{path}.{cname}" if path else cname)
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
