@@ -486,7 +486,9 @@ def _conv_rows(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     y*s + k - 1: the windows are a strided view of that copy. One np.matmul
     of the tap-major (O, k*C) weights with them writes, through out=, into
     the transposed view of an NCHW buffer. gw is one batched matmul of the
-    gradient with the windows, summed over (N, OH); gx is scattered per tap.
+    gradient with the windows, summed over (N, OH); gx is im2col's, on
+    columns rebuilt from the input, as _conv_depthwise's is: only the stem's
+    first convolution takes this kernel, and its input is the image.
     """
     n, c, h, wdt = xd.shape
     k, s, p = spec.kernel[0], spec.stride[0], spec.padding[0]
@@ -503,17 +505,13 @@ def _conv_rows(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     np.matmul(wt, windows, out=out.transpose(0, 2, 1, 3))
 
     def vjp(gout, need_x, need_w):
-        gt = gout.transpose(0, 2, 1, 3)                    # (N, OH, O, W)
         gx = gw = None
         if need_w:
+            gt = gout.transpose(0, 2, 1, 3)                # (N, OH, O, W)
             gwt = np.matmul(gt, windows.transpose(0, 1, 3, 2)).sum(axis=(0, 1))
             gw = np.ascontiguousarray(gwt.reshape(o, k, c).transpose(0, 2, 1)[..., None])
         if need_x:
-            gcols = np.matmul(wt.T, gt)                    # (N, OH, k*C, W)
-            gx = np.zeros(xd.shape, gcols.dtype)
-            for t in range(k):
-                o0, o1, ys = _tap_range(t, s, p, h, oh)
-                gx[:, :, ys] += gcols[:, o0:o1, t * c:(t + 1) * c].transpose(0, 2, 1, 3)
+            gx, _ = _im2col_vjp(xd, wd, spec, *_im2col(xd, spec))(gout, True, False)
         return gx, gw
 
     return out, vjp
@@ -830,13 +828,6 @@ def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
     return _result(out, [x], backward)
 
 
-# The largest map, in H*W positions, on which shift_max runs its fusions as
-# elementwise passes: a batched matmul pays a fixed cost per (image, channel),
-# which a 2x2 map does not repay. From 4x4 up the matmul is faster, but 4x4
-# maps stay here until moving them is measured (README "Kernels").
-_SHIFT_MAX_SMALL_MAP = 16
-
-
 def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
     """The K fusions of x, as (N, C, H*W), as one batched matmul of the
     transposed coefficients ad with a strided (N, C, J, H*W) view whose
@@ -872,55 +863,6 @@ def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
     return fus, vjp
 
 
-def _fusions_elementwise(xv: np.ndarray, ad: np.ndarray, s: int):
-    """The K fusions as elementwise passes over contiguous (N, C*H*W)
-    arrays: x shifted by j*s copied whole, and each coefficient repeated
-    over its channel's H*W positions, as conv2d's training norm repeats its
-    factors, so every pass runs over whole images however small the map.
-
-    Returns the (K, N, C*H*W) fusions and a vjp like _fusions_matmul's,
-    whose da sums each channel's positions with one matrix-vector product
-    per coefficient."""
-    n, c, hw = xv.shape
-    _, _, jn, kn = ad.shape
-    xs = [xv.reshape(n, c * hw)] + [
-        np.take(xv, (np.arange(c) + j * s) % c, axis=1).reshape(n, c * hw)
-        for j in range(1, jn)]
-    ar = np.repeat(ad.transpose(2, 3, 0, 1), hw, axis=3)   # (J, K, N, C*H*W)
-
-    def combine(dst, pairs):
-        """dst = the sum of the products of pairs, with one scratch buffer."""
-        (u, v), *rest = pairs
-        np.multiply(u, v, out=dst)
-        tmp = np.empty_like(dst) if rest else None
-        for u, v in rest:
-            dst += np.multiply(u, v, out=tmp)
-
-    fus = np.empty((kn, n, c * hw), np.result_type(ar, xv))
-    for k in range(kn):
-        combine(fus[k], [(ar[j, k], xs[j]) for j in range(jn)])
-
-    def vjp(gf, need_a, need_x):
-        da = terms = None
-        if need_a:
-            dat = np.empty((jn, kn, n, c), np.result_type(gf, xv))
-            prod = np.empty((n, c, hw), dat.dtype)
-            ones = np.ones(hw, dat.dtype)
-            for j in range(jn):
-                for k in range(kn):
-                    np.multiply(gf[k], xs[j], out=prod.reshape(n, c * hw))
-                    np.matmul(prod, ones, out=dat[j, k])
-            da = np.ascontiguousarray(dat.transpose(2, 3, 0, 1))
-        if need_x:
-            gs = np.empty((jn, n, c * hw), np.result_type(gf, ar))
-            for j in range(jn):
-                combine(gs[j], [(ar[j, k], gf[k]) for k in range(kn)])
-            terms = gs.reshape(jn, n, c, hw)
-        return da, terms
-
-    return fus, vjp
-
-
 def _route(g: np.ndarray, out: np.ndarray, parts: np.ndarray, dst: np.ndarray):
     """Write into dst[k] the share of g that fusion parts[k] wins: each
     element's gradient goes to the earliest fusion equal to the maximum out,
@@ -946,13 +888,11 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
 
     x: (N, C, H, W); a: (N, C, J, K) per-sample coefficients, and groups
     must divide C. Term j of output channel i reads input channel
-    (i + j*C/G) mod C. On maps of at most _SHIFT_MAX_SMALL_MAP positions
-    the fusions, da and dx are elementwise passes over (N, C*H*W)
-    (_fusions_elementwise); on larger ones they are batched matmuls
-    (_fusions_matmul). Either route lays the K fusions out K-major, so the
-    maximum and the routing of its gradient read contiguous fusions. Ties
-    route the gradient to the earliest winning fusion, and an output that
-    is NaN routes it to the first NaN fusion.
+    (i + j*C/G) mod C. The fusions, da and the J terms of dx are batched
+    matmuls on every map size (_fusions_matmul), with the K fusions laid
+    out K-major, so the maximum and the routing of its gradient read
+    contiguous fusions. Ties route the gradient to the earliest winning
+    fusion, and an output that is NaN routes it to the first NaN fusion.
     """
     n, c, h, w = x.shape
     if c % groups:
@@ -961,10 +901,9 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
         raise ValueError(f"coefficients {a.shape} do not match input {x.shape}")
     _, _, jn, kn = a.shape
     s = c // groups
-    fusions = _fusions_elementwise if h * w <= _SHIFT_MAX_SMALL_MAP else _fusions_matmul
-    fus, vjp = fusions(x.data.reshape(n, c, h * w), a.data, s)
+    fus, vjp = _fusions_matmul(x.data.reshape(n, c, h * w), a.data, s)
     if not (_grad_enabled and (x.requires_grad or a.requires_grad)):
-        # no backward will run: free the shifted copies of x that vjp keeps
+        # no backward will run: free the shifted copy of x that vjp keeps
         # before the maximum allocates the output. This lowers the peak of
         # an eval forward (M0 at batch 16: 20.9 -> 17.7 MB), so that glibc
         # does not trim the heap and fault it back in on every forward

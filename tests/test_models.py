@@ -376,8 +376,8 @@ def test_network_matches_naive_reference(variant, tmp_path):
 
 def test_drawn_specs_reach_every_kernel(monkeypatch):
     # the eval and training forwards of the drawn cases above run every
-    # kernel _conv_kernel picks, the composed depthwise pair and both
-    # shift_max routes, and some drawn B or C block has a dysm compress slot
+    # kernel _conv_kernel picks, the composed depthwise pair and shift_max's
+    # fusions, and some drawn B or C block has a dysm compress slot
     seen = set()
 
     def recorded(name, fn):
@@ -396,8 +396,8 @@ def test_drawn_specs_reach_every_kernel(monkeypatch):
     monkeypatch.setattr(tensor, "_conv_kernel", kernel)
     monkeypatch.setattr(microfac, "conv2d_composed",
                         recorded("conv2d_composed", microfac.conv2d_composed))
-    for route in ("_fusions_elementwise", "_fusions_matmul"):
-        monkeypatch.setattr(tensor, route, recorded(route, getattr(tensor, route)))
+    monkeypatch.setattr(tensor, "_fusions_matmul",
+                        recorded("_fusions_matmul", tensor._fusions_matmul))
     cases = [drawn_case(i) for i in range(DRAWS)]
     for spec, n, res in cases:
         net = perturbed(build_model(spec, dtype=np.float64, seed=0), np.random.default_rng(1))
@@ -405,8 +405,7 @@ def test_drawn_specs_reach_every_kernel(monkeypatch):
         for training in (False, True):
             net(x, Context(training=training))
     assert seen == {"_conv_pointwise", "_conv_banded", "_conv_depthwise", "_conv_rows",
-                    "_conv_im2col", "conv2d_composed", "_fusions_elementwise",
-                    "_fusions_matmul"}
+                    "_conv_im2col", "conv2d_composed", "_fusions_matmul"}
     assert any(b.kind != "A" and b.activations[1] == "dysm"
                for spec, _, _ in cases for b in spec.blocks)
 

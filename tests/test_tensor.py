@@ -687,8 +687,8 @@ def shift_max_oracle_grads(x, a, groups, g, win):
        st.sampled_from([np.float32, np.float64]), st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_shift_max_matches_oracle(n, groups, m, jn, kn, h, w, dtype, seed):
-    # J > G wraps the shift past C at least once; maps up to 6x6 run both
-    # the elementwise route and the batched matmul
+    # J > G wraps the shift past C at least once; maps from 1x1 to 6x6,
+    # the smallest included, all run the batched matmul
     rng = np.random.default_rng(seed)
     c = groups * m
     x = Tensor(rnd(rng, n, c, h, w).astype(dtype), requires_grad=True)
@@ -787,19 +787,15 @@ def test_shift_max_single_fusion_is_a_copy():
     assert not np.shares_memory(out.data, x.data)
 
 
-# 1x1 to 4x4 take the elementwise route, 5x5 and 8x8 the batched matmul
+# from one position up: the smallest maps of a training input (1x1 to 4x4)
+# run the same batched matmul as the larger ones
 ROUTE_MAPS = [(1, 1), (2, 2), (4, 4), (5, 5), (8, 8)]
-
-
-def test_shift_max_route_threshold():
-    small = [hw for hw in ROUTE_MAPS if hw[0] * hw[1] <= tensor._SHIFT_MAX_SMALL_MAP]
-    assert small == [(1, 1), (2, 2), (4, 4)]
 
 
 def route_case(case, h, w, seed):
     """J = K = 2 inputs on an h x w map. Every value is a small multiple of
-    1/2, so both routes and the oracle compute the fusions and gradients
-    exactly, and ties between fusions are common.
+    1/2, so the batched matmul and the oracle compute the fusions and
+    gradients exactly, and ties between fusions are common.
 
     tie: equal coefficient columns, so the fusions are equal everywhere;
     zeros: most of x is +0.0 or -0.0; nonfinite: NaN, inf and -inf in x
@@ -835,7 +831,7 @@ def test_shift_max_routes_match_oracle(hw, case, monkeypatch):
         out._backward(g)
         want, _, win = shift_max_oracle(x, a, 2)
         gx, ga = shift_max_oracle_grads(x, a, 2, g, win)
-    # both routes record the op under one name
+    # every map size records the one op under its own name
     assert [op[0] for op in tape.ops] == ["shift_max"]
     np.testing.assert_array_equal(out.data, want)
     np.testing.assert_array_equal(xt.grad, gx)
