@@ -252,18 +252,6 @@ def verify_model(net: Network, rng: np.random.Generator | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # connectivity/channel trade-off sweep
 
-@dataclass(frozen=True)
-class SweepRow:
-    groups: int
-    channels: float
-    connectivity: float
-    regime: str
-
-    def to_json(self) -> dict:
-        return {"groups": self.groups, "channels": self.channels,
-                "connectivity": self.connectivity, "regime": self.regime}
-
-
 def sweep_tradeoff(budget: float, reduction: int,
                    max_groups: int | None = None) -> dict:
     """Sweep group counts under a fixed pointwise multiply-add budget.
@@ -296,14 +284,15 @@ def sweep_tradeoff(budget: float, reduction: int,
             regime = "over-connected"
         else:
             regime = "under-connected"
-        rows.append(SweepRow(g, channels, conn, regime))
+        rows.append({"groups": g, "channels": channels, "connectivity": conn,
+                     "regime": regime})
     crossing = {
         "groups": g_star,
         "channels": reduction * g_star * g_star,
         "exact": abs(g_star - round(g_star)) <= 1e-9,
     }
     # the widest row is the last; 2 * reduction overflowing makes g_star 0
-    if not (math.isfinite(rows[-1].channels) and g_star > 0
+    if not (math.isfinite(rows[-1]["channels"]) and g_star > 0
             and math.isfinite(crossing["channels"])):
         raise ValueError(f"reduction {reduction:.4g} is too large for budget {budget:g}: "
                          "the channel widths are not finite")
@@ -312,7 +301,7 @@ def sweep_tradeoff(budget: float, reduction: int,
         "budget": budget,
         "reduction": reduction,
         "crossing": crossing,
-        "rows": [r.to_json() for r in rows],
+        "rows": rows,
     }
 
 

@@ -27,16 +27,24 @@ class DatasetError(Exception):
 
 
 def save_dataset(directory, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write images.bin and labels.bin under directory (created if needed)."""
+    """Write images.bin and labels.bin under directory (created if needed).
+    The labels must be integers in [0, 2^32), the range of their u32
+    fields; nothing is written unless both arrays can be."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     images = np.asarray(images)
-    labels = np.asarray(labels, dtype=np.uint32)
+    labels = np.asarray(labels)
     if images.ndim != 4:
         raise DatasetError(f"images must be (n, c, h, w), got {images.shape}")
     if labels.shape != (images.shape[0],):
         raise DatasetError("label count does not match image count")
     tag, payload = _encode_array(images, DatasetError, IMAGES_NAME)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DatasetError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < 2**32:
+        raise DatasetError(f"labels must lie in [0, 2^32), got {labels.min()} "
+                           f"to {labels.max()}")
+    labels = labels.astype(np.uint32)
+    directory.mkdir(parents=True, exist_ok=True)
 
     buf = bytearray(IMAGES_MAGIC) + struct.pack("<5I", *images.shape, tag)
     buf += payload

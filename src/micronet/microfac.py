@@ -185,9 +185,9 @@ class MicroFacDepthwise(Module):
         """The column then the row stage; norm and then act, if given, follow
         the row stage.
 
-        A pair that expands and strides runs as its one k x k convolution,
-        the outer product col_w * row_w under dense_spec(), at eval and in
-        training alike (README "Kernels")."""
+        A pair that expands runs as its one k x k convolution, the outer
+        product col_w * row_w under dense_spec(), at eval and in training
+        alike (README "Kernels")."""
         if self.composed:
             return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm,
                                    ctx.training, act)
@@ -196,9 +196,11 @@ class MicroFacDepthwise(Module):
 
     @property
     def composed(self) -> bool:
-        """Whether the pair runs as one k x k convolution: it expands and
-        strides."""
-        return self.out_channels > self.channels and self.stride > 1
+        """Whether the pair runs as one k x k convolution: whenever it
+        expands, so every 1-D depthwise stage has one output per channel. A
+        pair that does not expand stays factorized: 2k taps, where composed
+        it would run k^2."""
+        return self.out_channels > self.channels
 
     def dense_spec(self) -> ConvSpec:
         pad = (self.kernel - 1) // 2

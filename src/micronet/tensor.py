@@ -256,7 +256,7 @@ def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     """A depthwise 1-D filter with one output per channel and no padding
-    across it (_banded_axis(spec) is not None, C_out == C), forward only.
+    across it (_banded_axis(spec) is not None), forward only.
 
     Along the filtered axis the padded input is split by stride phase a::s,
     each phase stored on an (hq, across) grid. Tap i then reads one
@@ -308,26 +308,28 @@ _IM2COL_MAX_TAPS = 3
 
 
 def _banded_axis(spec: ConvSpec) -> int | None:
-    """The axis of the input a depthwise spec filters along, if _conv_banded
-    takes it: 2 for a k x 1 column filter, 3 for a 1 x k row filter with one
-    output per channel, each with stride 1 and no padding across; else None."""
-    for axis, across in ((2, 1), (3, 0)):
-        if (spec.kernel[across] == 1 and spec.stride[across] == 1
-                and spec.padding[across] == 0
-                and (axis == 2 or spec.out_channels == spec.in_channels)):
-            return axis
+    """The axis of the input a depthwise spec with one output per channel
+    filters along, if _conv_banded takes it: 2 for a k x 1 column filter, 3
+    for a 1 x k row filter, each with stride 1 and no padding across; else
+    None. In the models only an expanding depthwise pair has more outputs
+    per channel, and it runs composed (MicroFacDepthwise.composed)."""
+    if spec.out_channels == spec.in_channels:
+        for axis, across in ((2, 1), (3, 0)):
+            if (spec.kernel[across] == 1 and spec.stride[across] == 1
+                    and spec.padding[across] == 0):
+                return axis
     return None
 
 
 def _conv_banded(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     """A depthwise 1-D filter as a product with each channel's banded matrix.
 
-    Takes a k x 1 column filter with any og = C_out / C, or a 1 x k row
-    filter with og = 1, with stride 1 and no padding across the filter.
-    Along the filtered axis of length L, output y of filter o of channel c
-    is sum_i band[c, o, y, i] * x[..., i, ...] with band[c, o, y, i] =
-    w[c, o, i + p - s*y], zero outside the taps. A column filter is one
-    matmul (C, og*OH, H) @ (N, C, H, W), broadcast over N, and a row filter
+    Takes a k x 1 column or 1 x k row filter with one output per channel,
+    stride 1 and no padding across the filter (_banded_axis). Along the
+    filtered axis of length L, output y of channel c is
+    sum_i band[c, y, i] * x[..., i, ...] with band[c, y, i] =
+    w[c, i + p - s*y], zero outside the taps. A column filter is one
+    matmul (C, OH, H) @ (N, C, H, W), broadcast over N, and a row filter
     one matmul (N, C, H, W) @ (C, W, OW): both write NCHW. Each band is
     built C-ordered, since BLAS read a fancy-indexed one strided, 1.25-1.9x
     slower per call. The backward of both runs on a transposed copy that
@@ -335,7 +337,6 @@ def _conv_banded(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     each channel is one matmul however small the map.
     """
     n, c, h, wdt = xd.shape
-    og = spec.out_channels // c
     oh, ow = spec.out_size(h, wdt)
     col = _banded_axis(spec) == 2
     ax = 0 if col else 1
@@ -345,25 +346,23 @@ def _conv_banded(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     # an appended zero: the band is one np.take of the weights
     tap = np.arange(length) + p - s * np.arange(olen)[:, None]
     tap = np.where((tap >= 0) & (tap < k), tap, k)
-    wz = np.zeros((c, og, k + 1), wd.dtype)
-    wz[:, :, :k] = wd.reshape(c, og, k)
-    band = np.take(wz, tap, axis=2)                        # (C, og, OL, L)
+    wz = np.zeros((c, k + 1), wd.dtype)
+    wz[:, :k] = wd.reshape(c, k)
+    band = np.take(wz, tap, axis=1)                        # (C, OL, L)
 
     def tap_sums(gband, taps):
         """gw from the band gradient: tap t sums the entries where taps == t."""
         onehot = (taps.reshape(-1, 1) == np.arange(k)).astype(gband.dtype)
-        return (gband.reshape(c * og, -1) @ onehot).reshape(wd.shape)
+        return (gband.reshape(c, -1) @ onehot).reshape(wd.shape)
 
     if col:
-        bm = band.reshape(c, og * oh, h)
-        out = np.matmul(bm, xd).reshape(n, spec.out_channels, oh, wdt)
+        out = np.matmul(band, xd)
 
         def vjp(gout, need_x, need_w):
-            gt = gout.reshape(n, c, og * oh, wdt).transpose(1, 2, 0, 3)
-            gt = gt.reshape(c, og * oh, n * wdt)
+            gt = gout.transpose(1, 2, 0, 3).reshape(c, oh, n * wdt)
             gx = gw = None
             if need_x:
-                gx = np.matmul(bm.transpose(0, 2, 1), gt)               # (C, H, N*W)
+                gx = np.matmul(band.transpose(0, 2, 1), gt)             # (C, H, N*W)
                 gx = gx.reshape(c, h, n, wdt).transpose(2, 0, 1, 3)
             if need_w:
                 xt = xd.transpose(1, 2, 0, 3).reshape(c, h, n * wdt)
@@ -372,14 +371,13 @@ def _conv_banded(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
 
         return out, vjp
 
-    bm = band.reshape(c, ow, wdt)
-    out = np.matmul(xd, np.ascontiguousarray(bm.transpose(0, 2, 1)))
+    out = np.matmul(xd, np.ascontiguousarray(band.transpose(0, 2, 1)))
 
     def vjp(gout, need_x, need_w):
         gt = gout.transpose(1, 0, 2, 3).reshape(c, n * h, ow)
         gx = gw = None
         if need_x:
-            gx = np.matmul(gt, bm).reshape(c, n, h, wdt).transpose(1, 0, 2, 3)
+            gx = np.matmul(gt, band).reshape(c, n, h, wdt).transpose(1, 0, 2, 3)
         if need_w:
             xt = xd.transpose(1, 0, 2, 3).reshape(c, n * h, wdt)
             # the band gradient transposed, (C, W, OW), so its taps are tap.T
@@ -534,8 +532,7 @@ def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
         if axis is not None and x.shape[0] > 1 and x.shape[axis] <= _BANDED_MAX_LENGTH:
             return _conv_banded
         kh, kw = spec.kernel
-        if axis is not None and spec.out_channels == spec.in_channels and (
-                spec.stride == (1, 1) or kh * kw > _IM2COL_MAX_TAPS):
+        if axis is not None and (spec.stride == (1, 1) or kh * kw > _IM2COL_MAX_TAPS):
             return _conv_depthwise
     if (spec.groups == 1 and spec.kernel[1] == 1 and spec.stride[1] == 1
             and spec.padding[1] == 0):
@@ -832,9 +829,9 @@ def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
     """The K fusions of x, as (N, C, H*W), as one batched matmul of the
     transposed coefficients ad with a strided (N, C, J, H*W) view whose
     slice j is x shifted by j*s: a view of one copy of x extended by its
-    first (J-1)*s channels, wrapping as often as needed. The matmul writes,
-    through out=, into a K-major (K, N, C, H*W) buffer, so each fusion is
-    contiguous.
+    first (J-1)*s channels, wrapping as often as needed (at J = 1, a copy
+    of x). The matmul writes, through out=, into a K-major (K, N, C, H*W)
+    buffer, so each fusion is contiguous.
 
     Returns the fusions and vjp(gf, need_a, need_x) -> (da, dx terms) for
     the routed gradient gf laid out like the fusions: da is one matmul of
@@ -842,12 +839,9 @@ def _fusions_matmul(xv: np.ndarray, ad: np.ndarray, s: int):
     (N, C, H*W), are one matmul of ad with gf, written J-major."""
     n, c, hw = xv.shape
     _, _, jn, kn = ad.shape
-    if jn == 1:
-        view = xv[:, :, None]
-    else:
-        xx = np.take(xv, np.arange(c + (jn - 1) * s), axis=1, mode="wrap")
-        b0, b1, b2 = xx.strides
-        view = np.ndarray((n, c, jn, hw), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
+    xx = np.take(xv, np.arange(c + (jn - 1) * s), axis=1, mode="wrap")
+    b0, b1, b2 = xx.strides
+    view = np.ndarray((n, c, jn, hw), xx.dtype, xx, strides=(b0, b1, s * b1, b2))
     view.flags.writeable = False
     fus = np.empty((kn, n, c, hw), np.result_type(ad, xv))
     np.matmul(ad.transpose(0, 1, 3, 2), view, out=fus.transpose(1, 2, 0, 3))

@@ -14,8 +14,8 @@ the body
 
 Each record is u32 name_len, name bytes, u32 dtype tag, u32 rank,
 rank * u64 dims, then the payload. Tensor names are the model's
-parameter and buffer names; an archive restores only into a model with
-exactly the same name set, shapes and dtypes.
+parameter and buffer names, each stated once; an archive restores only
+into a model with exactly the same name set, shapes and dtypes.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ def load_archive(path) -> tuple[dict, dict]:
             name = str(cur.take(cur.u32()), "utf-8")
         except UnicodeDecodeError as e:
             raise ArchiveError(f"tensor name is not UTF-8: {e}") from None
+        if name in state:
+            raise ArchiveError(f"tensor {name!r} is stated twice")
         tag, rank = cur.u32(), cur.u32()
         if rank > 8:
             raise ArchiveError(f"implausible rank {rank} for tensor {name!r}")

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import json
+import math
 import struct
 import zlib
 
@@ -8,6 +9,7 @@ import numpy as np
 from reference import finite_difference_check, shift_fusions, sigmoid_coefficients
 
 from micronet.analysis import trace_costs
+from micronet.weights_io import TAG_DTYPES
 
 
 def assert_grads(loss_fn, named_params, probes=12, rtol=1e-5, atol=1e-8,
@@ -79,3 +81,18 @@ def with_config(archive: bytes, path, value) -> bytes:
     blob = json.dumps(config).encode()
     return reseal(archive[:8] + struct.pack("<I", len(blob)) + blob
                   + archive[12 + size:-4])
+
+
+def repeat_first_record(archive: bytes) -> bytes:
+    """archive with its first tensor record stated again right after it,
+    the tensor count raised by one and the checksum redone."""
+    (size,) = struct.unpack_from("<I", archive, 8)
+    (count,) = struct.unpack_from("<I", archive, 12 + size)
+    start = 16 + size
+    (name_len,) = struct.unpack_from("<I", archive, start)
+    tag, rank = struct.unpack_from("<II", archive, start + 4 + name_len)
+    dims = struct.unpack_from(f"<{rank}Q", archive, start + 12 + name_len)
+    end = (start + 12 + name_len + 8 * rank
+           + math.prod(dims) * TAG_DTYPES[tag].itemsize)
+    return reseal(archive[:12 + size] + struct.pack("<I", count + 1)
+                  + archive[start:end] + archive[start:-4])

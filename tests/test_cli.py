@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import DELETE, reseal, seal_archive, with_config
+from helpers import DELETE, repeat_first_record, reseal, seal_archive, with_config
 
 import micronet
 from micronet.cli import (EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE,
@@ -217,6 +217,19 @@ def test_exit_code_hidden_width_without_group_pair(tmp_path, capsys):
     code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
     one_line_error(code, out, err, EXIT_FORMAT)
     assert "bad model config" in err and message in err
+
+
+def test_exit_code_tensor_stated_twice(tmp_path, capsys):
+    # an archive that states a tensor twice is malformed (exit 4), and its
+    # one error line names the tensor
+    ds = tmp_path / "ds"
+    images, labels = make_synthetic(8, seed=0)
+    save_dataset(ds, images, labels)
+    weights = _tiny_archive(tmp_path)
+    weights.write_bytes(repeat_first_record(weights.read_bytes()))
+    code, out, err = run(capsys, "infer", "--weights", str(weights), "--data", str(ds))
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert "'stem.conv1.weight' is stated twice" in err
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -62,6 +62,20 @@ def test_save_validation(tmp_path):
                      np.zeros(2))
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([-1, 0], "lie in"), ([0, 5_000_000_000], "lie in"), ([2**32, 0], "lie in"),
+    ([0.0, 1.0], "integers"), ([0.5, 1], "integers"), ([True, False], "integers")])
+def test_save_rejects_labels_a_u32_cannot_hold(tmp_path, labels, match):
+    # labels.bin stores u32 labels: a label outside [0, 2^32) or not an
+    # integer is refused before anything is written, not wrapped (-1 to
+    # 4294967295) or truncated
+    with pytest.raises(DatasetError, match=match):
+        save_dataset(tmp_path / "ds", np.zeros((2, 3, 4, 4)), np.asarray(labels))
+    assert not (tmp_path / "ds").exists()
+    save_dataset(tmp_path / "ds", np.zeros((2, 3, 1, 1)), np.array([0, 2**32 - 1]))
+    assert load_dataset(tmp_path / "ds")[1].tolist() == [0, 2**32 - 1]
+
+
 def test_corruption_detected(tmp_path):
     images, labels = make_synthetic(4, seed=2)
     save_dataset(tmp_path, images, labels)

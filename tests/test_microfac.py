@@ -194,12 +194,15 @@ def test_bare_layer_records_name_each_stage():
     records = trace_costs(depthwise, np.zeros((1, 4, 7, 7)))
     assert [(r.name, r.madds) for r in records] == [("col", 7 * 7 * 4 * 3),
                                                     ("row", 7 * 7 * 4 * 3)]
-    # an expanding strided pair is one composed op at eval, named by its
-    # first weight and priced as both stages: (8, 4, 7) then (8, 4, 4)
-    depthwise = MicroFacDepthwise(4, 3, 2, expansion=2, rng=np.random.default_rng(0))
-    records = trace_costs(depthwise, np.zeros((1, 4, 7, 7)))
-    assert [(r.name, r.madds, r.params) for r in records] == [
-        ("col", 8 * 4 * 7 * 3 + 8 * 4 * 4 * 3, 2 * 8 * 3)]
+    # an expanding pair, strided or not, is one composed op at eval, named
+    # by its first weight and priced as both stages: (8, 4, 7) then (8, 4, 4)
+    # with stride 2, (8, 7, 7) twice with stride 1
+    for stride, madds in ((2, 8 * 4 * 7 * 3 + 8 * 4 * 4 * 3), (1, 2 * 8 * 7 * 7 * 3)):
+        depthwise = MicroFacDepthwise(4, 3, stride, expansion=2,
+                                      rng=np.random.default_rng(0))
+        records = trace_costs(depthwise, np.zeros((1, 4, 7, 7)))
+        assert [(r.name, r.madds, r.params) for r in records] == [
+            ("col", madds, 2 * 8 * 3)]
 
 
 def test_pointwise_gradients():

@@ -229,8 +229,8 @@ def test_conv_depthwise_matches_naive(case, dtype, seed):
 
 @st.composite
 def banded_cases(draw):
-    """A spec _conv_banded takes (a k x 1 filter with og 1-3, or a 1 x k filter
-    with og 1; k in {1, 3, 5}, stride 1-3, padding 0 to (k-1)/2 + 1 along the
+    """A spec _conv_banded takes (a k x 1 or 1 x k filter with one output per
+    channel; k in {1, 3, 5}, stride 1-3, padding 0 to (k-1)/2 + 1 along the
     filter) and an input shape it fits, down to 1x1 maps."""
     c = draw(st.integers(1, 3))
     k = draw(st.sampled_from([1, 3, 5]))
@@ -240,8 +240,7 @@ def banded_cases(draw):
     across = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        spec = ConvSpec(c, c * draw(st.integers(1, 3)), (k, 1), (s, 1), (p, 0), groups=c)
-        return spec, (n, c, length, across)
+        return ConvSpec(c, c, (k, 1), (s, 1), (p, 0), groups=c), (n, c, length, across)
     return ConvSpec(c, c, (1, k), (1, s), (0, p), groups=c), (n, c, across, length)
 
 
@@ -277,7 +276,7 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
 def test_depthwise_kernel_dispatch(monkeypatch):
     """The kernel each M0 depthwise stage gets, as in README "Kernels": for
     one image at 224x224, im2col for the stem's 1x3 and for blocks 0-1,
-    whose expanding strided pairs run composed as one 3x3 convolution, and
+    whose expanding pairs run composed as one 3x3 convolution, and
     the phase-grid einsum for the rest; in training at batch 16 and 64x64
     im2col for the stem's grouped 1x3 (two outputs per channel) and for
     blocks 0-1, composed there too, and the banded kernel for the rest."""
@@ -310,10 +309,10 @@ def test_depthwise_kernel_dispatch(monkeypatch):
     assert len(stages) == 8 and {name for _, _, name in stages} == {"_conv_banded"}
     assert ((16, 256, 2, 2), (3, 1), "_conv_banded") in stages
 
-    # batch 16 at 224x224: banded up to a filtered axis of 32; past it,
-    # im2col when expanding or strided with at most 3 taps, else einsum. At
-    # batch 1 the einsum takes only 1-D filters with og 1 and no padding
-    # across them
+    # batch 16 at 224x224: filters with og 1 banded up to a filtered axis
+    # of 32; past it, im2col when strided with at most 3 taps, else einsum.
+    # Filters with og > 1 run im2col at any length. At batch 1 the einsum
+    # takes only 1-D filters with og 1 and no padding across them
     for shape, kernel, stride, padding, og, want in [
             ((16, 8, 56, 56), (3, 1), (2, 1), (1, 0), 4, "_conv_im2col"),
             ((16, 8, 56, 56), (3, 3), (2, 2), (1, 1), 4, "_conv_im2col"),
@@ -323,6 +322,7 @@ def test_depthwise_kernel_dispatch(monkeypatch):
             ((16, 12, 56, 56), (5, 1), (2, 1), (2, 0), 1, "_conv_depthwise"),
             ((16, 32, 56, 56), (3, 1), (1, 1), (1, 0), 1, "_conv_depthwise"),
             ((16, 32, 56, 56), (3, 1), (1, 1), (1, 0), 2, "_conv_im2col"),
+            ((16, 8, 28, 28), (3, 1), (1, 1), (1, 0), 2, "_conv_im2col"),
             ((1, 16, 28, 28), (3, 3), (1, 1), (1, 1), 1, "_conv_im2col"),
             ((1, 16, 28, 28), (3, 1), (1, 1), (1, 1), 1, "_conv_im2col"),
             ((1, 16, 28, 28), (3, 1), (1, 1), (1, 0), 2, "_conv_im2col"),

@@ -253,6 +253,17 @@ def test_sealed_records_load(tmp_path):
     assert state["e"].shape == (0, 3) and state["e"].dtype == np.float64
 
 
+def test_tensor_stated_twice_rejected(tmp_path):
+    # a name names one tensor: a second record of it is not a silent
+    # overwrite, whichever payload it carries
+    path = tmp_path / "w.mnwt"
+    path.write_bytes(seal_archive(b"{}", [
+        tensor_record(b"w", 1, (1,), np.float32([1.0]).tobytes()),
+        tensor_record(b"w", 1, (1,), np.float32([2.0]).tobytes())]))
+    with pytest.raises(ArchiveError, match="^tensor 'w' is stated twice$"):
+        load_archive(path)
+
+
 records = st.builds(
     tensor_record, st.binary(max_size=4), st.integers(0, 5),
     st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=3),
