@@ -3,8 +3,8 @@
 Subcommands: analyze, verify, infer, train, bench, sweep. Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error,
 3 missing or unreadable input file, 4 malformed archive or dataset (a
-dataset also when it holds no images, images that are not 3-channel or
-have no pixels, or a non-finite pixel, for infer and train alike). An
+dataset also with no images, images not 3-channel or without pixels, or
+a non-finite pixel, and for train a label past its class bound). An
 output path that cannot be written, a closed stdout, and a request too
 large to allocate (out of memory), are usage errors (2). Every error ends
 with one line on stderr. The MICRONET_SEED environment variable supplies
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis
 from .data import DatasetError, load_dataset, save_dataset
-from .models import VARIANTS, build_model
+from .models import VARIANTS, build_model, model_spec
 from .module import Context
 from .tensor import no_grad
 from .train import NonFiniteError, evaluate, make_synthetic, train_model
@@ -188,6 +188,11 @@ def cmd_train(args) -> int:
     seed = _seed(args)
     if args.data:
         images, labels = _load_nonempty(args.data)
+        # the head gets a class per label value, so one stray label would size it
+        bound = max(model_spec(args.variant).num_classes, len(labels))
+        if labels.max() >= bound:
+            raise DatasetError(f"{args.data}: label {labels.max()} needs more than {bound} "
+                               f"classes, the larger of {args.variant}'s and one per image")
     else:
         images, labels = make_synthetic(args.synthetic, seed=seed)
     classes = int(labels.max()) + 1

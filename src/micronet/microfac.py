@@ -105,15 +105,16 @@ class MicroFacPointwise(Module):
                  act: str | None = None, shuffled: bool = False) -> Tensor:
         """The compress convolution, then norm and act; shuffled applies
         self.perm as conv2d's epilogue, after act."""
-        return conv2d(x, self.compress_w, None, self.compress_spec, norm, ctx.training,
-                      act, self.perm if shuffled else None)
+        return conv2d(x, self.compress_w, spec=self.compress_spec, norm=norm,
+                      training=ctx.training, act=act, perm=self.perm if shuffled else None)
 
     def shuffle(self, x: Tensor) -> Tensor:
         return permute_channels(x, self.perm)
 
     def expand(self, x: Tensor, ctx: Context, norm: Module | None = None,
                act: str | None = None) -> Tensor:
-        return conv2d(x, self.expand_w, None, self.expand_spec, norm, ctx.training, act)
+        return conv2d(x, self.expand_w, spec=self.expand_spec, norm=norm,
+                      training=ctx.training, act=act)
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         return self.expand(self.compress(x, ctx, shuffled=True), ctx)
@@ -189,10 +190,10 @@ class MicroFacDepthwise(Module):
         product col_w * row_w under dense_spec(), at eval and in training
         alike (README "Kernels")."""
         if self.composed:
-            return conv2d_composed(x, self.col_w, self.row_w, self.dense_spec(), norm,
-                                   ctx.training, act)
-        return conv2d(conv2d(x, self.col_w, None, self.col_spec),
-                      self.row_w, None, self.row_spec, norm, ctx.training, act)
+            return conv2d_composed(x, self.col_w, self.row_w, spec=self.dense_spec(),
+                                   norm=norm, training=ctx.training, act=act)
+        return conv2d(conv2d(x, self.col_w, spec=self.col_spec), self.row_w,
+                      spec=self.row_spec, norm=norm, training=ctx.training, act=act)
 
     @property
     def composed(self) -> bool:

@@ -237,7 +237,7 @@ class Conv2dLayer(Module):
 
     def forward(self, x: Tensor, ctx: Context, norm: BatchNorm2d | None = None,
                 act: str | None = None) -> Tensor:
-        return conv2d(x, self.weight, None, self.spec, norm, ctx.training, act)
+        return conv2d(x, self.weight, spec=self.spec, norm=norm, training=ctx.training, act=act)
 
 
 class BatchNorm2d(Module):

@@ -185,28 +185,27 @@ def _pair(v):
 # Each kernel below maps (x, w, spec) arrays to (out, vjp), where
 # vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
 # out may be a strided view of a buffer the kernel owns, never of x or w, and
-# vjp never reads it; _output makes it C-ordered with at most one copy and
-# adds the bias, conv2d's training norm then overwrites it with xhat, and
-# _epilogue's ReLU runs on it in place.
+# vjp never reads it; conv2d makes it C-ordered with at most one copy, and
+# adds a folded norm's shift (_output); a training norm then overwrites it
+# with xhat, and _epilogue's ReLU runs on it in place.
 
-def _output(view: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """A kernel's output as a C-ordered array plus a per-channel bias.
+def _output(view: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """A kernel's output as a C-ordered array plus the folded norm's shift.
 
-    The bias is added in place after the copy, not in it: np.add from a
+    The shift is added in place after the copy, not in it: np.add from a
     strided view runs one short inner loop per row, which on the models'
     maps measured 1.1-1.7x slower than the copy and the in-place add
-    together. With several images it is one pass over (N, C*H*W), the bias
+    together. With several images it is one pass over (N, C*H*W), the shift
     repeated over H*W as the training norm repeats its factors, rather than
     rows of W = 7-56; for one image the repeat costs more than it saves
     (README "Kernels")."""
     out = np.ascontiguousarray(view)
-    if bias is not None:
-        n, _, h, w = out.shape
-        if n > 1:
-            flat = out.reshape(n, -1)
-            flat += np.repeat(bias, h * w)
-        else:
-            out += bias[:, None, None]
+    n, _, h, w = out.shape
+    if n > 1:
+        flat = out.reshape(n, -1)
+        flat += np.repeat(shift, h * w)
+    else:
+        out += shift[:, None, None]
     return out
 
 
@@ -552,17 +551,17 @@ def _norm_affine(gamma, beta, mean, var, eps, out=(None, None, None)):
     return inv, a, np.subtract(beta, mean * a, out=b_out)
 
 
-def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
-                 bias: Tensor | None, norm, training: bool, need_w: bool):
-    """kernel on x and the weights wd, then a per-channel bias, norm with this
-    batch's statistics in training (_conv_batch_norm), or norm's eval map
-    y -> a*y + b (_norm_affine) folded into the convolution:
+def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
+                 training: bool, need_w: bool):
+    """kernel on x and the weights wd, then nothing (no norm), norm with
+    this batch's statistics in training (_conv_batch_norm), or norm's eval
+    map y -> a*y + b (_norm_affine) folded into the convolution:
     conv(x, wd * a) + b, b added in place on the kernel's C-ordered output.
     While a network's eval forward runs under no_grad, norm's (inv, a, b)
     come from the pass it made over all of its norms (_folds); wd is read
     live either way.
 
-    Returns the output, the parents after x and the weights (bias, or gamma
+    Returns the output, the parents after x and the weights (none, or gamma
     and beta) and backward(gout), which accumulates the gradients of x and
     of those parents and returns the gradient of wd (None unless need_w)."""
     if norm is not None and training:
@@ -574,12 +573,9 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel,
             gx, gw = vjp(gout, x.requires_grad, need_w)
             if gx is not None:
                 _accumulate(x, gx, owned=True)
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, gout.sum(axis=(0, 2, 3)), owned=True)
             return gw
 
-        return (_output(out, None if bias is None else bias.data),
-                [] if bias is None else [bias], backward)
+        return np.ascontiguousarray(out), [], backward
 
     gamma, beta = norm.gamma, norm.beta
     fold = _folds.get(norm) if _folds else None
@@ -612,7 +608,7 @@ def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
     gamma, beta = norm.gamma, norm.beta
     running_mean, running_var = norm.running_mean, norm.running_var
     out, vjp = kernel(x.data, wd, spec)
-    y = _output(out, None)
+    y = np.ascontiguousarray(out)
     n, c, h, wdt = y.shape
     hw = h * wdt
     m = n * hw
@@ -659,26 +655,25 @@ def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
     return out.reshape(y.shape), [gamma, beta], backward
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
-           norm=None, training: bool = False, act: str | None = None,
-           perm: np.ndarray | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, *, spec: ConvSpec, norm=None, training: bool = False,
+           act: str | None = None, perm: np.ndarray | None = None) -> Tensor:
     """Grouped 2-d convolution (cross-correlation) of x with w, followed by
     norm, the per-channel batch normalization after it, when one is given,
     then by the epilogue: act ("relu" or None) and the channel permutation
     perm (output channel i is channel perm[i]), see _epilogue.
 
-    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); bias: (C_out,) or
-    None. Unpadded stride-1 1x1 kernels and depthwise 1-D filters (one
-    input channel per group) take specialized paths, a batch of short
-    1-D filters runs as banded matrix products, and a dense k x 1 filter
-    runs on row windows; everything else, k x k, expanding and short
-    strided depthwise filters included, unfolds windows.
+    x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); no bias: the
+    norm after a convolution has a shift of its own. Unpadded stride-1 1x1
+    kernels and depthwise 1-D filters (one input channel per group) take
+    specialized paths, a batch of short 1-D filters runs as banded matrix
+    products, and a dense k x 1 filter runs on row windows; everything
+    else, k x k, expanding and short strided depthwise filters included,
+    unfolds windows.
 
     norm holds the batch-norm state (a models.BatchNorm2d): gamma and beta
-    Tensors, running_mean and running_var arrays, eps and momentum. A
-    convolution with a norm takes no bias. At eval time the norm uses the
-    running statistics: it is the map y -> a*y + b with
-    a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
+    Tensors, running_mean and running_var arrays, eps and momentum. At eval
+    time the norm uses the running statistics: it is the map y -> a*y + b
+    with a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
     the convolution, conv2d(x, w * a) + b, with b added in place on the
     kernel's C-ordered output, and the ReLU runs in place on that buffer.
     When a network's eval forward runs under no_grad, a and b come from
@@ -695,11 +690,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     The ReLU runs in place on the norm's output, and the backward masks
     with it.
     """
-    kernel = _conv_kernel(x, w, spec)
-    if norm is not None and bias is not None:
-        raise ValueError("a convolution followed by a norm takes no bias")
-    out, tail, affine_backward = _conv_affine(x, w.data, spec, kernel, bias, norm, training,
-                                              w.requires_grad)
+    out, tail, affine_backward = _conv_affine(x, w.data, spec, _conv_kernel(x, w, spec), norm,
+                                              training, w.requires_grad)
     out, grad = _epilogue(out, act, perm)
 
     def backward(gout):
@@ -710,7 +702,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None, spec: ConvSpec,
     return _result(out, [x, w, *tail], backward)
 
 
-def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
+def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, *, spec: ConvSpec,
                     norm=None, training: bool = False, act: str | None = None) -> Tensor:
     """A depthwise kh x 1 column stage, then a 1 x kw row stage, with nothing
     between them, run as one kh x kw depthwise convolution whose kernel is
@@ -731,9 +723,8 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
         raise ValueError(f"factors {col_w.shape} and {row_w.shape} do not compose "
                          f"to the depthwise weight {spec.weight_shape}")
     wd = col_w.data * row_w.data                            # (C_out, 1, kh, kw)
-    out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), None,
-                                              norm, training,
-                                              col_w.requires_grad or row_w.requires_grad)
+    out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), norm,
+                                              training, col_w.requires_grad or row_w.requires_grad)
     out, grad = _epilogue(out, act, None)
 
     def backward(gout):
@@ -749,31 +740,30 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, spec: ConvSpec,
 # ---------------------------------------------------------------------------
 # dense / pooling / elementwise
 
-def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ w.T + bias, with x (N, D_in) and w (D_out, D_in), computed as
-    (w @ x.T).T into a C-ordered result (_affine_rows)."""
-    out = _affine_rows(x.data, w.data, None if bias is None else bias.data)
-    parents = [x, w] if bias is None else [x, w, bias]
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """y = x @ w.T + bias, with x (N, D_in), w (D_out, D_in) and bias
+    (D_out,), computed as (w @ x.T).T into a C-ordered result
+    (_affine_rows)."""
+    out = _affine_rows(x.data, w.data, bias.data)
 
     def backward(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data, owned=True)
         if w.requires_grad:
             _accumulate(w, g.T @ x.data, owned=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accumulate(bias, g.sum(axis=0), owned=True)
 
-    return _result(out, parents, backward)
+    return _result(out, [x, w, bias], backward)
 
 
-def _affine_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+def _affine_rows(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """x @ w.T + bias, C-ordered, as (w @ x.T).T: bitwise the same values on
     the models' shapes, but BLAS reads w as stored, where with the
     transposed view w.T float32 sgemm at batch 16 ran about 2x slower
     ((16, 640) @ (640, 1000): 0.42 against 0.81 ms, one thread). The bias
     is added in the copy to C order."""
-    out = (w @ x.T).T
-    return np.ascontiguousarray(out) if bias is None else np.add(out, bias, order="C")
+    return np.add((w @ x.T).T, bias, order="C")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

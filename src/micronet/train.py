@@ -162,20 +162,19 @@ def evaluate(net, images, labels, batch_size: int = 64) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # synthetic data
 
-def make_synthetic(n: int, *, size: int = 32, noise: float = 0.5,
-                   amplitude: float = 1.0, seed: int = 0,
+def make_synthetic(n: int, *, size: int = 32, seed: int = 0,
                    dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Two-class images separable by channel means: class 0 carries a
-    constant bump on channel 0, class 1 on channel 2, over Gaussian
-    noise. The per-channel spatial mean gives a margin of about
-    amplitude against noise of order noise/size, so the classes stay
+    constant bump of 1 on channel 0, class 1 on channel 2, over Gaussian
+    noise of standard deviation 0.5. The per-channel spatial mean gives a
+    margin of about 1 against noise of order 0.5/size, so the classes stay
     linearly separable after any channel-preserving pooling."""
     if n < 2:
         raise ValueError("need at least one image per class")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
     rng.shuffle(labels)
-    images = noise * rng.standard_normal((n, 3, size, size))
-    images[labels == 0, 0] += amplitude
-    images[labels == 1, 2] += amplitude
+    images = 0.5 * rng.standard_normal((n, 3, size, size))
+    images[labels == 0, 0] += 1.0
+    images[labels == 1, 2] += 1.0
     return images.astype(dtype), labels.astype(np.uint32)

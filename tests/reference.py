@@ -24,7 +24,7 @@ class MAddCounter:
         self.count += n
 
 
-def conv2d_naive(x: np.ndarray, w: np.ndarray, bias, spec: ConvSpec,
+def conv2d_naive(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
                  counter: MAddCounter | None = None) -> np.ndarray:
     n, c, h, wd = x.shape
     kh, kw = spec.kernel
@@ -49,8 +49,6 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, bias, spec: ConvSpec,
                                         * w[co, ci, u, v])
                                 if counter is not None:
                                     counter.tick()
-                    if bias is not None:
-                        acc += bias[co]
                     out[b, co, i, j] = acc
     return out
 
@@ -67,9 +65,7 @@ def linear_naive(x: np.ndarray, w: np.ndarray, bias,
                 acc += x[b, i] * w[o, i]
                 if counter is not None:
                     counter.tick()
-            if bias is not None:
-                acc += bias[o]
-            out[b, o] = acc
+            out[b, o] = acc + bias[o]
     return out
 
 
@@ -159,7 +155,7 @@ def network_forward(net, x: np.ndarray, training: bool = False,
     is compared on a network built with dropout 0."""
 
     def conv(t, w, spec, norm=None):
-        y = conv2d_naive(t, w.data, None, spec, counter)
+        y = conv2d_naive(t, w.data, spec, counter)
         if norm is None:
             return y
         if training:

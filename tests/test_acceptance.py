@@ -135,8 +135,8 @@ def test_criterion_05_depthwise_factorization(capsys):
                                           rng=rng)
                 x = rng.standard_normal((2, 6, 9, 9))
                 got = layer(Tensor(x)).data
-                want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data), None,
-                              layer.dense_spec()).data
+                want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data),
+                              spec=layer.dense_spec()).data
                 worst = max(worst, float(np.abs(got - want).max()))
                 channels, positions = 6 * expansion, got[0, 0].size
                 traced = traced_madds(layer, x)

@@ -330,6 +330,34 @@ def test_exit_code_unreadable_images(case, message, command, tmp_path, capsys):
     assert err == f"error: {ds}: {message}\n"
 
 
+def _labelled_dataset(directory, label):
+    """Four synthetic images, the third labelled label."""
+    images, labels = make_synthetic(4, seed=0)
+    labels[2] = label
+    save_dataset(directory, images, labels)
+
+
+def test_exit_code_label_past_class_bound(tmp_path, capsys):
+    # the head gets a class per label value: tiny has 2 classes, so 4 images
+    # may ask for 4 but not for 5000
+    ds = tmp_path / "ds"
+    _labelled_dataset(ds, 4999)
+    code, out, err = run(capsys, "train", "--variant", "tiny", "--data", str(ds),
+                         "--epochs", "1")
+    one_line_error(code, out, err, EXIT_FORMAT)
+    assert err == (f"error: {ds}: label 4999 needs more than 4 classes, "
+                   "the larger of tiny's and one per image\n")
+
+
+def test_train_label_at_class_bound(tmp_path, capsys):
+    ds, weights = tmp_path / "ds", tmp_path / "w.mnwt"
+    _labelled_dataset(ds, 3)
+    code, _, _ = run(capsys, "train", "--variant", "tiny", "--data", str(ds),
+                     "--epochs", "1", "--output", str(weights))
+    assert code == EXIT_OK
+    assert load_model(weights).spec.num_classes == 4
+
+
 def nan_training_loss(monkeypatch, call):
     """Make the loss of the call-th training step (counting from 1) NaN."""
     import micronet.train as train_mod

@@ -265,8 +265,8 @@ def test_depthwise_matches_outer_product_kernel(kernel, stride, expansion):
     layer = MicroFacDepthwise(6, kernel, stride, expansion, rng=rng)
     x = rng.standard_normal((2, 6, 8, 8))
     got = layer(Tensor(x)).data
-    want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data), None,
-                  layer.dense_spec()).data
+    want = conv2d(Tensor(x), Tensor(layer.col_w.data * layer.row_w.data),
+                  spec=layer.dense_spec()).data
     np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
 

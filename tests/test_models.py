@@ -204,7 +204,7 @@ def test_norm_after_conv_folds_at_eval_only():
     want = (y.data - plain_bn.running_mean[:, None, None]) * a[:, None, None] \
         + plain_bn.beta.data[:, None, None]
     np.testing.assert_allclose(conv(x, ev, norm=folded_bn).data, want, atol=1e-12)
-    np.testing.assert_allclose(conv2d(y, unit, None, unit_spec, plain_bn, False).data,
+    np.testing.assert_allclose(conv2d(y, unit, spec=unit_spec, norm=plain_bn).data,
                                want, atol=1e-12)
 
     # training runs the pair as one op with batch statistics: bitwise equal to
@@ -212,7 +212,7 @@ def test_norm_after_conv_folds_at_eval_only():
     tr = Context(training=True)
     np.testing.assert_array_equal(
         conv(x, tr, norm=folded_bn).data,
-        conv2d(conv(x, tr), unit, None, unit_spec, plain_bn, True).data)
+        conv2d(conv(x, tr), unit, spec=unit_spec, norm=plain_bn, training=True).data)
     np.testing.assert_array_equal(folded_bn.running_mean, plain_bn.running_mean)
     np.testing.assert_array_equal(folded_bn.running_var, plain_bn.running_var)
 
@@ -225,13 +225,13 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
     calls = []                      # (weights, norm) of each convolution op
     real, real_composed = models.conv2d, microfac.conv2d_composed
 
-    def counted(x, w, bias, spec, norm=None, training=False, *epilogue):
-        calls.append(((id(w),), norm))
-        return real(x, w, bias, spec, norm, training, *epilogue)
+    def counted(x, w, **kw):
+        calls.append(((id(w),), kw.get("norm")))
+        return real(x, w, **kw)
 
-    def counted_composed(x, col_w, row_w, spec, norm=None, training=False, *epilogue):
-        calls.append(((id(col_w), id(row_w)), norm))
-        return real_composed(x, col_w, row_w, spec, norm, training, *epilogue)
+    def counted_composed(x, col_w, row_w, **kw):
+        calls.append(((id(col_w), id(row_w)), kw.get("norm")))
+        return real_composed(x, col_w, row_w, **kw)
 
     monkeypatch.setattr(models, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d", counted)
@@ -556,9 +556,9 @@ def test_composed_block_a_costs_match_reference(resolution, monkeypatch):
     composed = []
     real = microfac.conv2d_composed
 
-    def counted(x, *args):
+    def counted(x, *args, **kw):
         composed.append(x.shape)
-        return real(x, *args)
+        return real(x, *args, **kw)
 
     monkeypatch.setattr(microfac, "conv2d_composed", counted)
     report = count_costs(net, resolution)

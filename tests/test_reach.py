@@ -34,8 +34,6 @@ UNREACHED = {
             "need_gamma = ", "gx, gw = vjp(gout, x.requires_grad, need_w or need_gamma)",
             "_accumulate(x, gx", "gb = ", "ga = ", "_accumulate(gamma", "_accumulate(beta",
             "return gw * a")],
-    "`conv2d`'s bias gradient": [
-        ("tensor.py", "_conv_affine.backward", "_accumulate(bias")],
     "`permute_channels` and `MicroFacPointwise.shuffle`": [
         ("tensor.py", "permute_channels", None),
         ("tensor.py", "permute_channels.backward", None),

@@ -70,10 +70,9 @@ def test_conv2d_matches_naive_loops(seed):
                     groups=groups)
     x = rnd(rng, 2, cin, 6, 7)
     w = rnd(rng, *spec.weight_shape)
-    b = rnd(rng, cout)
     counter = MAddCounter()
-    want = conv2d_naive(x, w, b, spec, counter)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
+    want = conv2d_naive(x, w, spec, counter)
+    got = conv2d(Tensor(x), Tensor(w), spec=spec).data
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
     assert counter.count == 2 * conv_madds(spec, 6, 7)
 
@@ -106,21 +105,18 @@ def test_conv2d_specialized_branches_match_im2col(spec, n, h, w, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rnd(rng, n, spec.in_channels, h, w), requires_grad=True)
     wt = Tensor(rnd(rng, *spec.weight_shape), requires_grad=True)
-    b = Tensor(rnd(rng, spec.out_channels), requires_grad=True)
-    out = conv2d(x, wt, b, spec)
+    out = conv2d(x, wt, spec=spec)
     assert out.data.flags.c_contiguous
-    np.testing.assert_allclose(out.data, conv2d_naive(x.data, wt.data, b.data, spec),
+    np.testing.assert_allclose(out.data, conv2d_naive(x.data, wt.data, spec),
                                atol=1e-12, rtol=0)
 
     ref, vjp = _conv_im2col(x.data, wt.data, spec)
-    np.testing.assert_allclose(out.data, ref + b.data[None, :, None, None],
-                               atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
     gout = rnd(rng, *out.shape)
     out._backward(gout)
     gx, gw = vjp(gout, True, True)
     np.testing.assert_allclose(x.grad, gx, atol=1e-12, rtol=1e-12)
     np.testing.assert_allclose(wt.grad, gw, atol=1e-12, rtol=1e-12)
-    np.testing.assert_allclose(b.grad, gout.sum(axis=(0, 2, 3)), atol=1e-12, rtol=1e-12)
 
 
 @st.composite
@@ -195,7 +191,7 @@ def assert_kernel_matches_naive(kernel, spec, shape, dtype, seed):
     x64, w64, g64 = (a.astype(np.float64) for a in (x, wt, gout))
     want_gx, want_gw = conv2d_naive_grads(x64, w64, spec, g64)
     tol = dict(atol=1e-12, rtol=0) if dtype == np.float64 else dict(atol=1e-5, rtol=1e-5)
-    np.testing.assert_allclose(out, conv2d_naive(x64, w64, None, spec), **tol)
+    np.testing.assert_allclose(out, conv2d_naive(x64, w64, spec), **tol)
     np.testing.assert_allclose(gx, want_gx, **tol)
     np.testing.assert_allclose(gw, want_gw, **tol)
 
@@ -266,7 +262,7 @@ def test_conv_banded_matches_im2col_and_naive(case, dtype, seed):
     naive_gx, naive_gw = conv2d_naive_grads(x64, w64, spec, g64)
     tol = dict(atol=1e-12, rtol=1e-12) if dtype == np.float64 else dict(atol=1e-5, rtol=1e-5)
     for want_out, (want_gx, want_gw) in ((ref, ref_vjp(g64, True, True)),
-                                         (conv2d_naive(x64, w64, None, spec),
+                                         (conv2d_naive(x64, w64, spec),
                                           (naive_gx, naive_gw))):
         np.testing.assert_allclose(out, want_out, **tol)
         np.testing.assert_allclose(gx, want_gx, **tol)
@@ -345,15 +341,13 @@ def test_conv2d_folded_norm_matches_conv_then_batch_norm(spec, n, h, w, seed):
     beta = Tensor(rnd(rng, c), requires_grad=True)
     mean, var = rnd(rng, c), rng.uniform(0.1, 2.0, c)
     bn = norm_state(gamma, beta, mean, var, eps)
-    out = conv2d(x, wt, None, spec, bn)
+    out = conv2d(x, wt, spec=spec, norm=bn)
     assert out.data.flags.c_contiguous
-    with pytest.raises(ValueError, match="no bias"):
-        conv2d(x, wt, beta, spec, bn)
 
     # the reference: conv2d, then y * a + b with the running statistics
     xr = Tensor(x.data, requires_grad=True)
     wr = Tensor(wt.data, requires_grad=True)
-    y = conv2d(xr, wr, None, spec)
+    y = conv2d(xr, wr, spec=spec)
     inv = 1.0 / np.sqrt(var + eps)
     a = gamma.data * inv
     b = beta.data - mean * a
@@ -393,10 +387,10 @@ def test_conv2d_composed_matches_factorized_pair(k, c, og, n, h, w, normed, seed
         return x, col, row, gamma, beta, bn
 
     x, col, row, gamma, beta, bn = leaves()
-    out = conv2d_composed(x, col, row, spec, bn)
+    out = conv2d_composed(x, col, row, spec=spec, norm=bn)
     xr, colr, rowr, gammar, betar, bnr = leaves()
-    mid = conv2d(xr, colr, None, col_spec)
-    ref = conv2d(mid, rowr, None, row_spec, bnr)
+    mid = conv2d(xr, colr, spec=col_spec)
+    ref = conv2d(mid, rowr, spec=row_spec, norm=bnr)
     assert out.shape == ref.shape and out.data.flags.c_contiguous
 
     def assert_close(got, want):
@@ -441,9 +435,10 @@ def test_conv2d_composed_trains_like_factorized_pair(k, c, og, n, h, w, relu_aft
                                                    1.0)
 
     x, col, row, gamma, beta, bn = leaves()
-    out = conv2d_composed(x, col, row, spec, bn, True, act)
+    out = conv2d_composed(x, col, row, spec=spec, norm=bn, training=True, act=act)
     xr, colr, rowr, gammar, betar, bnr = leaves()
-    ref = conv2d(conv2d(xr, colr, None, col_spec), rowr, None, row_spec, bnr, True, act)
+    ref = conv2d(conv2d(xr, colr, spec=col_spec), rowr, spec=row_spec, norm=bnr, training=True,
+                 act=act)
     assert out.shape == ref.shape and out.data.flags.c_contiguous
     gout = rnd(rng, *out.shape)
     backward_with(out, gout)
@@ -454,11 +449,11 @@ def test_conv2d_composed_trains_like_factorized_pair(k, c, og, n, h, w, relu_aft
     # its operands, seeded with the largest |gout| times each channel's
     # |gamma| / sqrt(var + eps), the scale of the norm's input gradient
     with no_grad():
-        pre = conv2d(conv2d(Tensor(data[0]), Tensor(data[1]), None, col_spec),
-                     Tensor(data[2]), None, row_spec).data
+        pre = conv2d(conv2d(Tensor(data[0]), Tensor(data[1]), spec=col_spec),
+                     Tensor(data[2]), spec=row_spec).data
     scale = np.abs(gout).max() * np.abs(data[3]) / np.sqrt(pre.var(axis=(0, 2, 3)) + 1.0)
     terms = [Tensor(np.abs(a), requires_grad=True) for a in data[:3]]
-    backward_with(conv2d(conv2d(terms[0], terms[1], None, col_spec), terms[2], None, row_spec),
+    backward_with(conv2d(conv2d(terms[0], terms[1], spec=col_spec), terms[2], spec=row_spec),
                   np.broadcast_to(scale[:, None, None], out.shape))
 
     def assert_close(got, want, size=0.0):
@@ -495,7 +490,7 @@ EPILOGUE_SPECS = {
 
 @pytest.mark.parametrize("kernel", list(EPILOGUE_SPECS))
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("mode", ["eval-norm", "eval-bias", "train-norm"])
+@pytest.mark.parametrize("mode", ["eval-norm", "eval-none", "train-norm"])
 @pytest.mark.parametrize("act", ["relu", None])
 @pytest.mark.parametrize("shuffle", ["identity", "random", None])
 def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
@@ -514,16 +509,15 @@ def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
         x, w, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in data)
         running = [a.copy() for a in stats]
         bn = norm_state(gamma, beta, *running) if mode.endswith("norm") else None
-        bias = beta if bn is None else None
         if fused:
-            out = conv2d(x, w, bias, spec, bn, training, act, perm)
+            out = conv2d(x, w, spec=spec, norm=bn, training=training, act=act, perm=perm)
             assert out.data.flags.c_contiguous
         else:
-            out = conv2d(x, w, bias, spec, bn, training)
+            out = conv2d(x, w, spec=spec, norm=bn, training=training)
             out = relu(out) if act else out
             out = out if perm is None else permute_channels(out, perm)
         backward_with(out, rnd(np.random.default_rng(4), *out.shape))
-        grads = [t.grad for t in (x, w, beta) + ((gamma,) if bn else ())]
+        grads = [t.grad for t in (x, w) + ((gamma, beta) if bn else ())]
         return [out.data, *grads, *running]
 
     for got, want in zip(run(True), run(False)):
@@ -542,8 +536,8 @@ def test_conv2d_composed_relu_equals_separate_ops(n, normed):
     def run(fused):
         x, col, row, gamma, beta = (Tensor(a, requires_grad=True) for a in data)
         bn = norm_state(gamma, beta, mean, var) if normed else None
-        out = (conv2d_composed(x, col, row, spec, bn, act="relu") if fused
-               else relu(conv2d_composed(x, col, row, spec, bn)))
+        out = (conv2d_composed(x, col, row, spec=spec, norm=bn, act="relu") if fused
+               else relu(conv2d_composed(x, col, row, spec=spec, norm=bn)))
         backward_with(out, rnd(np.random.default_rng(6), *out.shape))
         return [out.data] + [t.grad for t in (x, col, row) + ((gamma, beta) if normed else ())]
 
@@ -555,7 +549,7 @@ def test_conv2d_epilogue_validation():
     spec = ConvSpec(2, 2, 1)
     x, w = Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((2, 2, 1, 1)))
     with pytest.raises(ValueError, match="activation"):
-        conv2d(x, w, None, spec, act="tanh")
+        conv2d(x, w, spec=spec, act="tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +585,7 @@ def test_conv_rows_matches_im2col_and_naive(k, s, p, dtype):
                 ref, ref_vjp = _conv_im2col(x64, w64, spec)
                 wants = [(ref, *ref_vjp(g64, True, True))]
                 if n == 2 and h <= 7 and w <= 7:
-                    wants.append((conv2d_naive(x64, w64, None, spec),
+                    wants.append((conv2d_naive(x64, w64, spec),
                                   *conv2d_naive_grads(x64, w64, spec, g64)))
                 for want in wants:
                     for got, expect in zip((out, gx, gw), want):
@@ -607,10 +601,10 @@ def test_conv_rows_gradients():
         x = Tensor(rnd(rng, 2, spec.in_channels, 7, 4), requires_grad=True)
         w = Tensor(rnd(rng, *spec.weight_shape) * 0.5, requires_grad=True)
         assert tensor._conv_kernel(x, w, spec) is _conv_rows
-        assert np.abs(conv2d(x, w, None, spec).data).min() > 1e-3
+        assert np.abs(conv2d(x, w, spec=spec).data).min() > 1e-3
 
         def loss():
-            z = conv2d(x, w, None, spec, act="relu")
+            z = conv2d(x, w, spec=spec, act="relu")
             return softmax_cross_entropy(global_avg_pool(z), np.array([1, 2]))
 
         assert_grads(loss, [("x", x), ("w", w)])
@@ -620,13 +614,13 @@ def test_conv2d_composed_validation():
     x = Tensor(np.zeros((1, 2, 5, 5)))
     spec = ConvSpec(2, 4, 3, 2, 1, groups=2)
     col, row = Tensor(np.zeros((4, 1, 3, 1))), Tensor(np.zeros((4, 1, 1, 3)))
-    assert conv2d_composed(x, col, row, spec).shape == (1, 4, 3, 3)
+    assert conv2d_composed(x, col, row, spec=spec).shape == (1, 4, 3, 3)
     with pytest.raises(ValueError, match="do not compose"):
-        conv2d_composed(x, row, col, spec)
+        conv2d_composed(x, row, col, spec=spec)
     with pytest.raises(ValueError, match="do not compose"):
-        conv2d_composed(x, col, row, ConvSpec(2, 4, 3, 2, 1, groups=1))
+        conv2d_composed(x, col, row, spec=ConvSpec(2, 4, 3, 2, 1, groups=1))
     with pytest.raises(ValueError, match="input channels"):
-        conv2d_composed(Tensor(np.zeros((1, 3, 5, 5))), col, row, spec)
+        conv2d_composed(Tensor(np.zeros((1, 3, 5, 5))), col, row, spec=spec)
 
 
 def test_linear_and_pool_match_naive():
@@ -640,15 +634,14 @@ def test_linear_and_pool_match_naive():
     assert counter.count == 4 * 6 * 5
 
     # computed as (w @ x.T).T: C-ordered and bitwise x @ w.T + b, for one
-    # image (a matrix-vector product) and a batch, with and without bias
+    # image (a matrix-vector product) and a batch
     for n in (1, 16):
         for dtype in (np.float32, np.float64):
             x, w = rnd(rng, n, 40).astype(dtype), rnd(rng, 24, 40).astype(dtype)
-            for b in (None, rnd(rng, 24).astype(dtype)):
-                out = linear(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
-                want = x @ w.T if b is None else x @ w.T + b
-                assert out.flags.c_contiguous and out.dtype == dtype
-                np.testing.assert_array_equal(out, want)
+            b = rnd(rng, 24).astype(dtype)
+            out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+            assert out.flags.c_contiguous and out.dtype == dtype
+            np.testing.assert_array_equal(out, x @ w.T + b)
 
     fmap = rnd(rng, 2, 3, 4, 5)
     counter = MAddCounter()
@@ -982,7 +975,7 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
     # momentum 1 makes the running statistics this batch's
     running = (np.zeros(3), np.ones(3))
     bn = norm_state(gamma, beta, *running, momentum=1.0)
-    out = conv2d(Tensor(x), unit, None, spec, bn, training=True).data
+    out = conv2d(Tensor(x), unit, spec=spec, norm=bn, training=True).data
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
     np.testing.assert_allclose(running[0], x.mean(axis=(0, 2, 3)), atol=1e-12)
@@ -990,7 +983,7 @@ def test_batch_norm_normalizes_and_inference_uses_running_stats():
 
     # with the batch statistics as running statistics, eval normalizes the
     # same way
-    inf = conv2d(Tensor(x), unit, None, spec, bn).data
+    inf = conv2d(Tensor(x), unit, spec=spec, norm=bn).data
     np.testing.assert_allclose(inf, out, atol=1e-10)
 
 
@@ -1037,13 +1030,13 @@ def test_batch_norm_matches_formula(spec, n, h, w, dtype, momentum, seed):
     running = (mean0.copy(), var0.copy())
 
     x64, w64 = x.data.astype(np.float64), wt.data.astype(np.float64)
-    y64 = conv2d_naive(x64, w64, None, spec)
+    y64 = conv2d_naive(x64, w64, spec)
     var64 = y64.var(axis=(0, 2, 3))
     # float32 rounding of the convolution is magnified by 1/std, and on a
     # channel of near-zero variance by up to 1/sqrt(eps)
     assume(dtype == np.float64 or ((var64 == 0) | (var64 > 1e-2)).all())
 
-    out = conv2d(x, wt, None, spec, norm_state(gamma, beta, *running, 1e-5, momentum),
+    out = conv2d(x, wt, spec=spec, norm=norm_state(gamma, beta, *running, 1e-5, momentum),
                  training=True)
     assert out.dtype == dtype and running[0].dtype == dtype
     # xhat is made in the kernel's own output buffer, not in x's
@@ -1094,17 +1087,16 @@ def test_conv2d_gradients():
     spec = ConvSpec(4, 6, 3, stride=(2, 1), padding=(1, 1), groups=2)
     x = Tensor(rnd(rng, 2, 4, 5, 5), requires_grad=True)
     w = Tensor(rnd(rng, *spec.weight_shape) * 0.3, requires_grad=True)
-    b = Tensor(rnd(rng, 6) * 0.1, requires_grad=True)
 
     # relu makes the upstream gradient differ per position; no output sits
     # near its kink
-    assert np.abs(conv2d(x, w, b, spec).data).min() > 1e-3
+    assert np.abs(conv2d(x, w, spec=spec).data).min() > 1e-3
 
     def loss():
-        out = conv2d(x, w, b, spec)
+        out = conv2d(x, w, spec=spec)
         return softmax_cross_entropy(global_avg_pool(relu(out)), np.array([1, 3]))
 
-    assert_grads(loss, [("x", x), ("w", w), ("b", b)])
+    assert_grads(loss, [("x", x), ("w", w)])
 
 
 def test_linear_pool_relu_gradients():
@@ -1155,8 +1147,8 @@ def test_batch_norm_gradients():
     running = (np.zeros(3), np.ones(3))
 
     def loss():
-        z = global_avg_pool(conv2d(x, unit, None, spec,
-                                   norm_state(gamma, beta, *running), training=True))
+        z = global_avg_pool(conv2d(x, unit, spec=spec,
+                                   norm=norm_state(gamma, beta, *running), training=True))
         return softmax_cross_entropy(z, np.array([0, 1, 2, 0]))
 
     assert_grads(loss, [("x", x), ("gamma", gamma), ("beta", beta)],
@@ -1176,11 +1168,11 @@ def test_batch_norm_inference_gradients():
         beta = Tensor(0.1 * rnd(rng, c), requires_grad=True)
         mean, var = rnd(rng, c) * 0.1, np.abs(rnd(rng, c)) + 0.5
         bn = norm_state(gamma, beta, mean, var)
-        out = conv2d(x, w, None, spec, bn).data
+        out = conv2d(x, w, spec=spec, norm=bn).data
         assert np.abs(out).min() > 1e-3
 
         def loss():
-            z = relu(conv2d(x, w, None, spec, bn))
+            z = relu(conv2d(x, w, spec=spec, norm=bn))
             return softmax_cross_entropy(global_avg_pool(z), np.array([1, 2]))
 
         assert_grads(loss, [("x", x), ("w", w), ("gamma", gamma), ("beta", beta)])

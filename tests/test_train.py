@@ -101,7 +101,7 @@ def test_non_finite_gradient_names_first_parameter(monkeypatch):
     before = {name: p.data.copy() for name, p in net.named_params()}
     linear = models.linear
 
-    def poisoned(x, w, b=None):
+    def poisoned(x, w, b):
         # the head's biases get one NaN gradient element each
         out = linear(x, w, b)
         backward = out._backward
@@ -163,11 +163,11 @@ def test_finite_difference_check_flags_wrong_gradient():
 def test_finite_difference_check_passes_correct_gradient():
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    x = rng.standard_normal((2, 4))
+    x, b = rng.standard_normal((2, 4)), Tensor(np.zeros(3))
 
     def loss():
         from micronet.tensor import linear, softmax_cross_entropy
-        return softmax_cross_entropy(linear(Tensor(x), w), np.array([0, 2]))
+        return softmax_cross_entropy(linear(Tensor(x), w, b), np.array([0, 2]))
 
     probes = finite_difference_check(loss, [("w", w)], probes=12)
     assert all(p.ok for p in probes)
