@@ -63,9 +63,14 @@ class Tensor:
         return self.data.dtype
 
     def backward(self):
-        """Seed d(self)/d(self) = 1 and push gradients to all ancestors."""
+        """Seed d(self)/d(self) = 1 and push gradients to all ancestors. An
+        op's node is released (grad, closure and parents) once its backward
+        has run, after all its consumers', so only leaves keep .grad, and a
+        consumed graph is a constant that backward() refuses."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        if not self.requires_grad:
+            raise ValueError("backward() requires a tensor that requires grad")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -85,6 +90,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = node._backward = None
+                node._parents, node.requires_grad = (), False
 
 
 def _result(data, parents, backward):

@@ -1,7 +1,8 @@
 """perfbench's tracer against the package: the bindings it swaps for timing
-wrappers reach the calls a forward and a training step make, and closing
-the tracer puts the original objects back. perfbench/tracing.py is loaded
-by path, as perfbench/run.py runs it, not imported as a package."""
+wrappers reach the calls a forward and a training step make, its backward
+included, and closing the tracer puts the original objects back.
+perfbench/tracing.py is loaded by path, as perfbench/run.py runs it, not
+imported as a package."""
 
 import importlib.util
 from pathlib import Path
@@ -20,6 +21,12 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SPANS = ("tensor.conv2d.pw", "tensor.conv2d.dw", "tensor.conv2d.dense",
          "microfac.MicroFacPointwise.compress", "microfac.MicroFacPointwise.expand",
          "microfac.MicroFacDepthwise.forward", "dyshiftmax.DyShiftMax.coefficients")
+# spans of the training step's backward: the closures the tracer wraps as
+# each op is created (tensor.bwd_ms sums them) and Tensor.backward itself,
+# which releases each closure after it has run
+BACKWARD_SPANS = ("tensor.conv2d.pw.bwd", "tensor.conv2d.dw.bwd",
+                  "tensor.conv2d_composed.bwd", "tensor.shift_max.bwd",
+                  "tensor.Tensor.backward")
 
 
 def _load_tracing():
@@ -56,7 +63,7 @@ def test_tracer_times_the_package_calls_and_restores_its_bindings():
         tracer.close()
 
     spans = tracer.spans
-    assert {name: (spans[name].calls, spans[name].failed) for name in SPANS
+    assert {name: (spans[name].calls, spans[name].failed) for name in SPANS + BACKWARD_SPANS
             if name not in spans or not spans[name].calls or spans[name].failed} == {}
     after = _bindings()
     assert [name for name in before if after[name] is not before[name]] == []

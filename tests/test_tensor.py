@@ -1,6 +1,7 @@
 """Kernel correctness against the naive reference loops, and gradient
 checks for every differentiable operation."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -913,10 +914,13 @@ def test_dyshiftmax_input_gets_both_gradients():
     a = layer.coefficients(x)
     loss_of(shift_max(x, a, 2)).backward()
 
+    # backward releases a, so the direct path's coefficients are a leaf
+    # whose gradient is the one a received
     direct = Tensor(xd, requires_grad=True)
-    loss_of(shift_max(direct, Tensor(a.data), 2)).backward()
+    coeffs = Tensor(a.data, requires_grad=True)
+    loss_of(shift_max(direct, coeffs, 2)).backward()
     via_head = Tensor(xd, requires_grad=True)
-    layer.coefficients(via_head)._backward(a.grad)
+    layer.coefficients(via_head)._backward(coeffs.grad)
     assert np.abs(direct.grad).min() > 0 and np.abs(via_head.grad).min() > 0
     np.testing.assert_array_equal(x.grad, direct.grad + via_head.grad)
 
@@ -931,6 +935,58 @@ def test_training_backward_leaves_parameter_gradients_unshared():
     for i, (name, g) in enumerate(grads):
         for other, h in grads[i + 1:]:
             assert not np.shares_memory(g, h), (name, other)
+
+
+def _tiny_training_loss(net, rng):
+    logits = net(rng.standard_normal((4, 3, 32, 32)), Context(training=True, rng=rng))
+    return logits, softmax_cross_entropy(logits, np.arange(4) % 2)
+
+
+def test_backward_releases_the_graph_as_it_runs():
+    # a training loop holds loss and logits until the next forward returns:
+    # through them, an unreleased graph keeps every saved activation and
+    # every intermediate gradient alive on top of that forward
+    rng = np.random.default_rng(11)
+    net = build_model("tiny", dtype=np.float64, seed=0)
+    param_bytes = sum(p.data.nbytes for _, p in net.named_params())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        logits, loss = _tiny_training_loss(net, rng)
+        loss.backward()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 2 * param_bytes + 64 * 1024, (after - before, param_bytes)
+    assert all(p.grad is not None for _, p in net.named_params())
+    assert loss.grad is logits.grad is None and not logits.requires_grad
+
+    # a diamond: h is read by relu and by add, and gets both contributions
+    # before it is released; x is positive, so relu passes g unchanged
+    x = Tensor(rng.uniform(0.5, 1.0, (2, 3)), requires_grad=True)
+    labels = np.array([2, 0])
+    h = add(x, x)
+    loss = softmax_cross_entropy(add(relu(h), h), labels)
+    loss.backward()
+    g = softmax(4.0 * x.data, axis=1)
+    g[np.arange(2), labels] -= 1.0
+    np.testing.assert_allclose(x.grad, 4.0 * g / 2, rtol=1e-13, atol=0)
+    assert h.grad is None and h._parents == () and h._backward is None
+
+
+def test_second_backward_raises_and_keeps_gradients():
+    # a consumed graph is a constant: backward() again must not add stale
+    # intermediate gradients into the parameters
+    net = build_model("tiny", dtype=np.float64, seed=0)
+    _, loss = _tiny_training_loss(net, np.random.default_rng(12))
+    loss.backward()
+    grads = [p.grad.copy() for _, p in net.named_params()]
+    with pytest.raises(ValueError, match="requires grad"):
+        loss.backward()
+    for (_, p), g in zip(net.named_params(), grads):
+        np.testing.assert_array_equal(p.grad, g)
+    with pytest.raises(ValueError, match="requires grad"):
+        Tensor(np.ones(())).backward()
 
 
 def test_softmax_rows_normalize():
