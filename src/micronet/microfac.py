@@ -1,11 +1,12 @@
 """Micro-factorized convolution operators.
 
 A pointwise (1x1) convolution from C_in to C_out channels is factorized
-into two grouped 1x1 convolutions around a channel shuffle, so that its
-dense equivalent W = expand . shuffle . compress splits into low-rank
-blocks. A k x k depthwise convolution is factorized into a k x 1 and a
-1 x k stage, one rank-1 spatial kernel per channel. The pointwise group
-counts multiply to the bottleneck width, each kept near its square root.
+into two grouped 1x1 convolutions around a channel shuffle (a
+permute_channels op of its own), so that its dense equivalent
+W = expand . shuffle . compress splits into low-rank blocks. A k x k
+depthwise convolution is factorized into a k x 1 and a 1 x k stage, one
+rank-1 spatial kernel per channel. The pointwise group counts multiply to
+the bottleneck width, each kept near its square root.
 """
 
 from __future__ import annotations
@@ -102,13 +103,13 @@ class MicroFacPointwise(Module):
         return shuffle_permutation(self.hidden, self.g1)
 
     def compress(self, x: Tensor, ctx: Context, norm: Module | None = None,
-                 act: str | None = None, shuffled: bool = False) -> Tensor:
-        """The compress convolution, then norm and act; shuffled applies
-        self.perm as conv2d's epilogue, after act."""
+                 act: str | None = None) -> Tensor:
         return conv2d(x, self.compress_w, spec=self.compress_spec, norm=norm,
-                      training=ctx.training, act=act, perm=self.perm if shuffled else None)
+                      training=ctx.training, act=act)
 
     def shuffle(self, x: Tensor) -> Tensor:
+        """The channel shuffle between compress (after its norm and
+        activation) and expand, as one permute_channels op."""
         return permute_channels(x, self.perm)
 
     def expand(self, x: Tensor, ctx: Context, norm: Module | None = None,
@@ -117,7 +118,7 @@ class MicroFacPointwise(Module):
                       training=ctx.training, act=act)
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
-        return self.expand(self.compress(x, ctx, shuffled=True), ctx)
+        return self.expand(self.shuffle(self.compress(x, ctx)), ctx)
 
     def expand_dense(self) -> np.ndarray:
         """Multiply the three factors out to the dense (C_out, C_in) matrix."""

@@ -21,7 +21,7 @@ once (_NormFolds), and each convolution scales its own weight by it.
 Each activation slot is the kind its BlockSpec names: a relu slot runs
 inside the convolution's op as its epilogue, a none slot is nothing, and
 only a dysm slot is a module (DyShiftMax), run after the op. The shuffle
-after a compress convolution is its epilogue too, unless the slot is dysm.
+follows the compress slot's activation, whatever its kind, as its own op.
 Stage-leading blocks carry stride 2 in the depthwise stage.
 """
 
@@ -265,11 +265,11 @@ def _make_norm(spec: ModelSpec, channels: int, rng, dtype) -> BatchNorm2d | None
 
 
 def _stage(conv, slot: str, dysm: DyShiftMax | None, x: Tensor, ctx: Context,
-           norm: BatchNorm2d | None, **kw) -> Tensor:
-    """conv(x, ctx, norm=norm, **kw), then the activation of its slot: a
-    relu slot runs as conv2d's epilogue, a dysm slot as dysm, the slot's
-    DyShiftMax, after it."""
-    t = conv(x, ctx, norm=norm, act="relu" if slot == "relu" else None, **kw)
+           norm: BatchNorm2d | None) -> Tensor:
+    """conv(x, ctx, norm=norm), then the activation of its slot: a relu slot
+    runs as conv2d's epilogue, a dysm slot as dysm, the slot's DyShiftMax,
+    after it."""
+    t = conv(x, ctx, norm=norm, act="relu" if slot == "relu" else None)
     return t if dysm is None else dysm(t, ctx)
 
 
@@ -353,12 +353,7 @@ class MicroBlockBC(Module):
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         pw = self.pointwise
         t = _stage(self.depthwise, self.slots[0], self.act1, x, ctx, self.norm1)
-        # the shuffle follows the compress slot's activation: it runs as the
-        # convolution's epilogue unless a DyShiftMax comes between them
-        t = _stage(pw.compress, self.slots[1], self.act2, t, ctx, self.norm2,
-                   shuffled=self.act2 is None)
-        if self.act2 is not None:
-            t = pw.shuffle(t)
+        t = pw.shuffle(_stage(pw.compress, self.slots[1], self.act2, t, ctx, self.norm2))
         t = _stage(pw.expand, self.slots[2], self.act3, t, ctx, self.norm3)
         if self.skip:
             t = add(t, x)

@@ -217,29 +217,22 @@ def _output(view: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _epilogue(y: np.ndarray, act: str | None, perm: np.ndarray | None):
-    """conv2d's activation and channel permutation on its C-ordered output
-    y: a ReLU in place, then output channel i is channel perm[i] of y, in
-    one fresh C-ordered buffer.
+def _epilogue(y: np.ndarray, act: str | None):
+    """conv2d's activation on its C-ordered output y: a ReLU in place.
 
-    Returns the output and grad(g), which maps the output's gradient to y's:
-    unpermuted, and masked where the output is not positive, as in-place
-    ABN's backward reads its output (arXiv:1712.02616). Both are exact, so
-    the result equals conv2d, relu and permute_channels run one by one."""
+    Returns y and grad(g), which maps y's gradient to its input's: masked
+    where the output is not positive, as in-place ABN's backward reads its
+    output (arXiv:1712.02616). It is exact, so the result equals conv2d and
+    relu run one by one."""
     if act == "relu":
         np.maximum(y, 0, out=y)
     elif act is not None:
         raise ValueError(f"unknown conv2d activation {act!r}")
-    out = y if perm is None else np.take(y, perm, axis=1)
 
     def grad(g):
-        if act is not None:
-            g = g * (out > 0)
-        if perm is not None:
-            g = np.take(g, np.argsort(perm), axis=1)
-        return g
+        return g if act is None else g * (y > 0)
 
-    return out, grad
+    return y, grad
 
 
 def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
@@ -664,11 +657,10 @@ def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
 
 
 def conv2d(x: Tensor, w: Tensor, *, spec: ConvSpec, norm=None, training: bool = False,
-           act: str | None = None, perm: np.ndarray | None = None) -> Tensor:
+           act: str | None = None) -> Tensor:
     """Grouped 2-d convolution (cross-correlation) of x with w, followed by
     norm, the per-channel batch normalization after it, when one is given,
-    then by the epilogue: act ("relu" or None) and the channel permutation
-    perm (output channel i is channel perm[i]), see _epilogue.
+    then by the epilogue act ("relu" or None), see _epilogue.
 
     x: (N, C_in, H, W); w: (C_out, C_in/groups, kh, kw); no bias: the
     norm after a convolution has a shift of its own. Unpadded stride-1 1x1
@@ -700,7 +692,7 @@ def conv2d(x: Tensor, w: Tensor, *, spec: ConvSpec, norm=None, training: bool = 
     """
     out, tail, affine_backward = _conv_affine(x, w.data, spec, _conv_kernel(x, w, spec), norm,
                                               training, w.requires_grad)
-    out, grad = _epilogue(out, act, perm)
+    out, grad = _epilogue(out, act)
 
     def backward(gout):
         gw = affine_backward(grad(gout))
@@ -733,7 +725,7 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, *, spec: ConvSpec,
     wd = col_w.data * row_w.data                            # (C_out, 1, kh, kw)
     out, tail, affine_backward = _conv_affine(x, wd, spec, _conv_kernel(x, wd, spec), norm,
                                               training, col_w.requires_grad or row_w.requires_grad)
-    out, grad = _epilogue(out, act, None)
+    out, grad = _epilogue(out, act)
 
     def backward(gout):
         gw = affine_backward(grad(gout))
@@ -813,12 +805,11 @@ def permute_channels(x: Tensor, perm: np.ndarray) -> Tensor:
     """Reorder channels: output channel i is input channel perm[i]."""
     # np.take, unlike x.data[:, perm] at N > 1, gives a C-ordered array
     out = np.take(x.data, perm, axis=1)
-    inv = np.argsort(perm)
 
     def backward(g):
         if x.requires_grad:
-            # np.take, unlike g[:, inv], gives a C-ordered array
-            _accumulate(x, np.take(g, inv, axis=1), owned=True)
+            # np.take, unlike g[:, inverse], gives a C-ordered array
+            _accumulate(x, np.take(g, np.argsort(perm), axis=1), owned=True)
 
     return _result(out, [x], backward)
 

@@ -6,8 +6,10 @@ before it; the checksum is verified before any field of the body is
 parsed. An array in a body is a u32 dtype tag (DTYPE_TAGS), shape fields
 whose layout is the format's own, and the raw little-endian payload. A
 sealed file is read once into a buffer of its own, and an array decoded
-from it is a view of that buffer wherever its payload is native-order and
-aligned. All integers are little-endian. An archive is magic "MNWT" and
+from it is a view of that buffer wherever its payload is native-order,
+aligned or not (an archive's records are not padded, so most of its float
+payloads start unaligned; restore_state copies them into the model once).
+All integers are little-endian. An archive is magic "MNWT" and
 the body
 
   u32 version | u32 config_len | config JSON | u32 tensor_count | records...
@@ -98,9 +100,9 @@ def _decode_array(body: memoryview, tag: int, shape: tuple, error: type[Exceptio
                   what: str, whole: bool = False) -> tuple[np.ndarray, memoryview]:
     """Decode the array of dtype tag and shape at the start of body; returns
     it and the rest of body. The array is a view of body when its payload is
-    native-order and aligned, else a copy. A bad tag or shape, a body too
-    short for the payload, or with whole any byte after it, raises error
-    naming what."""
+    native-order, aligned or not, else a native-order copy. A bad tag or
+    shape, a body too short for the payload, or with whole any byte after
+    it, raises error naming what."""
     dtype = TAG_DTYPES.get(tag)
     if dtype is None:
         raise error(f"{what}: unknown dtype tag {tag}")
@@ -111,9 +113,7 @@ def _decode_array(body: memoryview, tag: int, shape: tuple, error: type[Exceptio
                     f"{len(body)} remain")
     if whole and nbytes < len(body):
         raise error(f"{what}: {len(body) - nbytes} trailing bytes after the payload")
-    arr = np.frombuffer(body[:nbytes], dtype=dtype.newbyteorder("<"))
-    if not (arr.dtype.isnative and arr.flags.aligned):
-        arr = arr.astype(dtype)
+    arr = np.frombuffer(body[:nbytes], dtype=dtype.newbyteorder("<")).astype(dtype, copy=False)
     try:
         return arr.reshape(shape), body[nbytes:]
     except ValueError as e:                            # empty, but dims too large

@@ -419,10 +419,10 @@ def record_branches(monkeypatch) -> list:
     epilogue, head_relu = tensor._epilogue, models.relu
     head, fuse = dyshiftmax.coefficient_head, dyshiftmax.shift_max
 
-    def relu_epilogue(y, act, perm):
+    def relu_epilogue(y, act):
         if act == "relu":
             taken.append(y > 0)
-        return epilogue(y, act, perm)
+        return epilogue(y, act)
 
     def relu(x):
         taken.append(x.data > 0)
@@ -491,8 +491,8 @@ def taped_ops(net, x, training):
 ], ids=["A-relu", "A-dysm"])
 def test_slots_without_relu_run_as_their_own_ops(acts):
     # a dysm slot keeps its own op after the convolution, a none slot has
-    # none, and only a dysm compress slot keeps the shuffle op; the logits
-    # equal the loop-based reference in both modes
+    # none, and every B/C block runs one shuffle op; the logits equal the
+    # loop-based reference in both modes
     a, c1, c2 = acts
     spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
         BlockSpec("A", 3, 8, 4, 2, a), BlockSpec("C", 3, 8, 4, 1, c1),
@@ -512,17 +512,18 @@ def test_slots_without_relu_run_as_their_own_ops(acts):
         # the head's ReLU is the only relu op; one shift_max per dysm slot
         assert ops.count("relu") == 1
         assert ops.count("shift_max") == slots.count("dysm")
-        assert ops.count("permute_channels") == sum(b.activations[1] == "dysm"
-                                                    for b in spec.blocks[1:])
+        assert ops.count("permute_channels") == len(spec.blocks) - 1
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fused_relus_and_shuffles_leave_the_graph(variant):
-    # in the models' own slots every ReLU after a convolution and every
-    # shuffle runs as a conv2d epilogue: the head's ReLU is the only relu op
+    # in the models' own slots every ReLU after a convolution runs as a
+    # conv2d epilogue: the head's ReLU is the only relu op; each B/C block
+    # runs one shuffle op
     net = build_model(variant, seed=0)
     ops = taped_ops(net, np.zeros((1, 3, 32, 32), np.float32), False)
-    assert ops.count("relu") == 1 and "permute_channels" not in ops
+    assert ops.count("relu") == 1
+    assert ops.count("permute_channels") == sum(b.kind != "A" for b in net.spec.blocks)
 
 
 def test_row_window_kernel_takes_only_the_stem_conv1(monkeypatch):

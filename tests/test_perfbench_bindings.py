@@ -17,9 +17,11 @@ from micronet.train import SGD
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# spans the per-layer metrics read, each of which a tiny forward reaches
+# spans the per-layer metrics read, each of which a tiny forward reaches,
+# the shuffle of every B/C block (tensor.permute_channels) included
 SPANS = ("tensor.conv2d.pw", "tensor.conv2d.dw", "tensor.conv2d.dense",
-         "microfac.MicroFacPointwise.compress", "microfac.MicroFacPointwise.expand",
+         "microfac.MicroFacPointwise.compress", "microfac.MicroFacPointwise.shuffle",
+         "tensor.permute_channels", "microfac.MicroFacPointwise.expand",
          "microfac.MicroFacDepthwise.forward", "dyshiftmax.DyShiftMax.coefficients")
 # spans of the training step's backward: the closures the tracer wraps as
 # each op is created (tensor.bwd_ms sums them) and Tensor.backward itself,

@@ -34,11 +34,6 @@ UNREACHED = {
             "need_gamma = ", "gx, gw = vjp(gout, x.requires_grad, need_w or need_gamma)",
             "_accumulate(x, gx", "gb = ", "ga = ", "_accumulate(gamma", "_accumulate(beta",
             "return gw * a")],
-    "`permute_channels` and `MicroFacPointwise.shuffle`": [
-        ("tensor.py", "permute_channels", None),
-        ("tensor.py", "permute_channels.backward", None),
-        ("microfac.py", "MicroFacPointwise.shuffle", None),
-        ("models.py", "MicroBlockBC.forward", "t = pw.shuffle(t)")],
     "`shift_max`'s J ≠ 2 and K ≠ 2 branches": [
         ("tensor.py", "_route", "win &= free"),
         ("tensor.py", "_route", "free &= ~win"),

@@ -495,8 +495,10 @@ EPILOGUE_SPECS = {
 @pytest.mark.parametrize("act", ["relu", None])
 @pytest.mark.parametrize("shuffle", ["identity", "random", None])
 def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
-    # conv2d with act and perm against conv2d, relu and permute_channels run
-    # one by one: bitwise-equal outputs, gradients and running buffers
+    # conv2d with act, then permute_channels by perm when there is one, as a
+    # compress stage and its shuffle run, against conv2d, relu and
+    # permute_channels run one by one: bitwise-equal outputs, gradients and
+    # running buffers
     spec = EPILOGUE_SPECS[kernel]
     rng = np.random.default_rng(3)
     c = spec.out_channels
@@ -511,12 +513,12 @@ def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
         running = [a.copy() for a in stats]
         bn = norm_state(gamma, beta, *running) if mode.endswith("norm") else None
         if fused:
-            out = conv2d(x, w, spec=spec, norm=bn, training=training, act=act, perm=perm)
+            out = conv2d(x, w, spec=spec, norm=bn, training=training, act=act)
             assert out.data.flags.c_contiguous
         else:
             out = conv2d(x, w, spec=spec, norm=bn, training=training)
             out = relu(out) if act else out
-            out = out if perm is None else permute_channels(out, perm)
+        out = out if perm is None else permute_channels(out, perm)
         backward_with(out, rnd(np.random.default_rng(4), *out.shape))
         grads = [t.grad for t in (x, w) + ((gamma, beta) if bn else ())]
         return [out.data, *grads, *running]

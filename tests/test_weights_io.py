@@ -50,6 +50,27 @@ def test_round_trip_float32(tmp_path):
     assert states_equal(collect_state(net), collect_state(loaded))
 
 
+@pytest.mark.skipif(sys.byteorder != "little", reason="payloads are little-endian")
+def test_loaded_arrays_are_views_of_the_file_buffer(tmp_path):
+    # records are not padded, so most float64 payloads start unaligned; each
+    # is still a view of the one buffer the file was read into, not a copy,
+    # and restore_state copies it into the model bit for bit
+    net = build_model("M0", seed=3, dtype=np.float64)
+    path = tmp_path / "w.mnwt"
+    save_weights(path, net)
+    _, state = load_archive(path)
+
+    def root(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    floats = {k: v for k, v in state.items() if v.dtype.kind == "f"}
+    assert any(not v.flags.aligned for v in floats.values())
+    assert [k for k, v in floats.items() if root(v).flags.owndata] == []
+    assert states_equal(collect_state(load_model(path)), collect_state(net))
+
+
 def _refuse_draw(*args, **kwargs):
     raise AssertionError("random draw")
 
