@@ -7,8 +7,7 @@ dataset also with no images, images not 3-channel or without pixels, or
 a non-finite pixel, and for train a label past its class bound). An
 output path that cannot be written, a closed stdout, and a request too
 large to allocate (out of memory), are usage errors (2). Every error ends
-with one line on stderr. The MICRONET_SEED environment variable supplies
-the default seed where --seed is omitted.
+with one line on stderr. Where --seed is omitted, the seed is 0.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ EXIT_FORMAT = 4
 # BLAS and OpenMP read these when numpy loads
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("MICRONET_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"MICRONET_SEED must be an integer, got {raw!r}")
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
 
 
 class OutputError(Exception):
@@ -149,8 +136,8 @@ _VERIFY_LINES = (("budget", "within", "budget {metric}: {value:,} vs {target:,}"
 
 
 def cmd_verify(args) -> int:
-    net = build_model(args.variant, seed=_seed(args), dtype=np.float64)
-    report = analysis.verify_model(net, np.random.default_rng(_seed(args)))
+    net = build_model(args.variant, seed=args.seed, dtype=np.float64)
+    report = analysis.verify_model(net, np.random.default_rng(args.seed))
     lines = [text.format(**row) + (" -> ok" if row[flag] else " -> FAIL")
              for key, flag, text in _VERIFY_LINES for row in report[key]]
     lines.append("PASS" if report["passed"] else "FAIL")
@@ -185,7 +172,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = _seed(args)
     if args.data:
         images, labels = _load_nonempty(args.data)
         # the head gets a class per label value, so one stray label would size it
@@ -194,17 +180,17 @@ def cmd_train(args) -> int:
             raise DatasetError(f"{args.data}: label {labels.max()} needs more than {bound} "
                                f"classes, the larger of {args.variant}'s and one per image")
     else:
-        images, labels = make_synthetic(args.synthetic, seed=seed)
+        images, labels = make_synthetic(args.synthetic, seed=args.seed)
     classes = int(labels.max()) + 1
     net = build_model(args.variant, num_classes=max(classes, 2),
-                      seed=seed, dtype=np.float64)
+                      seed=args.seed, dtype=np.float64)
     # a non-finite loss or gradient ends training with a NonFiniteError,
     # which names where it happened; numpy's warnings would only repeat it
     with np.errstate(all="ignore"):
         history = train_model(
             net, images, labels, epochs=args.epochs, base_lr=args.lr,
             batch_size=args.batch_size, momentum=args.momentum,
-            weight_decay=args.weight_decay, seed=seed,
+            weight_decay=args.weight_decay, seed=args.seed,
             target_accuracy=args.target_accuracy,
             log=None if args.json else lambda s: _print(
                 f"epoch {s.epoch:3d}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
@@ -219,7 +205,7 @@ def cmd_train(args) -> int:
     payload = {
         "schema": "micronet.train/1",
         "variant": args.variant,
-        "seed": seed,
+        "seed": args.seed,
         "epochs_run": len(history),
         "final": {"loss": history[-1].loss, "accuracy": history[-1].accuracy},
         "eval": {"loss": eval_loss, "accuracy": eval_acc},
@@ -268,8 +254,8 @@ def cmd_bench(args) -> int:
     if running is not None and running > 1:
         raise ValueError(f"unpinned: {running} threads run after a BLAS call; "
                          f"set {THREAD_VARS[0]}=1 to time one thread")
-    net = build_model(args.variant, seed=_seed(args))
-    x = np.random.default_rng(_seed(args)).standard_normal(
+    net = build_model(args.variant, seed=args.seed)
+    x = np.random.default_rng(args.seed).standard_normal(
         (1, 3, args.resolution, args.resolution)).astype(net.dtype)
     times = []
     with no_grad():
@@ -309,7 +295,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_dataset(args) -> int:
     images, labels = make_synthetic(args.count, size=args.size,
-                                    seed=_seed(args))
+                                    seed=args.seed)
     with _writing(args.output):
         save_dataset(args.output, images, labels)
     payload = {"schema": "micronet.dataset/1", "count": args.count,
@@ -392,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="structural checks and budgets")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -421,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_real(lambda v: 0 <= v < np.inf, "finite and non-negative"))
     p.add_argument("--target-accuracy", type=_real(lambda v: not np.isnan(v), "a number"),
                    default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="weight archive path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -431,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_resolution, default=224)
     p.add_argument("--repeats", type=_positive, default=200)
     p.add_argument("--warmup", type=_non_negative, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -447,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="generate a synthetic dataset")
     p.add_argument("--count", type=_positive, default=128)
     p.add_argument("--size", type=_positive, default=32)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="target directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dataset)

@@ -31,13 +31,12 @@ class DyShiftMax(Module):
 
     def __init__(self, channels: int, groups: int, num_shifts: int = 2,
                  num_fusions: int = 2, reduction: int = 16, min_hidden: int = 8,
-                 coeff_scale: float = 1.0, rng: np.random.Generator | None = None,
+                 coeff_scale: float = 1.0, *, rng: np.random.Generator,
                  dtype=np.float64):
         if channels % groups:
             raise ValueError(f"groups {groups} does not divide {channels} channels")
         if num_shifts < 1 or num_fusions < 1:
             raise ValueError("num_shifts and num_fusions must be >= 1")
-        rng = rng or np.random.default_rng()
         self.channels = channels
         self.groups = groups
         self.num_shifts = num_shifts

@@ -79,9 +79,8 @@ class MicroFacPointwise(Module):
     (G2 groups) through a hidden bottleneck."""
 
     def __init__(self, in_channels: int, out_channels: int, hidden: int,
-                 groups: tuple[int, int] | None = None, lam: float = 1.0,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
-        rng = rng or np.random.default_rng()
+                 groups: tuple[int, int] | None = None, lam: float = 1.0, *,
+                 rng: np.random.Generator, dtype=np.float64):
         g1, g2 = groups if groups is not None else pick_group_pair(
             hidden, in_channels, out_channels, lam)
         self.in_channels = in_channels
@@ -162,13 +161,11 @@ class MicroFacDepthwise(Module):
     """
 
     def __init__(self, channels: int, kernel: int, stride: int = 1,
-                 expansion: int = 1, rng: np.random.Generator | None = None,
-                 dtype=np.float64):
+                 expansion: int = 1, *, rng: np.random.Generator, dtype=np.float64):
         if kernel % 2 == 0:
             raise ValueError("kernel size must be odd")
         if expansion < 1:
             raise ValueError("expansion must be >= 1")
-        rng = rng or np.random.default_rng()
         out = channels * expansion
         pad = (kernel - 1) // 2
         self.channels = channels

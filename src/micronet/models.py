@@ -224,9 +224,6 @@ class ModuleList(Module):
     def __iter__(self):
         return (m for _, m in self._submodules())
 
-    def __getitem__(self, i):
-        return list(self)[i]
-
 
 class Conv2dLayer(Module):
     """Convolution without bias; norm, if given, follows it."""
@@ -242,17 +239,15 @@ class Conv2dLayer(Module):
 
 class BatchNorm2d(Module):
     """The state of the batch norm after a convolution, which conv2d reads
-    from its norm argument: gamma, beta, the running statistics, eps and
-    momentum. With rng _NO_DRAW (module.he_normal) every value starts at
-    zero. In a Network, gamma, beta and the running statistics (its
-    buffers) are views of the network's flat buffer (_NormFolds)."""
+    from its norm argument: gamma, beta and the running statistics. Its eps
+    and momentum are the same for every norm (tensor._BN_EPS,
+    tensor._BN_MOMENTUM). With rng _NO_DRAW (module.he_normal) every value
+    starts at zero. In a Network, gamma, beta and the running statistics
+    (its buffers) are views of the network's flat buffer (_NormFolds)."""
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, dtype, eps: float = 1e-5,
-                 momentum: float = 0.1, rng=None):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int, dtype, rng=None):
         fill = np.zeros if rng is _NO_DRAW else np.ones
         self.gamma = Tensor(fill(channels, dtype=dtype), requires_grad=True)
         self.beta = zeros_param((channels,), dtype)
@@ -388,57 +383,47 @@ class _NormFolds:
 
     The four rows of values hold the norms' gamma, beta, running_mean and
     running_var, laid end to end in the order of norms, and each norm's
-    attributes are rebound to views of them. With zeros (a network whose values are
-    about to be copied in) the buffer comes from np.zeros and nothing is
-    copied; otherwise each value is copied into its view."""
+    attributes are rebound to views of them. With zeros (a network whose
+    values are about to be copied in) the buffer comes from np.zeros and
+    nothing is copied; otherwise each value is copied into its view. The
+    three rows of affine, laid out alike, receive the pass's (inv, a, b);
+    nothing writes them before the first eval pass."""
 
     def __init__(self, norms: list, dtype, zeros: bool):
-        self.channels = [norm.gamma.shape[0] for norm in norms]
-        self.values = (np.zeros if zeros else np.empty)((4, sum(self.channels)), dtype)
-        self.views = []     # (norm, then the views and eps it must keep)
+        total = sum(norm.gamma.shape[0] for norm in norms)
+        self.values = (np.zeros if zeros else np.empty)((4, total), dtype)
+        self.affine = np.empty((3, total), dtype)
+        self.views = []     # (norm, then the views it must keep)
+        self.folds = {}
         co = 0
-        for norm, c in zip(norms, self.channels):
+        for norm in norms:
+            c = norm.gamma.shape[0]
             view = self.values[:, co:co + c]
             if not zeros:
                 view[...] = (norm.gamma.data, norm.beta.data, norm.running_mean,
                              norm.running_var)
             g, b, m, v = view
             norm.gamma.data, norm.beta.data, norm.running_mean, norm.running_var = g, b, m, v
-            self.views.append((norm, g, b, m, v, norm.eps))
+            self.views.append((norm, g, b, m, v))
+            self.folds[norm] = tuple(self.affine[:, co:co + c])
             co += c
-        self.folds = None
 
     def __reduce__(self):
         # a copy of the network (copy.deepcopy, pickle) holds copies of the
         # views, not views of the copied buffers: it gets no fold pass
         return _NormFolds, ([], self.values.dtype, True)
 
-    def _allocate(self):
-        """The pass's outputs, (inv, a, b) views for each norm, and its eps."""
-        self.affine = np.empty_like(self.values[:3])
-        self.eps = np.repeat(np.array([v[-1] for v in self.views], self.values.dtype),
-                             self.channels)
-        self.folds = {}
-        co = 0
-        for (norm, *_), c in zip(self.views, self.channels):
-            self.folds[norm] = tuple(self.affine[:, co:co + c])
-            co += c
-
     def prepare(self) -> dict | None:
         """Every norm's eval map from the live values: {norm: (inv, a, b)},
         the form tensor._folds takes. None when an array is no longer its
-        view or an eps has changed: each convolution then folds its own
-        norm."""
+        view: each convolution then folds its own norm."""
         if not self.views:                  # no norms, or a copy
             return None
-        for norm, g, b, m, v, eps in self.views:
+        for norm, g, b, m, v in self.views:
             if (norm.gamma.data is not g or norm.beta.data is not b
-                    or norm.running_mean is not m or norm.running_var is not v
-                    or norm.eps is not eps):
+                    or norm.running_mean is not m or norm.running_var is not v):
                 return None
-        if self.folds is None:
-            self._allocate()
-        tensor._norm_affine(*self.values, self.eps, out=self.affine)
+        tensor._norm_affine(*self.values, out=self.affine)
         return self.folds
 
 
@@ -449,9 +434,7 @@ class Network(Module):
     flat network buffer (_NormFolds), so that an eval forward under no_grad
     computes every norm's eval map in a few numpy calls."""
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        rng = rng or np.random.default_rng()
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.stem = Stem(spec, rng, dtype)

@@ -192,22 +192,18 @@ def _pair(v):
 
 # Each kernel below maps (x, w, spec) arrays to (out, vjp), where
 # vjp(gout, need_x, need_w) returns (gx, gw) with None for what is not needed.
-# out may be a strided view of a buffer the kernel owns, never of x or w, and
-# vjp never reads it; conv2d makes it C-ordered with at most one copy, and
-# adds a folded norm's shift (_output); a training norm then overwrites it
-# with xhat, and _epilogue's ReLU runs on it in place.
+# out is a C-ordered array the kernel owns, never a view of x or w, and vjp
+# never reads it; conv2d adds a folded norm's shift to it in place (_output),
+# a training norm overwrites it with xhat, and _epilogue's ReLU runs on it in
+# place.
 
-def _output(view: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """A kernel's output as a C-ordered array plus the folded norm's shift.
+def _output(out: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """A kernel's C-ordered output plus the folded norm's shift, in place.
 
-    The shift is added in place after the copy, not in it: np.add from a
-    strided view runs one short inner loop per row, which on the models'
-    maps measured 1.1-1.7x slower than the copy and the in-place add
-    together. With several images it is one pass over (N, C*H*W), the shift
-    repeated over H*W as the training norm repeats its factors, rather than
-    rows of W = 7-56; for one image the repeat costs more than it saves
-    (README "Kernels")."""
-    out = np.ascontiguousarray(view)
+    With several images it is one pass over (N, C*H*W), the shift repeated
+    over H*W as the training norm repeats its factors, rather than rows of
+    W = 7-56; for one image the repeat costs more than it saves (README
+    "Kernels")."""
     n, _, h, w = out.shape
     if n > 1:
         flat = out.reshape(n, -1)
@@ -292,7 +288,8 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, spec: ConvSpec):
     def vjp(gout, need_x, need_w):
         return _im2col_vjp(xd, wd, spec, *_im2col(xd, spec))(gout, need_x, need_w)
 
-    return (out.swapaxes(2, 3) if row else out), vjp
+    # a row filter's result is transposed back by one C-ordered copy
+    return (np.ascontiguousarray(out.swapaxes(2, 3)) if row else out), vjp
 
 
 # The longest filtered axis _conv_kernel gives _conv_banded: the band
@@ -540,14 +537,19 @@ def _conv_kernel(x: Tensor, w: Tensor | np.ndarray, spec: ConvSpec):
     return _conv_im2col
 
 
-def _norm_affine(gamma, beta, mean, var, eps, out=(None, None, None)):
+# Every batch norm's eps, and the weight of a batch's statistics in its
+# running update: PyTorch's BatchNorm2d defaults.
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
+
+
+def _norm_affine(gamma, beta, mean, var, out=(None, None, None)):
     """A norm's eval map y -> a*y + b as (inv, a, b): inv = 1/sqrt(var + eps),
     a = gamma * inv and b = beta - mean * a, written into the three arrays
     of out if given. The arrays are one norm's, or every norm of a network
-    laid end to end with eps repeated per channel; each value is the same
-    either way."""
+    laid end to end; each value is the same either way."""
     inv_out, a_out, b_out = out
-    inv = np.divide(1.0, np.sqrt(var + eps), out=inv_out)
+    inv = np.divide(1.0, np.sqrt(var + _BN_EPS), out=inv_out)
     a = np.multiply(gamma, inv, out=a_out)
     return inv, a, np.subtract(beta, mean * a, out=b_out)
 
@@ -576,12 +578,12 @@ def _conv_affine(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
                 _accumulate(x, gx, owned=True)
             return gw
 
-        return np.ascontiguousarray(out), [], backward
+        return out, [], backward
 
     gamma, beta = norm.gamma, norm.beta
     fold = _folds.get(norm) if _folds else None
     inv, a, b = fold or _norm_affine(gamma.data, beta.data, norm.running_mean,
-                                     norm.running_var, norm.eps)
+                                     norm.running_var)
     out, vjp = kernel(x.data, wd * a[:, None, None, None], spec)
 
     def backward(gout):
@@ -608,8 +610,7 @@ def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
     backward hands the norm's input gradient to the kernel's vjp."""
     gamma, beta = norm.gamma, norm.beta
     running_mean, running_var = norm.running_mean, norm.running_var
-    out, vjp = kernel(x.data, wd, spec)
-    y = np.ascontiguousarray(out)
+    y, vjp = kernel(x.data, wd, spec)
     n, c, h, wdt = y.shape
     hw = h * wdt
     m = n * hw
@@ -627,14 +628,14 @@ def _conv_batch_norm(x: Tensor, wd: np.ndarray, spec: ConvSpec, kernel, norm,
     xhat -= per_element(mean)
     xv = xhat.reshape(n, c, hw)
     var = np.einsum("ncl,ncl->c", xv, xv) / m
-    inv = 1.0 / np.sqrt(var + norm.eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat *= per_element(inv)
     out = xhat * per_element(gamma.data)
     out += per_element(beta.data)
-    running_mean *= 1.0 - norm.momentum
-    running_mean += norm.momentum * mean
-    running_var *= 1.0 - norm.momentum
-    running_var += norm.momentum * var
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mean
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var
 
     def backward(g):
         sg = channel_sum(g)
@@ -670,10 +671,11 @@ def conv2d(x: Tensor, w: Tensor, *, spec: ConvSpec, norm=None, training: bool = 
     else, k x k, expanding and short strided depthwise filters included,
     unfolds windows.
 
-    norm holds the batch-norm state (a models.BatchNorm2d): gamma and beta
-    Tensors, running_mean and running_var arrays, eps and momentum. At eval
-    time the norm uses the running statistics: it is the map y -> a*y + b
-    with a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
+    norm holds the batch-norm state (a models.BatchNorm2d), its four arrays:
+    gamma and beta Tensors, running_mean and running_var arrays; its eps and
+    momentum are the constants _BN_EPS and _BN_MOMENTUM. At eval time the
+    norm uses the running statistics: it is the map y -> a*y + b with
+    a = gamma / sqrt(var + eps) and b = beta - mean * a, so it folds into
     the convolution, conv2d(x, w * a) + b, with b added in place on the
     kernel's C-ordered output, and the ReLU runs in place on that buffer.
     When a network's eval forward runs under no_grad, a and b come from

@@ -162,7 +162,7 @@ def network_forward(net, x: np.ndarray, training: bool = False,
             mean, var = y.mean(axis=(0, 2, 3)), y.var(axis=(0, 2, 3))
         else:
             mean, var = norm.running_mean, norm.running_var
-        scale = norm.gamma.data / np.sqrt(var + norm.eps)
+        scale = norm.gamma.data / np.sqrt(var + 1e-5)      # every norm's eps
         return ((y - mean[:, None, None]) * scale[:, None, None]
                 + norm.beta.data[:, None, None])
 

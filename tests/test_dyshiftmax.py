@@ -165,12 +165,13 @@ def test_bounded_output_growth():
 
 
 def test_validation_errors():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        DyShiftMax(10, 4)
+        DyShiftMax(10, 4, rng=rng)
     with pytest.raises(ValueError):
-        DyShiftMax(8, 2, num_shifts=0)
+        DyShiftMax(8, 2, num_shifts=0, rng=rng)
     with pytest.raises(ValueError):
-        DyShiftMax(8, 2, num_fusions=0)
+        DyShiftMax(8, 2, num_fusions=0, rng=rng)
 
 
 def test_gradients_away_from_fusion_ties():

@@ -164,15 +164,16 @@ def test_pointwise_rank_law_fails_without_product_rule():
 
 
 def test_pointwise_rejects_bad_groups():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        MicroFacPointwise(10, 16, 8, groups=(3, 2))
+        MicroFacPointwise(10, 16, 8, groups=(3, 2), rng=rng)
     with pytest.raises(ValueError):
-        MicroFacPointwise(12, 16, 8, groups=(2, 3))
+        MicroFacPointwise(12, 16, 8, groups=(2, 3), rng=rng)
     with pytest.raises(ValueError):
-        MicroFacPointwise(12, 16, 0)
+        MicroFacPointwise(12, 16, 0, rng=rng)
     # no G1 | 4 and G2 | 8 multiply to 5: there is no group pair to default to
     with pytest.raises(ValueError, match="no G1"):
-        MicroFacPointwise(4, 8, 5)
+        MicroFacPointwise(4, 8, 5, rng=rng)
     for hidden in (0, -4):
         with pytest.raises(ValueError, match=f"no G1\\*G2 = hidden width {hidden} "):
             pick_group_pair(hidden, 4, 8)
@@ -277,10 +278,11 @@ def test_depthwise_cost_factorized_vs_dense():
 
 
 def test_depthwise_rejects_even_kernels():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        MicroFacDepthwise(4, 4)
+        MicroFacDepthwise(4, 4, rng=rng)
     with pytest.raises(ValueError):
-        MicroFacDepthwise(4, 3, expansion=0)
+        MicroFacDepthwise(4, 3, expansion=0, rng=rng)
 
 
 def test_depthwise_stride_splits_by_direction():

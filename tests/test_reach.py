@@ -44,8 +44,6 @@ UNREACHED = {
         ("tensor.py", "shift_max.backward", "gx[:, :r] +=")],
     "`_conv_rows`' input gradient": [
         ("tensor.py", "_conv_rows.vjp", "gx, _ = _im2col_vjp")],
-    "`ModuleList.__getitem__`": [
-        ("models.py", "ModuleList.__getitem__", None)],
     "`_accumulate`'s return for a tensor without gradient": [
         ("tensor.py", "_accumulate", "return")],
     "`dropout`'s zero rate": [

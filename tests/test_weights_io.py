@@ -129,7 +129,7 @@ def test_rebound_buffer_is_archived(tmp_path):
     with no_grad():
         before = net(x, Context()).data
     new = np.full(4, 7.0, dtype=np.float32)
-    net.blocks[1].norm2.running_mean = new
+    list(net.blocks)[1].norm2.running_mean = new
     state = collect_state(net)
     assert state["blocks.1.norm2.running_mean"] is new
     path = tmp_path / "w.mnwt"
@@ -151,8 +151,8 @@ def test_walks_follow_the_attributes(tmp_path):
     net = build_model("tiny", seed=0)
     names = [n for n, _ in net.named_params()]
     modules = [n for n, _ in net.named_modules()]
-    blocks = [net.blocks[0], net.blocks[1]]
-    pw = net.blocks[1].pointwise
+    blocks = list(net.blocks)[:2]
+    pw = list(net.blocks)[1].pointwise
     pw.compress, net.blocks.forward = pw.compress, net.forward
     assert pw.perm is vars(pw)["perm"]
     del net.head.fc1_b
@@ -160,7 +160,7 @@ def test_walks_follow_the_attributes(tmp_path):
     assert [n for n, _ in net.named_modules()] == modules
     assert list(net.blocks) == blocks
     new = np.full(4, 7.0, dtype=np.float32)
-    net.blocks[1].norm2.running_mean = new
+    list(net.blocks)[1].norm2.running_mean = new
     assert dict(net.named_buffers())["blocks.1.norm2.running_mean"] is new
     path = tmp_path / "w.mnwt"
     save_weights(path, net)
