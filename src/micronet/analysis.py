@@ -180,15 +180,15 @@ def count_costs(net: Network, resolution: int = 224) -> CostReport:
     return CostReport(net.spec.name, resolution, trace_costs(net, x))
 
 
-def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE) -> list[dict]:
-    """The report's totals against its variant's budget, as
-    {"metric", "value", "target", "within"} rows; empty unless the variant
+def check_budget(report: CostReport) -> list[dict]:
+    """The report's totals against its variant's budget within BUDGET_TOLERANCE,
+    as {"metric", "value", "target", "within"} rows; empty unless the variant
     has a budget and the report is at 224x224, where budgets are stated."""
     budget = BUDGETS.get(report.variant)
     if budget is None or report.resolution != 224:
         return []
     return [{"metric": metric, "value": value, "target": target,
-             "within": abs(value - target) <= tolerance * target}
+             "within": abs(value - target) <= BUDGET_TOLERANCE * target}
             for metric, value, target in (("madds", report.total_madds, budget[0]),
                                           ("params", report.total_params, budget[1]))]
 
@@ -196,9 +196,9 @@ def check_budget(report: CostReport, tolerance: float = BUDGET_TOLERANCE) -> lis
 # ---------------------------------------------------------------------------
 # structural verification
 
-def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
+def rank_law_holds(layer) -> tuple[bool, float]:
     """Check that every (C_out/g2) x (C_in/g1) sub-block of the dense
-    equivalent matrix has numerical rank at most one.
+    equivalent matrix has rank at most one: singular values s2 <= 1e-8 * s1.
 
     Returns (ok, worst second-to-first singular value ratio)."""
     dense = layer.expand_dense()
@@ -213,17 +213,16 @@ def rank_law_holds(layer, tol: float = 1e-8) -> tuple[bool, float]:
             if s[0] <= 0.0:
                 continue
             worst = max(worst, float(s[1] / s[0]))
-    return worst <= tol, worst
+    return worst <= 1e-8, worst
 
 
-def verify_model(net: Network, rng: np.random.Generator | None = None) -> dict:
+def verify_model(net: Network, rng: np.random.Generator) -> dict:
     """The JSON-ready structural report of net: its budget rows at 224x224
     (none, and no trace, for a name without a budget), then per factorized
     pointwise layer a rank_law row (rank-one blocks), a connectivity row
     (c_in paths into each output, at least one from each input) and a
-    factorization row (equal to the dense equivalent on rng's random
-    activations)."""
-    rng = rng or np.random.default_rng(0)
+    factorization row (equal to the dense equivalent on activations drawn
+    from rng)."""
     tol = 1e-10 if net.dtype == np.float64 else 1e-4
     ranks, conn, fact = [], [], []
     layers = [(n, m) for n, m in net.named_modules() if isinstance(m, MicroFacPointwise)]

@@ -474,15 +474,12 @@ class Network(Module):
             tensor._folds = outer
 
 
-def build_model(variant_or_spec, *, num_classes: int | None = None,
-                dtype=np.float32, seed: int | None = None) -> Network:
-    """Construct a network from a variant name or an explicit ModelSpec,
-    its weights drawn from seed (0 when None)."""
-    if isinstance(variant_or_spec, ModelSpec):
-        spec = variant_or_spec
-    else:
-        spec = model_spec(variant_or_spec)
+def build_model(variant: str, *, num_classes: int | None = None,
+                dtype=np.float32, seed: int) -> Network:
+    """The network of a named variant, with num_classes outputs if given,
+    its weights drawn from seed. A network of any other ModelSpec is
+    Network(spec, rng, dtype)."""
+    spec = model_spec(variant)
     if num_classes is not None and num_classes != spec.num_classes:
         spec = replace(spec, num_classes=num_classes)
-    rng = np.random.default_rng(0 if seed is None else seed)
-    return Network(spec, rng=rng, dtype=dtype)
+    return Network(spec, rng=np.random.default_rng(seed), dtype=dtype)

@@ -11,21 +11,15 @@ from .tensor import Tensor
 
 class Context:
     """Per-call state threaded through forward passes: the training flag and
-    the rng that dropout draws from."""
+    the rng that dropout draws from, which a training Context needs."""
 
-    __slots__ = ("training", "_rng")
+    __slots__ = ("training", "rng")
 
     def __init__(self, training: bool = False, rng: np.random.Generator | None = None):
+        if training and rng is None:
+            raise ValueError("a training Context needs an rng")
         self.training = training
-        self._rng = rng
-
-    @property
-    def rng(self) -> np.random.Generator:
-        # made on first read, which only a training forward's dropout does;
-        # seeded so that a training forward without an explicit rng repeats
-        if self._rng is None:
-            self._rng = np.random.default_rng(0)
-        return self._rng
+        self.rng = rng
 
 
 class Module:

@@ -965,11 +965,9 @@ def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only on the training path."""
+    """Inverted dropout, on the training path only; rate 0 still draws a mask."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if rate == 0.0:
-        return x
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
 
@@ -983,10 +981,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # loss
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of (N, classes) logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -998,7 +997,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            p = softmax(logits.data, axis=1)
+            p = softmax(logits.data)
             p[np.arange(n), labels] -= 1.0
             _accumulate(logits, g * p / n, owned=True)
 

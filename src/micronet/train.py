@@ -14,18 +14,13 @@ from .tensor import no_grad, softmax_cross_entropy
 
 
 class SGD:
-    """Momentum SGD. Weight decay is folded into the gradient:
-    v <- momentum * v + g + wd * p, then p <- p - lr * v."""
+    """Momentum SGD of the tensors in named_params, (name, tensor) pairs as
+    Module.named_params yields them. Weight decay is folded into the
+    gradient: v <- momentum * v + g + wd * p, then p <- p - lr * v."""
 
-    def __init__(self, params, lr: float, momentum: float = 0.9,
+    def __init__(self, named_params, lr: float, momentum: float = 0.9,
                  weight_decay: float = 0.0):
-        self.params = []
-        seen = set()
-        for item in params:
-            p = item[1] if isinstance(item, tuple) else item
-            if id(p) not in seen:
-                seen.add(id(p))
-                self.params.append(p)
+        self.params = [p for _, p in named_params]
         if not self.params:
             raise ValueError("no parameters to optimize")
         self.lr = float(lr)
@@ -142,16 +137,16 @@ def train_model(net, images, labels, *, epochs: int, base_lr: float,
     return history
 
 
-def evaluate(net, images, labels, batch_size: int = 64) -> tuple[float, float]:
-    """Mean loss and accuracy without gradient tracking or stat updates."""
+def evaluate(net, images, labels) -> tuple[float, float]:
+    """Mean loss and accuracy over batches of 64, with no gradients or stat updates."""
     images = np.asarray(images, dtype=net.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     total_loss = 0.0
     correct = 0
     with no_grad():
-        for start in range(0, len(labels), batch_size):
-            xb = images[start:start + batch_size]
-            yb = labels[start:start + batch_size]
+        for start in range(0, len(labels), 64):
+            xb = images[start:start + 64]
+            yb = labels[start:start + 64]
             logits = net(xb, Context(training=False))
             loss = softmax_cross_entropy(logits, yb)
             total_loss += float(loss.data) * len(yb)
@@ -162,9 +157,9 @@ def evaluate(net, images, labels, batch_size: int = 64) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # synthetic data
 
-def make_synthetic(n: int, *, size: int = 32, seed: int = 0,
-                   dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Two-class images separable by channel means: class 0 carries a
+def make_synthetic(n: int, *, size: int = 32,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Two-class float64 images separable by channel means: class 0 carries a
     constant bump of 1 on channel 0, class 1 on channel 2, over Gaussian
     noise of standard deviation 0.5. The per-channel spatial mean gives a
     margin of about 1 against noise of order 0.5/size, so the classes stay
@@ -177,4 +172,4 @@ def make_synthetic(n: int, *, size: int = 32, seed: int = 0,
     images = 0.5 * rng.standard_normal((n, 3, size, size))
     images[labels == 0, 0] += 1.0
     images[labels == 1, 2] += 1.0
-    return images.astype(dtype), labels.astype(np.uint32)
+    return images, labels.astype(np.uint32)

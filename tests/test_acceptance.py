@@ -80,7 +80,7 @@ def test_criterion_03_rank_law_holds_including_after_training(capsys):
     at numerical rank one, before and after 100 optimizer steps."""
     for variant in ("M0", "M1", "M2", "M3"):
         net = build_model(variant, seed=1, dtype=np.float64)
-        checks = verify_model(net)["rank_law"]
+        checks = verify_model(net, np.random.default_rng(0))["rank_law"]
         assert checks and all(c["ok"] for c in checks), variant
 
     net = build_model("M0", seed=2, dtype=np.float64)
@@ -89,7 +89,7 @@ def test_criterion_03_rank_law_holds_including_after_training(capsys):
     labels = rng.integers(0, 1000, 20).astype(np.int64)
     train_model(net, images, labels, epochs=20, base_lr=0.01,
                 batch_size=4, weight_decay=3e-5, seed=0)
-    report = verify_model(net)
+    report = verify_model(net, np.random.default_rng(0))
     worst = max(c["worst_ratio"] for c in report["rank_law"])
     assert all(c["ok"] for c in report["rank_law"])
     assert all(c["ok"] for c in report["connectivity"])

@@ -75,7 +75,7 @@ def test_no_grad_eval_folds_every_norm_in_one_pass(monkeypatch):
     assert len(norms) == 6 and composed == 1
     calls = count_folds(monkeypatch)
     # training folds nothing
-    net(BATCH, Context(training=True))
+    net(BATCH, Context(training=True, rng=np.random.default_rng(0)))
     assert calls == []
     want = eval_logits(net, X, True)
     assert len(calls) == len(norms)
@@ -119,7 +119,8 @@ def test_fold_sees_sgd_steps():
     opt = SGD(net.named_params(), lr=0.05)
     before = fresh(net)
     for _ in range(2):
-        loss = softmax_cross_entropy(net(BATCH, Context(training=True)), np.array([0, 1]))
+        ctx = Context(training=True, rng=np.random.default_rng(0))
+        loss = softmax_cross_entropy(net(BATCH, ctx), np.array([0, 1]))
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -241,13 +242,14 @@ def _step(net, donor, kind, rng):
         norm.running_var[...] = rng.uniform(0.5, 2.0, norm.running_var.shape)
     elif kind == "sgd":
         opt = SGD(net.named_params(), lr=0.01)
-        loss = softmax_cross_entropy(net(BATCH, Context(training=True)), np.array([0, 1]))
+        ctx = Context(training=True, rng=np.random.default_rng(0))
+        loss = softmax_cross_entropy(net(BATCH, ctx), np.array([0, 1]))
         loss.backward()
         opt.step()
         opt.zero_grad()
     elif kind == "train":
         with no_grad():
-            net(BATCH, Context(training=True))
+            net(BATCH, Context(training=True, rng=np.random.default_rng(0)))
     elif kind == "restore":
         restore_state(net, collect_state(donor))
     else:

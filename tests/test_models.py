@@ -96,7 +96,7 @@ def test_block_bc_requires_a_group_pair():
         ModelSpec("c", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("C", 3, 3, 4)), head_width=8)
     spec = ModelSpec("c", 4, 2, (BlockSpec("A", 3, 8, 6), BlockSpec("C", 3, 3, 9)),
                      head_width=8)
-    pw = list(build_model(spec).blocks)[1].pointwise
+    pw = list(Network(spec, rng=np.random.default_rng(0)).blocks)[1].pointwise
     assert (pw.g1, pw.g2) == (3, 3)
 
 
@@ -118,7 +118,8 @@ def test_accepted_specs_pass_structural_verification(c_in, width, hidden, kind):
             ModelSpec("g", c_in, 1, (block,), head_width=4, num_classes=2)
         return
     spec = ModelSpec("g", c_in, 1, (block,), head_width=4, num_classes=2)
-    report = verify_model(build_model(spec, dtype=np.float64, seed=0))
+    report = verify_model(Network(spec, rng=np.random.default_rng(0), dtype=np.float64),
+                          np.random.default_rng(0))
     assert all(row["ok"] for key in STRUCTURAL_ROWS for row in report[key]), report
 
 
@@ -209,7 +210,7 @@ def test_norm_after_conv_folds_at_eval_only():
 
     # training runs the pair as one op with batch statistics: bitwise equal to
     # the norm on its own after the convolution, statistics updated once
-    tr = Context(training=True)
+    tr = Context(training=True, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(
         conv(x, tr, norm=folded_bn).data,
         conv2d(conv(x, tr), unit, spec=unit_spec, norm=plain_bn, training=True).data)
@@ -221,7 +222,7 @@ def test_norm_after_conv_folds_at_eval_only():
 def test_eval_forward_folds_every_norm(training, monkeypatch):
     net = build_model("tiny", seed=0, dtype=np.float64)
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
-    want = net(x, Context(training=training)).data
+    want = net(x, Context(training=training, rng=np.random.default_rng(0))).data
     calls = []                      # (weights, norm) of each convolution op
     real, real_composed = models.conv2d, microfac.conv2d_composed
 
@@ -236,8 +237,9 @@ def test_eval_forward_folds_every_norm(training, monkeypatch):
     monkeypatch.setattr(models, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d", counted)
     monkeypatch.setattr(microfac, "conv2d_composed", counted_composed)
-    # a training Context's default rng is seeded, so its dropout repeats too
-    np.testing.assert_array_equal(net(x, Context(training=training)).data, want)
+    # a training forward's dropout draws the same mask from the same seed
+    got = net(x, Context(training=training, rng=np.random.default_rng(0))).data
+    np.testing.assert_array_equal(got, want)
     # block 0's expanding strided depthwise pair is one composed op in both modes
     assert sum(len(ws) == 2 for ws, _ in calls) == 1
     # each convolution weight of the network is read by one op, so no norm
@@ -269,16 +271,6 @@ def test_dropout_only_in_training():
     t1 = net(x, Context(training=True, rng=np.random.default_rng(4))).data
     t2 = net(x, Context(training=True, rng=np.random.default_rng(5))).data
     assert not np.array_equal(t1, t2)
-
-
-def test_default_training_context_is_deterministic():
-    spec = model_spec("tiny")
-    spec = dataclasses.replace(spec, dropout=0.5)
-    net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
-    x = np.random.default_rng(3).standard_normal((2, 3, 32, 32))
-    a = net(x, Context(training=True)).data
-    b = net(x, Context(training=True)).data
-    assert a.tobytes() == b.tobytes()
 
 
 def test_norm_none_variant_runs():
@@ -353,12 +345,12 @@ def test_network_matches_naive_reference(variant, tmp_path):
             spec = dataclasses.replace(spec, blocks=(
                 BlockSpec("A", 3, 8, 4, 2), BlockSpec("C", 3, 4, 4, 1, ("dysm",) * 3)))
         spec = dataclasses.replace(spec, num_classes=10, dropout=0.0)
-    net = build_model(spec, dtype=np.float64, seed=0)
+    net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
     if not variant.startswith("drawn"):
         assert any(getattr(b, "skip", False) for b in net.blocks) == (variant == "tiny-skip")
     rng = np.random.default_rng(1)
     perturbed(net, rng)
-    report = verify_model(net)
+    report = verify_model(net, np.random.default_rng(0))
     assert all(row["ok"] for key in STRUCTURAL_ROWS for row in report[key])
     madds = count_costs(net, res).total_madds
     x = rng.standard_normal((n, 3, res, res))
@@ -366,7 +358,7 @@ def test_network_matches_naive_reference(variant, tmp_path):
         counter = MAddCounter()
         want = network_forward(net, x, training, counter)
         with no_grad():
-            got = net(x, Context(training=training)).data
+            got = net(x, Context(training=training, rng=np.random.default_rng(0))).data
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
         assert counter.count == n * madds
     save_weights(tmp_path / "w.mnwt", net)
@@ -400,10 +392,11 @@ def test_drawn_specs_reach_every_kernel(monkeypatch):
                         recorded("_fusions_matmul", tensor._fusions_matmul))
     cases = [drawn_case(i) for i in range(DRAWS)]
     for spec, n, res in cases:
-        net = perturbed(build_model(spec, dtype=np.float64, seed=0), np.random.default_rng(1))
+        net = perturbed(Network(spec, rng=np.random.default_rng(0), dtype=np.float64),
+                        np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((n, 3, res, res))
         for training in (False, True):
-            net(x, Context(training=training))
+            net(x, Context(training=training, rng=np.random.default_rng(0)))
     assert seen == {"_conv_pointwise", "_conv_banded", "_conv_depthwise", "_conv_rows",
                     "_conv_im2col", "conv2d_composed", "_fusions_matmul"}
     assert any(b.kind != "A" and b.activations[1] == "dysm"
@@ -450,8 +443,9 @@ def test_drawn_specs_train_like_finite_differences(draw, monkeypatch):
     # evaluation, against central differences; a probe whose perturbation
     # moves any ReLU across its kink or changes a shift_max winner is left out
     spec, _, _ = drawn_case(draw)
-    net = perturbed(build_model(dataclasses.replace(spec, dropout=0.25), dtype=np.float64,
-                                seed=0), np.random.default_rng(1))
+    net = perturbed(Network(dataclasses.replace(spec, dropout=0.25),
+                            rng=np.random.default_rng(0), dtype=np.float64),
+                    np.random.default_rng(1))
     x = np.random.default_rng(2).standard_normal((2, 3, 8, 8))
     labels = np.arange(2) % spec.num_classes
     taken = record_branches(monkeypatch)
@@ -479,7 +473,7 @@ def taped_ops(net, x, training):
     """The names of the ops one forward of net on x records."""
     tensor._tape = tape = tensor.Tape()
     try:
-        net(x, Context(training=training))
+        net(x, Context(training=training, rng=np.random.default_rng(0)))
     finally:
         tensor._tape = None
     return [op for op, *_ in tape.ops]
@@ -497,7 +491,7 @@ def test_slots_without_relu_run_as_their_own_ops(acts):
     spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
         BlockSpec("A", 3, 8, 4, 2, a), BlockSpec("C", 3, 8, 4, 1, c1),
         BlockSpec("C", 3, 8, 4, 1, c2)))
-    net = build_model(spec, dtype=np.float64, seed=0)
+    net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
     rng = np.random.default_rng(1)
     for _, p in net.named_params():
         p.data += 0.2 * rng.standard_normal(p.shape)
@@ -505,7 +499,7 @@ def test_slots_without_relu_run_as_their_own_ops(acts):
     slots = [s for b in spec.blocks for s in b.activations]
     for training in (False, True):
         with no_grad():
-            got = net(x, Context(training=training)).data
+            got = net(x, Context(training=training, rng=np.random.default_rng(0))).data
         want = network_forward(net, x, training)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
         ops = taped_ops(net, x, training)
@@ -542,7 +536,8 @@ def test_row_window_kernel_takes_only_the_stem_conv1(monkeypatch):
         net = build_model(variant, seed=0)
         for n, training in ((1, False), (2, True)):
             picked.clear()
-            net(np.zeros((n, 3, 32, 32), np.float32), Context(training=training))
+            net(np.zeros((n, 3, 32, 32), np.float32),
+                Context(training=training, rng=np.random.default_rng(0)))
             assert picked == [net.stem.conv1.spec], (variant, training)
 
 
@@ -553,7 +548,7 @@ def test_composed_block_a_costs_match_reference(resolution, monkeypatch):
     # loop-based reference runs, not as 25 taps
     spec = dataclasses.replace(model_spec("tiny"), num_classes=10, dropout=0.0, blocks=(
         BlockSpec("A", 5, 16, 8, 2), BlockSpec("B", 3, 8, 4, 2)))
-    net = build_model(spec, dtype=np.float64, seed=0)
+    net = Network(spec, rng=np.random.default_rng(0), dtype=np.float64)
     composed = []
     real = microfac.conv2d_composed
 
@@ -694,13 +689,17 @@ def test_model_spec_validation():
             dataclasses.replace(base, blocks=(dataclasses.replace(base.blocks[0], **change),
                                               *base.blocks[1:]))
     def groups(lam):
-        net = build_model(dataclasses.replace(base, group_lam=lam))
+        net = Network(dataclasses.replace(base, group_lam=lam), rng=np.random.default_rng(0))
         return [blk.squeeze.spec.groups if blk.kind == "A"
                 else (blk.pointwise.g1, blk.pointwise.g2) for blk in net.blocks]
     assert groups(1e308) == groups(1e6)
 
 
-def test_build_model_accepts_explicit_spec():
-    spec = model_spec("tiny")
-    net = build_model(spec, seed=0)
-    assert net.spec.name == "tiny"
+def test_build_model_is_the_network_of_a_named_spec():
+    # any other spec is built as Network(spec, rng, dtype)
+    net = build_model("tiny", num_classes=3, seed=4, dtype=np.float64)
+    want = Network(dataclasses.replace(model_spec("tiny"), num_classes=3),
+                   rng=np.random.default_rng(4), dtype=np.float64)
+    assert net.spec == want.spec
+    for (name, p), (_, q) in zip(net.named_params(), want.named_params(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes(), name

@@ -46,17 +46,11 @@ UNREACHED = {
         ("tensor.py", "_conv_rows.vjp", "gx, _ = _im2col_vjp")],
     "`_accumulate`'s return for a tensor without gradient": [
         ("tensor.py", "_accumulate", "return")],
-    "`dropout`'s zero rate": [
-        ("tensor.py", "dropout", "return x")],
     "`_NormFolds`' copy and rebound-array guards": [
         ("models.py", "_NormFolds.__reduce__", None),
         ("models.py", "_NormFolds.prepare", "return None")],
     "`Network.forward`'s dtype cast": [
         ("models.py", "Network.forward", "x = Tensor(x.data.astype")],
-    "`build_model` given a `ModelSpec`": [
-        ("models.py", "build_model", "spec = variant_or_spec")],
-    "`Context`'s default rng": [
-        ("module.py", "Context.rng", "self._rng = ")],
     "the rank law's degenerate blocks": [
         ("analysis.py", "rank_law_holds", "continue")],
     "SGD's skip of a parameter without a gradient": [

@@ -14,7 +14,7 @@ from micronet.train import (SGD, NonFiniteError, cosine_lr, evaluate, iterate_ba
 
 def test_sgd_two_steps_by_hand():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.01)
+    opt = SGD([("p", p)], lr=0.1, momentum=0.9, weight_decay=0.01)
     w = np.array([1.0, -2.0])
     v = np.zeros(2)
     for g in (np.array([0.5, 0.5]), np.array([-1.0, 2.0])):
@@ -25,10 +25,9 @@ def test_sgd_two_steps_by_hand():
     np.testing.assert_allclose(p.data, w, atol=1e-15)
 
 
-def test_sgd_skips_unused_and_dedupes():
+def test_sgd_skips_unused_and_needs_parameters():
     p = Tensor(np.ones(3), requires_grad=True)
-    opt = SGD([("a", p), ("b", p)], lr=0.5)
-    assert len(opt.params) == 1
+    opt = SGD([("p", p)], lr=0.5)
     opt.step()
     np.testing.assert_array_equal(p.data, np.ones(3))
     with pytest.raises(ValueError):
@@ -124,9 +123,10 @@ def test_non_finite_gradient_names_first_parameter(monkeypatch):
 
 
 def test_evaluate_matches_manual_accuracy():
-    images, labels = make_synthetic(32, seed=3)
+    # 80 images: a full batch of 64, then one of 16
+    images, labels = make_synthetic(80, seed=3)
     net = build_model("tiny", seed=1, dtype=np.float64)
-    _, acc = evaluate(net, images, labels, batch_size=8)
+    _, acc = evaluate(net, images, labels)
     from micronet.module import Context
     from micronet.tensor import no_grad
     with no_grad():
