@@ -109,7 +109,7 @@ class CostReport:
 
 
 # op name -> (record kind, per-image multiply-adds from the output shape and
-# the operand shapes); ops not listed (relu, add, permute_channels, ...) are free
+# the operand shapes); ops not listed (add, permute_channels, ...) are free
 _OP_COSTS = {
     "conv2d": ("conv", lambda out, x, w, *_: math.prod(out[1:]) * math.prod(w[1:])),
     # the column stage makes (C_out, OH, W), the row stage (C_out, OH, OW)

@@ -40,8 +40,7 @@ from .dyshiftmax import DyShiftMax
 from .microfac import (MicroFacDepthwise, MicroFacPointwise, adaptive_groups,
                        pick_group_pair)
 from .module import _NO_DRAW, Context, Module, he_normal, zeros_param
-from .tensor import (ConvSpec, Tensor, add, conv2d, dropout, global_avg_pool,
-                     linear, relu)
+from .tensor import ConvSpec, Tensor, add, conv2d, dropout, global_avg_pool, linear
 
 VARIANTS = ("M0", "M1", "M2", "M3", "tiny")
 
@@ -356,7 +355,7 @@ class MicroBlockBC(Module):
 
 
 class Head(Module):
-    """Global average pool into a two-layer classifier."""
+    """Global average pool into a two-layer classifier, fc1 with a ReLU."""
 
     def __init__(self, c_in: int, spec: ModelSpec, rng, dtype):
         self.drop_rate = spec.dropout
@@ -368,7 +367,7 @@ class Head(Module):
 
     def forward(self, x: Tensor, ctx: Context) -> Tensor:
         z = global_avg_pool(x)
-        z = relu(linear(z, self.fc1_w, self.fc1_b))
+        z = linear(z, self.fc1_w, self.fc1_b, act="relu")
         if ctx.training and self.drop_rate > 0.0:
             z = dropout(z, self.drop_rate, ctx.rng)
         return linear(z, self.fc2_w, self.fc2_b)

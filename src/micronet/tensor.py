@@ -214,16 +214,16 @@ def _output(out: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _epilogue(y: np.ndarray, act: str | None):
-    """conv2d's activation on its C-ordered output y: a ReLU in place.
+    """The activation act ("relu" or None) in place on the C-ordered output y
+    of conv2d, conv2d_composed, linear or coefficient_head: the one ReLU.
 
     Returns y and grad(g), which maps y's gradient to its input's: masked
     where the output is not positive, as in-place ABN's backward reads its
-    output (arXiv:1712.02616). It is exact, so the result equals conv2d and
-    relu run one by one."""
+    output (arXiv:1712.02616)."""
     if act == "relu":
         np.maximum(y, 0, out=y)
     elif act is not None:
-        raise ValueError(f"unknown conv2d activation {act!r}")
+        raise ValueError(f"unknown activation {act!r}")
 
     def grad(g):
         return g if act is None else g * (y > 0)
@@ -742,13 +742,15 @@ def conv2d_composed(x: Tensor, col_w: Tensor, row_w: Tensor, *, spec: ConvSpec,
 # ---------------------------------------------------------------------------
 # dense / pooling / elementwise
 
-def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor, *, act: str | None = None) -> Tensor:
     """y = x @ w.T + bias, with x (N, D_in), w (D_out, D_in) and bias
     (D_out,), computed as (w @ x.T).T into a C-ordered result
-    (_affine_rows)."""
-    out = _affine_rows(x.data, w.data, bias.data)
+    (_affine_rows), then the epilogue act ("relu" or None) in place on it,
+    as conv2d runs it (_epilogue)."""
+    out, grad = _epilogue(_affine_rows(x.data, w.data, bias.data), act)
 
     def backward(g):
+        g = grad(g)
         if x.requires_grad:
             _accumulate(x, g @ w.data, owned=True)
         if w.requires_grad:
@@ -777,16 +779,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy(),
                         owned=True)
-
-    return _result(out, [x], backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * (x.data > 0), owned=True)
 
     return _result(out, [x], backward)
 
@@ -929,8 +921,8 @@ def shift_max(x: Tensor, a: Tensor, groups: int) -> Tensor:
 
 def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                      scale: float, bias: np.ndarray) -> Tensor:
-    """Dynamic Shift-Max coefficients: spatial mean, fc1, relu, fc2, then
-    scale * tanh(raw / 2) + bias.
+    """Dynamic Shift-Max coefficients: spatial mean, fc1, relu (in place on
+    fc1's output, _epilogue), fc2, then scale * tanh(raw / 2) + bias.
 
     x: (N, C, H, W); w1: (D, C); w2: (C*J*K, D); bias: (J, K); the output is
     (N, C, J, K). scale * tanh(raw / 2) equals 2*scale*sigmoid(raw) - scale:
@@ -942,7 +934,7 @@ def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     n, c, h, w = x.shape
     # the spatial mean as a matrix-vector product: 3-4x faster than mean()
     z = x.data.reshape(n, c, h * w) @ np.full(h * w, 1.0 / (h * w), x.dtype)
-    hid = np.maximum(_affine_rows(z, w1.data, b1.data), 0)  # (N, D)
+    hid, relu_grad = _epilogue(_affine_rows(z, w1.data, b1.data), "relu")  # (N, D)
     t = np.tanh(0.5 * _affine_rows(hid, w2.data, b2.data))  # (N, C*J*K)
     out = (scale * t).reshape(n, c, *bias.shape) + bias
 
@@ -952,7 +944,7 @@ def coefficient_head(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             _accumulate(w2, graw.T @ hid, owned=True)
         if b2.requires_grad:
             _accumulate(b2, graw.sum(axis=0), owned=True)
-        ghid = (graw @ w2.data) * (hid > 0)
+        ghid = relu_grad(graw @ w2.data)
         if w1.requires_grad:
             _accumulate(w1, ghid.T @ z, owned=True)
         if b1.requires_grad:
@@ -981,23 +973,18 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 # loss
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """The softmax of each row of (N, classes) logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer labels against softmax(logits)."""
+    """Mean cross-entropy of integer labels against the row softmax of (N,
+    classes) logits, which the backward normalizes from the forward's exp."""
     n = logits.shape[0]
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    loss = (logsum - z[np.arange(n), labels]).mean()
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = (np.log(total[:, 0]) - z[np.arange(n), labels]).mean()
 
     def backward(g):
         if logits.requires_grad:
-            p = softmax(logits.data)
+            p = e / total
             p[np.arange(n), labels] -= 1.0
             _accumulate(logits, g * p / n, owned=True)
 

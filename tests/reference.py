@@ -1,6 +1,7 @@
 """Independent oracles for the tests: naive scalar-loop kernels and a
 whole-network forward built from them, the scalar Dynamic Shift-Max, a
-brute-force path count, and gradient checking by central differences.
+brute-force path count, gradient checking by central differences, and
+the ReLU op and the softmax that the fused kernels are checked against.
 
 Each kernel optionally increments a multiply-accumulate counter once per
 fused multiply-add, matching the analyzer's convention (bias adds,
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from micronet.microfac import adaptive_groups
-from micronet.tensor import ConvSpec, no_grad
+from micronet.tensor import ConvSpec, Tensor, _accumulate, _result, no_grad
 
 
 class MAddCounter:
@@ -83,6 +84,24 @@ def global_avg_pool_naive(x: np.ndarray,
                         counter.tick()
             out[b, ch] = acc / (h * w)
     return out
+
+
+def relu(x: Tensor) -> Tensor:
+    """ReLU as an op of its own, the reference for the ops' epilogue."""
+    out = np.maximum(x.data, 0)
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g * (x.data > 0), owned=True)
+
+    return _result(out, [x], backward)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of (N, classes) logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

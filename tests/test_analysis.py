@@ -3,6 +3,7 @@ reports, and the trade-off sweep."""
 
 import dataclasses
 import functools
+import inspect
 import json
 import tracemalloc
 
@@ -176,6 +177,19 @@ def test_op_costs_name_live_ops():
         fn = getattr(tensor, op, None)
         assert callable(fn) and fn.__module__ == tensor.__name__, op
         assert fn.__annotations__.get("return") == "Tensor", op
+
+
+def test_every_op_is_priced_or_free():
+    # a new op cannot go unpriced unnoticed: each function of micronet.tensor
+    # that returns a Tensor or adds a node (calls _result) has a cost entry
+    # or is one of the ops that count_costs counts free
+    free = {"add", "permute_channels", "dropout", "softmax_cross_entropy"}
+    ops = {name for name, fn in vars(tensor).items()
+           if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+           and not name.startswith("_")
+           and (fn.__annotations__.get("return") == "Tensor"
+                or "_result" in fn.__code__.co_names)}
+    assert ops == set(_OP_COSTS) | free
 
 
 def test_cost_json_and_table_formats():

@@ -405,33 +405,23 @@ def test_drawn_specs_reach_every_kernel(monkeypatch):
 
 def record_branches(monkeypatch) -> list:
     """A list that each forward fills, in order, with the branch every
-    piecewise op takes: the sign of each ReLU's input (conv2d's epilogue, the
-    head's relu, the hidden layer of the coefficient head) and the winning
-    fusion of each shift_max. Clear it before each forward."""
+    piecewise op takes: the sign of each ReLU's input, as the epilogue that
+    runs every ReLU (conv2d's, the head's fc1, the hidden layer of the
+    coefficient head) sees the values it clamps, and the winning fusion of
+    each shift_max. Clear it before each forward."""
     taken = []
-    epilogue, head_relu = tensor._epilogue, models.relu
-    head, fuse = dyshiftmax.coefficient_head, dyshiftmax.shift_max
+    epilogue, fuse = tensor._epilogue, dyshiftmax.shift_max
 
     def relu_epilogue(y, act):
         if act == "relu":
             taken.append(y > 0)
         return epilogue(y, act)
 
-    def relu(x):
-        taken.append(x.data > 0)
-        return head_relu(x)
-
-    def coefficients(x, w1, b1, *rest):
-        taken.append(x.data.mean(axis=(2, 3)) @ w1.data.T + b1.data > 0)
-        return head(x, w1, b1, *rest)
-
     def shift(x, a, groups):
         taken.append(shift_fusions(x.data, a.data, groups).argmax(axis=0))
         return fuse(x, a, groups)
 
     monkeypatch.setattr(tensor, "_epilogue", relu_epilogue)
-    monkeypatch.setattr(models, "relu", relu)
-    monkeypatch.setattr(dyshiftmax, "coefficient_head", coefficients)
     monkeypatch.setattr(dyshiftmax, "shift_max", shift)
     return taken
 
@@ -503,21 +493,22 @@ def test_slots_without_relu_run_as_their_own_ops(acts):
         want = network_forward(net, x, training)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), training
         ops = taped_ops(net, x, training)
-        # the head's ReLU is the only relu op; one shift_max per dysm slot
-        assert ops.count("relu") == 1
+        # every ReLU is an epilogue, so no relu op; one shift_max per dysm slot
+        assert ops.count("relu") == 0
         assert ops.count("shift_max") == slots.count("dysm")
         assert ops.count("permute_channels") == len(spec.blocks) - 1
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_relus_fuse_and_each_bc_block_keeps_one_shuffle(variant):
-    # in the models' own slots every ReLU after a convolution runs as a
-    # conv2d epilogue: the head's ReLU is the only relu op; each B/C block
-    # keeps one shuffle op in the graph
+    # in the models' own slots every ReLU runs as the epilogue of the op
+    # before it (a convolution or the head's fc1), so no graph holds a relu
+    # op, in eval or in training; each B/C block keeps one shuffle op
     net = build_model(variant, seed=0)
-    ops = taped_ops(net, np.zeros((1, 3, 32, 32), np.float32), False)
-    assert ops.count("relu") == 1
-    assert ops.count("permute_channels") == sum(b.kind != "A" for b in net.spec.blocks)
+    for training in (False, True):
+        ops = taped_ops(net, np.zeros((2, 3, 32, 32), np.float32), training)
+        assert ops.count("relu") == 0, training
+        assert ops.count("permute_channels") == sum(b.kind != "A" for b in net.spec.blocks)
 
 
 def test_row_window_kernel_takes_only_the_stem_conv1(monkeypatch):

@@ -11,7 +11,7 @@ from helpers import assert_grads, away_from_zero
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (MAddCounter, conv2d_naive, conv_madds, global_avg_pool_naive,
-                       linear_naive, shift_fusions)
+                       linear_naive, relu, shift_fusions, softmax)
 
 from micronet import tensor
 from micronet.dyshiftmax import DyShiftMax
@@ -20,7 +20,7 @@ from micronet.module import Context
 from micronet.tensor import (ConvSpec, Tensor, _accumulate, _conv_banded, _conv_depthwise,
                              _conv_im2col, _conv_rows, add, coefficient_head, conv2d,
                              conv2d_composed, dropout, global_avg_pool, linear, no_grad,
-                             permute_channels, relu, shift_max, softmax, softmax_cross_entropy)
+                             permute_channels, shift_max, softmax_cross_entropy)
 
 
 def rnd(rng, *shape):
@@ -500,7 +500,7 @@ EPILOGUE_SPECS = {
 @pytest.mark.parametrize("shuffle", ["identity", "random", None])
 def test_conv2d_epilogue_equals_separate_ops(kernel, n, mode, act, shuffle):
     # conv2d with act, then permute_channels by perm when there is one, as a
-    # compress stage and its shuffle run, against conv2d, relu and
+    # compress stage and its shuffle run, against conv2d, the reference relu and
     # permute_channels run one by one: bitwise-equal outputs, gradients and
     # running buffers
     spec = EPILOGUE_SPECS[kernel]
@@ -552,10 +552,33 @@ def test_conv2d_composed_relu_equals_separate_ops(n, normed):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_linear_epilogue_equals_separate_ops(n):
+    # linear with act="relu", as the head's fc1 runs, against linear and
+    # the reference relu run one by one: bitwise-equal output and gradients
+    rng = np.random.default_rng(7)
+    data = [rnd(rng, n, 6), rnd(rng, 5, 6), rnd(rng, 5)]
+
+    def run(fused):
+        x, w, b = (Tensor(a, requires_grad=True) for a in data)
+        if fused:
+            out = linear(x, w, b, act="relu")
+            assert out.data.flags.c_contiguous
+        else:
+            out = relu(linear(x, w, b))
+        backward_with(out, rnd(np.random.default_rng(8), *out.shape))
+        return [out.data, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="unknown activation"):
+        linear(*(Tensor(a) for a in data), act="tanh")
+
+
 def test_conv2d_epilogue_validation():
     spec = ConvSpec(2, 2, 1)
     x, w = Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((2, 2, 1, 1)))
-    with pytest.raises(ValueError, match="activation"):
+    with pytest.raises(ValueError, match="unknown activation"):
         conv2d(x, w, spec=spec, act="tanh")
 
 
@@ -995,13 +1018,6 @@ def test_second_backward_raises_and_keeps_gradients():
         Tensor(np.ones(())).backward()
 
 
-def test_softmax_rows_normalize():
-    rng = np.random.default_rng(1)
-    p = softmax(rnd(rng, 5, 9))
-    np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-12)
-    assert (p >= 0).all()
-
-
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(2)
     logits = rnd(rng, 4, 3)
@@ -1170,7 +1186,7 @@ def test_linear_pool_relu_gradients():
     b = Tensor(rnd(rng, 5), requires_grad=True)
 
     def loss():
-        z = relu(linear(global_avg_pool(x), w, b))
+        z = linear(global_avg_pool(x), w, b, act="relu")
         return softmax_cross_entropy(z, np.array([0, 2, 4]))
 
     assert_grads(loss, [("x", x), ("w", w), ("b", b)])

@@ -100,9 +100,9 @@ def test_non_finite_gradient_names_first_parameter(monkeypatch):
     before = {name: p.data.copy() for name, p in net.named_params()}
     linear = models.linear
 
-    def poisoned(x, w, b):
+    def poisoned(x, w, b, **kwargs):
         # the head's biases get one NaN gradient element each
-        out = linear(x, w, b)
+        out = linear(x, w, b, **kwargs)
         backward = out._backward
 
         def poison(g):
